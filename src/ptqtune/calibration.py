@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import _malformed_header, read_container, write_container
 from .dataset import Dataset
 from .fp32 import observe_activations
 from .ir import Graph
@@ -135,16 +135,18 @@ def save_cache(cache: CalibrationCache, path: str, meta: dict | None = None) -> 
 
 
 def load_cache(path: str) -> CalibrationCache:
-    header, (ranges, counts) = read_container(path)
+    header, buffers = read_container(path)
     if header.get("format") != "qcal":
         raise ValueError(f"{path}: not a calibration cache")
-    hists = {}
-    for i, t in enumerate(header["tensors"]):
-        hists[t] = TensorHistogram(
-            tensor_id=t, min_seen=ranges[i, 0], max_seen=ranges[i, 1],
-            bin_counts=counts[i].copy(), n_samples=int(header["n_samples"][i]),
-        )
-    return CalibrationCache(model_name=header["model_name"],
-                            size_class=header["size_class"],
-                            image_ids=list(header["image_ids"]),
-                            histograms=hists)
+    with _malformed_header(path):
+        ranges, counts = buffers
+        hists = {}
+        for i, t in enumerate(header["tensors"]):
+            hists[t] = TensorHistogram(
+                tensor_id=t, min_seen=ranges[i, 0], max_seen=ranges[i, 1],
+                bin_counts=counts[i].copy(), n_samples=int(header["n_samples"][i]),
+            )
+        return CalibrationCache(model_name=header["model_name"],
+                                size_class=header["size_class"],
+                                image_ids=list(header["image_ids"]),
+                                histograms=hists)

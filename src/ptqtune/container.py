@@ -16,6 +16,9 @@ entries describing each raw segment in order.
 from __future__ import annotations
 
 import json
+import math
+import os
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -52,13 +55,29 @@ def write_container(path: str, header: dict, buffers: list[np.ndarray]) -> None:
             f.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
+@contextmanager
+def _malformed_header(path: str, error: type[ValueError] = ValueError):
+    """Turn what a hostile or corrupt file raises while its header is read
+    into ``error``, the one exception the loaders document."""
+    try:
+        yield
+    except error:
+        raise
+    except ValueError as e:
+        raise error(str(e)) from e
+    except (KeyError, IndexError, TypeError, StopIteration) as e:
+        raise error(f"{path}: malformed header field: {e!r}") from e
+
+
 def read_container(path: str) -> tuple[dict, list[np.ndarray]]:
     """Read a container, returning ``(header, buffers)``.
 
     The returned header still includes the ``"buffers"`` table; arrays come
-    back in native byte order with the recorded dtype and shape.
+    back in native byte order with the recorded dtype and shape.  A file
+    that does not match the layout raises ValueError.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, _malformed_header(path):
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
@@ -71,15 +90,20 @@ def read_container(path: str) -> tuple[dict, list[np.ndarray]]:
         if not line.startswith(b"HDR "):
             raise ValueError(f"{path}: malformed header line {line!r}")
         nbytes = int(line[4:-1])
+        if not 0 <= nbytes <= size - f.tell():
+            raise ValueError(f"{path}: truncated header")
         header = json.loads(f.read(nbytes).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
         buffers = []
         for entry in header.get("buffers", []):
             dt = np.dtype(entry["dtype"]).newbyteorder("<")
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
+            # sized against the file before reading, so a corrupt shape
+            # cannot ask for an unbounded allocation
+            nbytes = math.prod(shape) * dt.itemsize
+            if not 0 <= nbytes <= size - f.tell():
                 raise ValueError(f"{path}: truncated buffer payload")
-            arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+            arr = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape)
             buffers.append(arr.astype(arr.dtype.newbyteorder("="), copy=True))
         return header, buffers

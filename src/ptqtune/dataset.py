@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import _malformed_header, read_container, write_container
 
 _TEMPLATE_SEED = 77041  # fixed: templates are part of the data definition
 
@@ -90,5 +90,6 @@ def load_dataset(path: str) -> Dataset:
     header, buffers = read_container(path)
     if header.get("format") != "qds":
         raise ValueError(f"{path}: not a dataset container")
-    images, labels = buffers
-    return Dataset(images=images, labels=labels, n_calib=int(header["n_calib"]))
+    with _malformed_header(path):
+        images, labels = buffers
+        return Dataset(images=images, labels=labels, n_calib=int(header["n_calib"]))

@@ -192,6 +192,8 @@ def _parse_tokens(recipe: str) -> list[str]:
 
 def _build_grammar(b: _Builder, tokens: list[str]) -> None:
     for tok in tokens:
+        if len(b.shape) != 3 and tok not in ("fc", "relu", "softmax"):
+            raise GraphError(f"recipe token {tok!r} needs a CHW input, got shape {b.shape}")
         if tok == "conv":
             b.conv(b.next_channels, 3, pad=1)
             b.next_channels = min(b.next_channels * 2, 64)

@@ -1,10 +1,15 @@
-"""Floating-point reference executor.
+"""Floating-point executor.
 
-Runs a Graph on NCHW fp32 batches.  Convolutions lower to im2col + sgemm so
-accumulation happens in fp32, like a deployed fp32 baseline would; the test
-suite pins this against a scalar brute-force oracle at 1e-5 relative
-tolerance.  Also hosts top-1 evaluation and the activation observer used by
-calibration.
+Runs a Graph on NCHW fp32 batches.  ``_float_node`` is the one fp32 step
+over the ten node kinds and holds the only conv/depthwise/pointwise/fc
+dispatch (``_linear``) and pool-attribute parse (``_pool_args``).
+``run_fp32`` walks a graph with it; the quantized executor (``intexec``)
+uses it for tensors kept in float and for mixed-precision fp32 layers, and
+reuses ``_linear`` on its exact float64 carrier for integer accumulation.
+Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
+deployed fp32 baseline would; the test suite pins this against a scalar
+brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation
+and the activation observer used by calibration.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Dataset
-from .ir import CONV_KINDS, INPUT_TENSOR, Graph
+from .ir import COMPUTE_KINDS, INPUT_TENSOR, Graph, Node
 
 ObserverSink = Callable[[str, np.ndarray], None]
 
@@ -74,6 +79,50 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _pool_args(node: Node) -> tuple[int, int]:
+    """(kernel, stride) of a maxpool/avgpool node; stride defaults to kernel."""
+    k = int(node.attrs["kernel"])
+    return k, int(node.attrs.get("stride", k))
+
+
+def _linear(node: Node, x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """conv2d / depthwise / pointwise / fully_connected node.  Runs in the
+    dtype of its operands: fp32, or the exact float64 carrier of the integer
+    path."""
+    if node.kind == "fully_connected":
+        out = x.reshape(x.shape[0], -1) @ w.T
+        return out if b is None else out + b
+    fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
+    return fn(x, w, b, int(node.attrs.get("stride", 1)), int(node.attrs.get("padding", 0)))
+
+
+def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]) -> np.ndarray:
+    """One node in fp32 on its data inputs ``xs``; the float step of every
+    executor (``run_fp32``, and float tensors and fp32 layers of quantized
+    graphs)."""
+    x = xs[0]
+    if node.kind in COMPUTE_KINDS:
+        b = weights[node.bias_id] if node.bias_id else None
+        out = _linear(node, x, weights[node.weight_id], b)
+        if node.attrs.get("fused_relu", False):
+            out = np.maximum(out, np.float32(0))
+    elif node.kind == "relu":
+        out = np.maximum(x, np.float32(0))
+    elif node.kind == "maxpool":
+        out = maxpool(x, *_pool_args(node))
+    elif node.kind == "avgpool":
+        out = avgpool(x, *_pool_args(node))
+    elif node.kind == "add":
+        out = x + xs[1]
+    elif node.kind == "concat":
+        out = np.concatenate(xs, axis=1)
+    elif node.kind == "softmax":
+        out = softmax(x)
+    else:  # pragma: no cover - validate() rejects these
+        raise ValueError(f"unknown node kind {node.kind!r}")
+    return out.astype(np.float32, copy=False)
+
+
 def run_fp32(g: Graph, batch: np.ndarray, sink: ObserverSink | None = None) -> np.ndarray:
     """Forward pass; returns the graph output (logits or class scores)."""
     batch = _check_batch(g, batch)
@@ -81,34 +130,7 @@ def run_fp32(g: Graph, batch: np.ndarray, sink: ObserverSink | None = None) -> n
     if sink is not None:
         sink(INPUT_TENSOR, batch)
     for node in g.nodes:
-        x = env[node.data_inputs[0]]
-        if node.kind in CONV_KINDS:
-            w = g.weights[node.weight_id]
-            b = g.weights[node.bias_id] if node.bias_id else None
-            s, p = int(node.attrs.get("stride", 1)), int(node.attrs.get("padding", 0))
-            fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
-            out = fn(x, w, b, s, p)
-        elif node.kind == "fully_connected":
-            w = g.weights[node.weight_id]
-            b = g.weights[node.bias_id] if node.bias_id else None
-            out = x.reshape(x.shape[0], -1) @ w.T
-            if b is not None:
-                out = out + b
-        elif node.kind == "relu":
-            out = np.maximum(x, np.float32(0))
-        elif node.kind == "maxpool":
-            out = maxpool(x, int(node.attrs["kernel"]), int(node.attrs.get("stride", node.attrs["kernel"])))
-        elif node.kind == "avgpool":
-            out = avgpool(x, int(node.attrs["kernel"]), int(node.attrs.get("stride", node.attrs["kernel"])))
-        elif node.kind == "add":
-            out = x + env[node.data_inputs[1]]
-        elif node.kind == "concat":
-            out = np.concatenate([env[t] for t in node.data_inputs], axis=1)
-        elif node.kind == "softmax":
-            out = softmax(x)
-        else:  # pragma: no cover - validate() rejects these
-            raise ValueError(f"unknown node kind {node.kind!r}")
-        env[node.output] = out.astype(np.float32, copy=False)
+        env[node.output] = _float_node(node, [env[t] for t in node.data_inputs], g.weights)
         if sink is not None:
             sink(node.output, env[node.output])
     return env[g.output_tensor()]

@@ -1,24 +1,28 @@
 """Execution of quantized graphs.
 
-Two paths over the same graph walk:
+One walk serves both paths: each node runs either the fp32 step shared with
+``run_fp32`` (tensors kept in float, and FirstLastFp32 layers wrapped in
+dequantize and boundary quantize) or the code step on int8 codes.
 
   run_quantized     — int32 accumulation with float-multiplier requantization
-                      (the usual int8 simulation); mixed-precision fp32 layers
-                      run in fp32 with quantize/dequantize at the boundary.
+                      (the usual int8 simulation).
   run_integer_only  — multiplication, addition and bit-shifts only; requires
                       SymmetricPower2 + Tensor granularity + mixed Off, and
                       power-of-two avgpool areas.  Returns raw output codes.
 
-Both use round-half-up for requantization, so for power-of-two scales the
-shift path and the float-simulated path agree bit-for-bit:
+The two differ only in how an accumulator is rescaled (``_rescale``: float
+multiplier or shift) and in ``add``.  Both round half up, so for power-of-two
+scales they agree bit-for-bit:
 (acc + (1 << (s-1))) >> s  ==  floor(acc * 2**-s + 0.5).
 
 Every intermediate value is an integer; NumPy carries the matmuls in float64
-purely for speed.  Products of zero-shifted int8 codes are < 2**16 and
-accumulate over < 2**10 taps, so all values stay far below 2**53 and the
-float64 arithmetic is exact — bit-identical to true integer execution.  The
-OpTrace records the *semantic* operation categories of the quantized
-program, which is what the integer-only audit asserts over.
+purely for speed.  Products of zero-shifted int8 codes are < 2**16, and the
+widest layer the fixture grammar builds, a fully_connected over 64x32x32
+inputs, sums 2**16 taps (``conv+fc`` already sums 8192), so every sum stays
+below 2**32, far under 2**53, and the float64 arithmetic is exact —
+bit-identical to true integer execution.  The OpTrace records the *semantic*
+operation categories of the quantized program, which is what the
+integer-only audit asserts over.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, avgpool, conv2d, depthwise_conv2d, maxpool,
-                   run_fp32, softmax, top1_from_scores, _windows)
-from .ir import COMPUTE_KINDS, CONV_KINDS, Graph, INPUT_TENSOR, Node
+from .fp32 import (AccuracyResult, _check_batch, _float_node, _linear, _pool_args,
+                   _windows, maxpool, top1_from_scores)
+from .ir import COMPUTE_KINDS, Graph, INPUT_TENSOR, Node
 from .quantize import INT32_MAX, INT32_MIN, QuantizedGraph
-from .schemes import QMAX, QMIN, QuantParams, Scheme, ceil_log2, dequantize_array, quantize_array
+from .schemes import QMAX, QMIN, Scheme, ceil_log2, dequantize_array, quantize_array
 
 # float_kernel marks a layer whose matrix/conv arithmetic runs in fp32
 # (the precision map); float_mul/float_add are elementwise float steps
@@ -92,41 +96,11 @@ def _exact_log2(scale: float) -> int:
     return k
 
 
-def _int_conv(kind: str, x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Integer conv/fc via exact float64 carrier; returns int64."""
-    xf = x.astype(np.float64)
-    wf = w.astype(np.float64)
-    if kind == "conv2d" or kind == "pointwise_conv2d":
-        out = conv2d(xf, wf, None, stride, pad)
-    elif kind == "depthwise_conv2d":
-        out = depthwise_conv2d(xf, wf, None, stride, pad)
-    else:  # fully_connected
-        out = xf.reshape(xf.shape[0], -1) @ wf.T
-    return out.astype(np.int64)
-
-
 def _per_channel(vec: np.ndarray, ndim: int) -> np.ndarray:
     """Reshape an (O,) vector to broadcast over (N, O, ...) activations."""
     shape = [1] * ndim
     shape[1] = -1
     return np.asarray(vec).reshape(shape)
-
-
-def _requant_to(codes: np.ndarray, src: QuantParams, dst: QuantParams,
-                integer_only: bool, trace: OpTrace | None, node_id: str) -> np.ndarray:
-    """Re-express codes from src params in dst params (for add/concat inputs)."""
-    shifted = codes.astype(np.int64) - int(src.zero_point)
-    if integer_only:
-        s = _exact_log2(float(dst.scale)) - _exact_log2(float(src.scale))
-        out = requantize(shifted, shift=s, zero_point=int(dst.zero_point))
-        if trace is not None:
-            trace.add(node_id, "int_add", "shift", "clamp")
-    else:
-        m = float(src.scale) / float(dst.scale)
-        out = requantize(shifted, multiplier=m, zero_point=int(dst.zero_point))
-        if trace is not None:
-            trace.add(node_id, "int_add", "float_mul", "round", "clamp")
-    return out.astype(np.int64)
 
 
 def check_integer_only(qg: QuantizedGraph) -> None:
@@ -139,199 +113,137 @@ def check_integer_only(qg: QuantizedGraph) -> None:
             f"{cfg.granularity}/{cfg.mixed}")
     for node in qg.graph.nodes:
         if node.kind == "avgpool":
-            k = int(node.attrs["kernel"])
-            area = k * k
+            area = _pool_args(node)[0] ** 2
             if area & (area - 1):
                 raise IntegerOnlyError(f"avgpool {node.id}: area {area} not a power of two")
+
+
+def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
+             zero_point: int, integer_only: bool, trace: OpTrace, node_id: str) -> np.ndarray:
+    """Accumulator at ``src_scale`` -> int8 codes at ``dst_scale``: a shift
+    (power-of-two scales only) under integer_only, else a float multiplier."""
+    if integer_only:
+        trace.add(node_id, "int_add", "shift", "clamp")
+        shift = _exact_log2(float(dst_scale)) - _exact_log2(float(src_scale))
+        return requantize(acc, shift=shift, zero_point=zero_point)
+    trace.add(node_id, "int_add", "float_mul", "round", "clamp")
+    return requantize(acc, multiplier=src_scale / dst_scale, zero_point=zero_point)
+
+
+def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
+               trace: OpTrace, integer_only: bool) -> np.ndarray:
+    """One node on int8 codes (carried as int64); returns int64 codes."""
+    params = [qg.act_params[t] for t in node.data_inputs]
+    out_p = qg.act_params[node.output]
+    zo = int(out_p.zero_point)
+    x = xs[0]
+    if node.kind in COMPUTE_KINDS:
+        wp = qg.weight_params[node.weight_id]
+        w = qg.weight_codes[node.weight_id].astype(np.int64)
+        w = w - wp.zp_vec().reshape((-1,) + (1,) * (w.ndim - 1))
+        xz = x - int(params[0].zero_point)
+        acc = _linear(node, xz.astype(np.float64), w.astype(np.float64), None).astype(np.int64)
+        trace.add(node.id, "int_mul", "int_add")
+        if node.bias_id is not None:
+            b = qg.bias_codes[node.bias_id].astype(np.int64)
+            acc = acc + (_per_channel(b, acc.ndim) if acc.ndim == 4 else b)
+            trace.add(node.id, "int_add")
+        acc = np.clip(acc, INT32_MIN, INT32_MAX)  # saturating int32 contract
+        sw = np.asarray(wp.scale, dtype=np.float64)
+        if wp.axis is not None and acc.ndim == 4:
+            sw = _per_channel(sw, acc.ndim)
+        out = _rescale(acc, float(params[0].scale) * sw, float(out_p.scale), zo,
+                       integer_only, trace, node.id)
+        if node.attrs.get("fused_relu", False):
+            out = np.maximum(out, np.int8(zo))
+            trace.add(node.id, "clamp")
+    elif node.kind == "relu":
+        out = np.maximum(x, zo)
+        trace.add(node.id, "clamp")
+    elif node.kind == "maxpool":
+        out = maxpool(x, *_pool_args(node))
+    elif node.kind == "avgpool":
+        k, s = _pool_args(node)
+        total = _windows(x, k, k, s, 0).sum(axis=(-1, -2))
+        out = _rescale(total - zo * k * k, 1.0, float(k * k), zo, integer_only, trace, node.id)
+    elif node.kind == "add":
+        # align both inputs to a common scale WITHOUT clamping, sum in the
+        # wide accumulator, then round/clamp once -- clamping the addends
+        # separately would destroy negative contributions when the output
+        # range is relu-narrowed
+        pa, pb = params
+        xa = x - int(pa.zero_point)
+        xb = xs[1] - int(pb.zero_point)
+        if integer_only:
+            ka = _exact_log2(float(pa.scale))
+            kb = _exact_log2(float(pb.scale))
+            kmin = min(ka, kb)
+            acc = (xa << (ka - kmin)) + (xb << (kb - kmin))
+            out = requantize(acc, shift=_exact_log2(float(out_p.scale)) - kmin, zero_point=zo)
+            trace.add(node.id, "int_add", "shift", "int_add", "shift", "int_add", "shift", "clamp")
+        else:
+            so = float(out_p.scale)
+            acc = xa * (float(pa.scale) / so) + xb * (float(pb.scale) / so)
+            out = np.clip(_rhu(acc) + zo, QMIN, QMAX)
+            trace.add(node.id, "int_add", "float_mul", "int_add", "float_mul",
+                      "float_add", "round", "int_add", "clamp")
+    elif node.kind == "concat":
+        out = np.concatenate([
+            _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo,
+                     integer_only, trace, node.id)
+            for xi, p in zip(xs, params)], axis=1)
+    elif node.kind == "softmax":
+        out = x  # monotone map: identity on codes
+    else:  # pragma: no cover
+        raise ValueError(f"unknown node kind {node.kind!r}")
+    return out.astype(np.int64, copy=False)
+
+
+def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
+                trace: OpTrace) -> np.ndarray:
+    """The fp32 step for a quantized graph: dequantize code inputs (only a
+    FirstLastFp32 layer has them), run fp32, quantize a code output (the
+    FirstLastFp32 boundary)."""
+    xs = []
+    for t in node.data_inputs:
+        if t in qg.act_params:
+            xs.append(dequantize_array(env[t].astype(np.int8, copy=False), qg.act_params[t]))
+            trace.add(node.id, "int_add", "float_mul")
+        else:
+            xs.append(env[t])
+    out = _float_node(node, xs, qg.graph.weights)
+    if node.kind in COMPUTE_KINDS:
+        trace.add(node.id, "float_kernel")
+        if node.attrs.get("fused_relu", False):
+            trace.add(node.id, "clamp")
+    elif node.kind == "add":
+        trace.add(node.id, "float_add")
+    elif node.kind == "softmax":
+        trace.add(node.id, "float_add", "float_mul")
+    if node.output in qg.act_params:
+        out = quantize_array(out, qg.act_params[node.output]).astype(np.int64)
+        trace.add(node.id, "float_mul", "round", "int_add", "clamp")
+    return out
 
 
 def _execute(qg: QuantizedGraph, batch: np.ndarray, trace: OpTrace | None,
              integer_only: bool, sink=None) -> np.ndarray:
     g = qg.graph
-    batch = np.asarray(batch, dtype=np.float32)
-    if batch.ndim == 3:
-        batch = batch[None]
-    if tuple(batch.shape[1:]) != tuple(g.input_shape):
-        raise ValueError(f"batch shape {batch.shape} does not match input {g.input_shape}")
-
-    env: dict[str, np.ndarray] = {}
+    trace = OpTrace() if trace is None else trace
+    env: dict[str, np.ndarray] = {INPUT_TENSOR: _check_batch(g, batch)}
     if INPUT_TENSOR in qg.act_params:
         # host-side input quantization (not part of the traced graph program)
-        env[INPUT_TENSOR] = quantize_array(batch, qg.act_params[INPUT_TENSOR]).astype(np.int64)
-    else:
-        env[INPUT_TENSOR] = batch
-
-    def is_codes(t: str) -> bool:
-        return t in qg.act_params
-
+        env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
+                                           qg.act_params[INPUT_TENSOR]).astype(np.int64)
     for node in g.nodes:
-        x = env[node.data_inputs[0]]
-        fused_relu = bool(node.attrs.get("fused_relu", False))
-        if node.kind in COMPUTE_KINDS:
-            if node.id in qg.fp32_nodes:
-                env[node.output] = _run_fp32_node(qg, node, env, trace)
-                continue
-            wp = qg.weight_params[node.weight_id]
-            in_p = qg.act_params[node.data_inputs[0]]
-            out_p = qg.act_params[node.output]
-            xs = x - int(in_p.zero_point)
-            w = qg.weight_codes[node.weight_id].astype(np.int64)
-            w = w - wp.zp_vec().reshape((-1,) + (1,) * (w.ndim - 1))
-            stride = int(node.attrs.get("stride", 1))
-            pad = int(node.attrs.get("padding", 0))
-            acc = _int_conv(node.kind, xs, w, stride, pad)
-            if trace is not None:
-                trace.add(node.id, "int_mul", "int_add")
-            if node.bias_id is not None:
-                b = qg.bias_codes[node.bias_id].astype(np.int64)
-                acc = acc + (_per_channel(b, acc.ndim) if acc.ndim == 4 else b)
-                if trace is not None:
-                    trace.add(node.id, "int_add")
-            acc = np.clip(acc, INT32_MIN, INT32_MAX)  # saturating int32 contract
-            sx = float(in_p.scale)
-            sy = float(out_p.scale)
-            zy = int(out_p.zero_point)
-            sw = np.asarray(wp.scale, dtype=np.float64)
-            if integer_only:
-                s = _exact_log2(sy) - _exact_log2(sx) - _exact_log2(float(sw))
-                out = requantize(acc, shift=s, zero_point=zy)
-                if trace is not None:
-                    trace.add(node.id, "int_add", "shift", "clamp")
-            else:
-                m = sx * sw / sy
-                if wp.axis is not None:
-                    m = _per_channel(m, acc.ndim) if acc.ndim == 4 else m
-                out = requantize(acc, multiplier=m, zero_point=zy)
-                if trace is not None:
-                    trace.add(node.id, "float_mul", "round", "int_add", "clamp")
-            if fused_relu:
-                out = np.maximum(out, np.int8(zy))
-                if trace is not None:
-                    trace.add(node.id, "clamp")
-            env[node.output] = out.astype(np.int64)
-        elif node.kind == "relu":
-            if is_codes(node.output):
-                zp = int(qg.act_params[node.output].zero_point)
-                env[node.output] = np.maximum(x, zp)
-                if trace is not None:
-                    trace.add(node.id, "clamp")
-            else:
-                env[node.output] = np.maximum(x, np.float32(0))
-        elif node.kind == "maxpool":
-            k = int(node.attrs["kernel"])
-            s = int(node.attrs.get("stride", k))
-            env[node.output] = maxpool(x, k, s) if not is_codes(node.output) \
-                else _windows(x, k, k, s, 0).max(axis=(-1, -2))
-        elif node.kind == "avgpool":
-            k = int(node.attrs["kernel"])
-            s = int(node.attrs.get("stride", k))
-            if not is_codes(node.output):
-                env[node.output] = avgpool(x, k, s)
-            else:
-                zp = int(qg.act_params[node.output].zero_point)
-                total = _windows(x, k, k, s, 0).sum(axis=(-1, -2))
-                area = k * k
-                if integer_only:
-                    out = requantize(total - zp * area, shift=_exact_log2(float(area)),
-                                     zero_point=zp)
-                    if trace is not None:
-                        trace.add(node.id, "int_add", "shift", "clamp")
-                else:
-                    out = requantize(total - zp * area, multiplier=1.0 / area,
-                                     zero_point=zp)
-                    if trace is not None:
-                        trace.add(node.id, "int_add", "float_mul", "round", "clamp")
-                env[node.output] = out.astype(np.int64)
-        elif node.kind == "add":
-            y = env[node.data_inputs[1]]
-            if is_codes(node.output):
-                # align both inputs to a common scale WITHOUT clamping, sum in
-                # the wide accumulator, then round/clamp once -- clamping the
-                # addends separately would destroy negative contributions when
-                # the output range is relu-narrowed
-                out_p = qg.act_params[node.output]
-                pa = qg.act_params[node.data_inputs[0]]
-                pb = qg.act_params[node.data_inputs[1]]
-                zo = int(out_p.zero_point)
-                xs = x - int(pa.zero_point)
-                ys = y - int(pb.zero_point)
-                if integer_only:
-                    ka = _exact_log2(float(pa.scale))
-                    kb = _exact_log2(float(pb.scale))
-                    ko = _exact_log2(float(out_p.scale))
-                    kmin = min(ka, kb)
-                    acc = (xs << (ka - kmin)) + (ys << (kb - kmin))
-                    out = requantize(acc, shift=ko - kmin, zero_point=zo)
-                    if trace is not None:
-                        trace.add(node.id, "int_add", "shift", "int_add",
-                                  "shift", "int_add", "shift", "clamp")
-                else:
-                    so = float(out_p.scale)
-                    acc = xs * (float(pa.scale) / so) + ys * (float(pb.scale) / so)
-                    out = np.clip(_rhu(acc) + zo, QMIN, QMAX)
-                    if trace is not None:
-                        trace.add(node.id, "int_add", "float_mul", "int_add",
-                                  "float_mul", "float_add", "round", "int_add",
-                                  "clamp")
-                env[node.output] = out.astype(np.int64)
-            else:
-                env[node.output] = x + y
-                if trace is not None:
-                    trace.add(node.id, "float_add")
-        elif node.kind == "concat":
-            if is_codes(node.output):
-                out_p = qg.act_params[node.output]
-                parts = [_requant_to(env[t], qg.act_params[t], out_p,
-                                     integer_only, trace, node.id)
-                         for t in node.data_inputs]
-                env[node.output] = np.concatenate(parts, axis=1)
-            else:
-                env[node.output] = np.concatenate([env[t] for t in node.data_inputs], axis=1)
-        elif node.kind == "softmax":
-            if is_codes(node.output):
-                env[node.output] = x  # monotone map: identity on codes
-            else:
-                env[node.output] = softmax(x)
-                if trace is not None:
-                    trace.add(node.id, "float_add", "float_mul")
-        else:  # pragma: no cover
-            raise ValueError(f"unknown node kind {node.kind!r}")
+        if node.output in qg.act_params and node.id not in qg.fp32_nodes:
+            out = _code_node(qg, node, [env[t] for t in node.data_inputs], trace, integer_only)
+        else:
+            out = _float_step(qg, node, env, trace)
+        env[node.output] = out
         if sink is not None:
-            sink(node.output, env[node.output])
+            sink(node.output, out)
     return env[g.output_tensor()]
-
-
-def _run_fp32_node(qg: QuantizedGraph, node: Node, env: dict, trace: OpTrace | None) -> np.ndarray:
-    """Mixed-precision layer: dequantize inputs, compute fp32, re-quantize boundary."""
-    g = qg.graph
-    t_in = node.data_inputs[0]
-    x = env[t_in]
-    if t_in in qg.act_params:
-        x = dequantize_array(x.astype(np.int8, copy=False), qg.act_params[t_in])
-        if trace is not None:
-            trace.add(node.id, "int_add", "float_mul")
-    w = g.weights[node.weight_id]
-    b = g.weights[node.bias_id] if node.bias_id else None
-    if node.kind in CONV_KINDS:
-        stride = int(node.attrs.get("stride", 1))
-        pad = int(node.attrs.get("padding", 0))
-        fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
-        out = fn(x.astype(np.float32), w, b, stride, pad)
-    else:
-        out = x.reshape(x.shape[0], -1).astype(np.float32) @ w.T
-        if b is not None:
-            out = out + b
-    if trace is not None:
-        trace.add(node.id, "float_kernel")
-    if bool(node.attrs.get("fused_relu", False)):
-        out = np.maximum(out, np.float32(0))
-        if trace is not None:
-            trace.add(node.id, "clamp")
-    if node.output in qg.act_params:  # quantize boundary
-        out = quantize_array(out, qg.act_params[node.output]).astype(np.int64)
-        if trace is not None:
-            trace.add(node.id, "float_mul", "round", "int_add", "clamp")
-    return out
 
 
 def run_quantized(qg: QuantizedGraph, batch: np.ndarray,

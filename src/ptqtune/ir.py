@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import _malformed_header, read_container, write_container
 
 INPUT_TENSOR = "input"
 
@@ -269,46 +269,44 @@ def extract_features(g: Graph) -> ModelFeatures:
 
 # --- container I/O ---------------------------------------------------------
 
-def save_model(g: Graph, path: str, meta: dict | None = None) -> None:
-    validate(g)
-    order = sorted(g.weights)
-    header = {
-        "format": "qtm",
-        "version": 1,
+def _graph_header(g: Graph) -> dict:
+    """The graph-description header keys shared by ``.qtm`` and ``.qtm8``."""
+    return {
         "name": g.name,
         "input_shape": list(g.input_shape),
         "output_classes": g.output_classes,
-        "nodes": [
-            {"id": n.id, "kind": n.kind, "inputs": list(n.inputs),
-             "output": n.output, "attrs": dict(n.attrs)}
-            for n in g.nodes
-        ],
-        "weight_order": order,
+        "nodes": [{"id": n.id, "kind": n.kind, "inputs": list(n.inputs),
+                   "output": n.output, "attrs": dict(n.attrs)} for n in g.nodes],
     }
+
+
+def _graph_from_header(header: dict, weights: dict[str, np.ndarray]) -> Graph:
+    """Inverse of ``_graph_header``."""
+    nodes = [Node(id=d["id"], kind=d["kind"], inputs=list(d["inputs"]),
+                  output=d["output"], attrs=dict(d["attrs"]))
+             for d in header["nodes"]]
+    return Graph(name=header["name"], nodes=nodes, weights=weights,
+                 input_shape=tuple(header["input_shape"]),
+                 output_classes=int(header["output_classes"]))
+
+
+def save_model(g: Graph, path: str, meta: dict | None = None) -> None:
+    validate(g)
+    order = sorted(g.weights)
+    header = {"format": "qtm", "version": 1, **_graph_header(g), "weight_order": order}
     if meta:
         header["meta"] = meta
     write_container(path, header, [g.weights[k] for k in order])
 
 
 def load_model(path: str) -> Graph:
-    try:
+    with _malformed_header(path, GraphError):
         header, buffers = read_container(path)
-    except ValueError as e:
-        raise GraphError(str(e)) from e
-    if header.get("format") != "qtm":
-        raise GraphError(f"{path}: not a model container")
-    order = header["weight_order"]
-    if len(order) != len(buffers):
-        raise GraphError(f"{path}: weight table/buffer count mismatch")
-    weights = {k: b for k, b in zip(order, buffers)}
-    g = Graph(
-        name=header["name"],
-        nodes=[Node(id=d["id"], kind=d["kind"], inputs=list(d["inputs"]),
-                    output=d["output"], attrs=dict(d["attrs"]))
-               for d in header["nodes"]],
-        weights=weights,
-        input_shape=tuple(header["input_shape"]),
-        output_classes=int(header["output_classes"]),
-    )
-    validate(g)
+        if header.get("format") != "qtm":
+            raise GraphError(f"{path}: not a model container")
+        order = header["weight_order"]
+        if len(order) != len(buffers):
+            raise GraphError(f"{path}: weight table/buffer count mismatch")
+        g = _graph_from_header(header, dict(zip(order, buffers)))
+        validate(g)
     return g

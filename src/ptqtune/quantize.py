@@ -39,8 +39,9 @@ import numpy as np
 
 from .calibration import CalibrationCache
 from .clipping import clipped_range
-from .container import read_container, write_container
-from .ir import COMPUTE_KINDS, CONV_KINDS, Graph, GraphError, INPUT_TENSOR, Node
+from .container import _malformed_header, read_container, write_container
+from .ir import (COMPUTE_KINDS, CONV_KINDS, Graph, GraphError, INPUT_TENSOR, Node,
+                 _graph_from_header, _graph_header)
 from .schemes import QuantParams, Scheme, params_for_range, quantize_array, round_half_away
 
 CACHE_SIZES = ("S1", "S2", "S3")
@@ -287,11 +288,7 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
     header = {
         "format": "qtm8",
         "version": 1,
-        "name": g.name,
-        "input_shape": list(g.input_shape),
-        "output_classes": g.output_classes,
-        "nodes": [{"id": n.id, "kind": n.kind, "inputs": list(n.inputs),
-                   "output": n.output, "attrs": dict(n.attrs)} for n in g.nodes],
+        **_graph_header(g),
         "config": qg.config.to_dict(),
         "fp32_nodes": sorted(qg.fp32_nodes),
         "fused": qg.fused,
@@ -311,40 +308,31 @@ def load_quantized(path: str) -> QuantizedGraph:
     header, buffers = read_container(path)
     if header.get("format") != "qtm8":
         raise ValueError(f"{path}: not a quantized model container")
-    it = iter(buffers)
-    act_scales = next(it)
-    act_zps = next(it)
-    uniq_act = header["act_unique"]
-    uniq_params = {
-        t: QuantParams(scale=np.float32(act_scales[i]), zero_point=int(act_zps[i]))
-        for i, t in enumerate(uniq_act)
-    }
-    act_params = {t: uniq_params[src]
-                  for t, src in zip(header["act_tensors"], header["act_sources"])}
-    weight_codes, weight_params = {}, {}
-    for meta in header["weight_tensors"]:
-        codes, s, z = next(it), next(it), next(it)
-        weight_codes[meta["id"]] = codes
-        weight_params[meta["id"]] = _params_from_buffers(s, z, meta["axis"])
-    bias_codes = {t: next(it) for t in header["bias_tensors"]}
-    weights = {t: next(it) for t in header["fp32_weight_tensors"]}
-    # quantized weight tensors have no fp32 payload; the executor reads codes
-    g = Graph(
-        name=header["name"],
-        nodes=[Node(id=d["id"], kind=d["kind"], inputs=list(d["inputs"]),
-                    output=d["output"], attrs=dict(d["attrs"]))
-               for d in header["nodes"]],
-        weights=weights,
-        input_shape=tuple(header["input_shape"]),
-        output_classes=int(header["output_classes"]),
-    )
-    return QuantizedGraph(
-        graph=g,
-        config=QuantConfig.from_dict(header["config"]),
-        act_params=act_params,
-        weight_codes=weight_codes,
-        weight_params=weight_params,
-        bias_codes=bias_codes,
-        fp32_nodes=set(header["fp32_nodes"]),
-        fused=bool(header["fused"]),
-    )
+    with _malformed_header(path):
+        it = iter(buffers)
+        act_scales = next(it)
+        act_zps = next(it)
+        uniq_params = {
+            t: QuantParams(scale=np.float32(act_scales[i]), zero_point=int(act_zps[i]))
+            for i, t in enumerate(header["act_unique"])
+        }
+        act_params = {t: uniq_params[src]
+                      for t, src in zip(header["act_tensors"], header["act_sources"])}
+        weight_codes, weight_params = {}, {}
+        for meta in header["weight_tensors"]:
+            codes, s, z = next(it), next(it), next(it)
+            weight_codes[meta["id"]] = codes
+            weight_params[meta["id"]] = _params_from_buffers(s, z, meta["axis"])
+        bias_codes = {t: next(it) for t in header["bias_tensors"]}
+        # quantized weight tensors have no fp32 payload; the executor reads codes
+        weights = {t: next(it) for t in header["fp32_weight_tensors"]}
+        return QuantizedGraph(
+            graph=_graph_from_header(header, weights),
+            config=QuantConfig.from_dict(header["config"]),
+            act_params=act_params,
+            weight_codes=weight_codes,
+            weight_params=weight_params,
+            bias_codes=bias_codes,
+            fp32_nodes=set(header["fp32_nodes"]),
+            fused=bool(header["fused"]),
+        )

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from ptqtune import (GraphError, QuantConfig, build_cache, load_cache, load_dataset,
+                     load_model, load_quantized, make_dataset, quantize_model,
+                     save_cache, save_dataset, save_model, save_quantized)
 from ptqtune.container import MAGIC, canonical_json, read_container, write_container
 
 
@@ -70,3 +73,33 @@ def test_canonical_json_is_key_sorted_and_stable():
     b = canonical_json({"a": {"y": [1, 2], "z": 0}, "b": 1})
     assert a == b
     assert a.index(b'"a"') < a.index(b'"b"')
+
+
+def test_loaders_reject_corrupt_files_with_value_error_only(tmp_path, lenet, ds):
+    cache = build_cache(lenet, ds, "S1", seed=0)
+    qg = quantize_model(lenet, cache, QuantConfig(cache="S1", mixed="FirstLastFp32"))
+    formats = [
+        ("m.qtm", lambda p: save_model(lenet, p), load_model, GraphError),
+        ("d.qds", lambda p: save_dataset(make_dataset(n_calib=2, n_eval=2), p),
+         load_dataset, ValueError),
+        ("c.qcal", lambda p: save_cache(cache, p), load_cache, ValueError),
+        ("q.qtm8", lambda p: save_quantized(qg, p), load_quantized, ValueError),
+    ]
+    rng = np.random.default_rng(17)
+    for name, save, load, error in formats:
+        path = tmp_path / name
+        save(str(path))
+        raw = path.read_bytes()
+        line_end = raw.index(b"\n", len(MAGIC)) + 1
+        header_end = line_end + int(raw[len(MAGIC) + 4:line_end - 1])
+        variants = [raw[:n] for n in rng.integers(0, len(raw), size=60)]
+        for bit in rng.integers(0, 8 * header_end, size=300):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            variants.append(bytes(flipped))
+        for data in variants:
+            path.write_bytes(data)
+            try:
+                load(str(path))
+            except error:
+                pass

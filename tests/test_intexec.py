@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import round_half_up
-from ptqtune import (IntegerOnlyError, OpTrace, QuantConfig, Scheme,
-                     build_cache, check_integer_only, evaluate_quantized,
-                     evaluate_top1, fuse_conv_relu, quantize_model,
-                     requantize, run_integer_only, run_quantized)
+from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
+                     build_cache, check_integer_only, enumerate_space,
+                     evaluate_quantized, evaluate_top1, fuse_conv_relu,
+                     generate_fixture, quantize_model, requantize,
+                     run_integer_only, run_quantized, validate)
+from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune.ir import INPUT_TENSOR, Graph, Node
+from ptqtune.tuner import INTEGER_ONLY
 
 
 def cfg(**kw):
@@ -119,6 +124,14 @@ def test_mixed_trace_confines_float_ops_to_first_and_last(lenet, lenet_cache_s2)
     assert trace2.count("float_kernel") == 0
 
 
+@pytest.mark.parametrize("fusion", [False, True])
+def test_sink_sees_every_node_output_under_mixed_precision(fusion, lenet, lenet_cache_s2, ds):
+    qg = quantize_model(lenet, lenet_cache_s2, cfg(mixed="FirstLastFp32", fusion=fusion))
+    seen = []
+    run_quantized(qg, ds.eval_images[:4], sink=lambda t, v: seen.append(t))
+    assert seen == [n.output for n in qg.graph.nodes]
+
+
 # ------------------------------------------------------------------- fusion
 
 def test_fusion_drops_one_node_per_relu_and_keeps_logits(lenet, lenet_cache_s2, ds):
@@ -165,6 +178,59 @@ def test_integer_path_is_bitwise_equal_and_float_free(lenet, resnet, mobile, ds)
         assert trace.float_ops() == 0
         codes_sim = run_quantized(qg, ds.eval_images[:32], return_codes=True)
         assert np.array_equal(codes_int, codes_sim), g.name
+
+
+@settings(deadline=None, max_examples=20)
+@given(tokens=st.lists(st.sampled_from(_GRAMMAR_KINDS), max_size=5), seed=st.integers(0, 3))
+def test_integer_path_is_bitwise_equal_on_generated_recipes(ds, tokens, seed):
+    try:
+        g = generate_fixture("+".join(tokens + ["fc"]), seed=seed)
+    except GraphError:
+        assume(False)
+    qg = quantize_model(g, build_cache(g, ds, "S1", seed=0), int_cfg(cache="S1"))
+    trace = OpTrace()
+    codes_int = run_integer_only(qg, ds.eval_images[:8], trace=trace)
+    assert trace.float_ops() == 0
+    assert np.array_equal(codes_int, run_quantized(qg, ds.eval_images[:8], return_codes=True))
+
+
+def concat_graph():
+    """conv -> relu -> {conv, pointwise} -> concat -> maxpool -> avgpool -> fc -> softmax."""
+    g = generate_fixture("conv+relu+fc", seed=1)
+    conv, relu = g.nodes[0], g.nodes[1]
+    rng = np.random.default_rng(2)
+    c = g.weights[conv.weight_id].shape[0]
+    g2 = Graph("concat", [
+        conv, relu,
+        Node("ca", "conv2d", [relu.output, "wa", "ba"], "t_a", {"stride": 1, "padding": 1}),
+        Node("pb", "pointwise_conv2d", [relu.output, "wb"], "t_b"),
+        Node("cat", "concat", ["t_a", "t_b"], "t_cat"),
+        Node("mp", "maxpool", ["t_cat"], "t_mp", {"kernel": 2, "stride": 2}),
+        Node("ap", "avgpool", ["t_mp"], "t_ap", {"kernel": 2, "stride": 2}),
+        Node("fc", "fully_connected", ["t_ap", "wfc"], "t_fc"),
+        Node("sm", "softmax", ["t_fc"], "t_sm"),
+    ], weights={conv.inputs[1]: g.weights[conv.weight_id],
+                conv.inputs[2]: g.weights[conv.bias_id],
+                "wa": (0.2 * rng.standard_normal((4, c, 3, 3))).astype(np.float32),
+                "ba": (0.01 * rng.standard_normal(4)).astype(np.float32),
+                "wb": (0.5 * rng.standard_normal((6, c, 1, 1))).astype(np.float32),
+                "wfc": (0.1 * rng.standard_normal((10, 10 * 8 * 8))).astype(np.float32)},
+        input_shape=(3, 32, 32), output_classes=10)
+    validate(g2)
+    return g2
+
+
+def test_concat_graph_integer_path_is_bitwise_equal_and_float_free(ds):
+    g = concat_graph()
+    caches = {c: build_cache(g, ds, c, seed=0) for c in ("S1", "S2", "S3")}
+    for c in enumerate_space(INTEGER_ONLY):
+        qg = quantize_model(g, caches[c.cache], c)
+        trace = OpTrace()
+        codes_int = run_integer_only(qg, ds.eval_images[:16], trace=trace)
+        assert trace.float_ops() == 0, c
+        assert trace.count("shift") > 0
+        codes_sim = run_quantized(qg, ds.eval_images[:16], return_codes=True)
+        assert np.array_equal(codes_int, codes_sim), c
 
 
 def test_integer_only_rejects_non_power_of_two_pool_area(ds):
