@@ -40,8 +40,8 @@ import numpy as np
 from .calibration import CalibrationCache
 from .clipping import clipped_range
 from .container import _malformed_header, read_container, write_container
-from .ir import (COMPUTE_KINDS, CONV_KINDS, Graph, GraphError, INPUT_TENSOR, Node,
-                 _graph_from_header, _graph_header)
+from .ir import (COMPUTE_KINDS, CONV_KINDS, NODE_KINDS, Graph, GraphError, INPUT_TENSOR,
+                 Node, _graph_from_header, _graph_header)
 from .schemes import QuantParams, Scheme, params_for_range, quantize_array, round_half_away
 
 CACHE_SIZES = ("S1", "S2", "S3")
@@ -304,6 +304,39 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
     write_container(path, header, buffers)
 
 
+def _check_references(qg: QuantizedGraph) -> None:
+    """Every name a node reads resolves where the executors will look it up:
+    a data input is the graph input or an earlier node's output, a node run
+    on codes has params for its inputs and int8/int32 codes for its weight
+    and bias, a node run in float has fp32 ones, and a pool has a kernel.
+    One pass of name lookups, so a corrupt ``.qtm8`` fails at load with
+    ValueError naming the node, instead of with KeyError mid-run."""
+    known = {INPUT_TENSOR}
+    for node in qg.graph.nodes:
+        if node.kind not in NODE_KINDS:
+            raise ValueError(f"node {node.id}: unknown kind {node.kind!r}")
+        for t in node.data_inputs:
+            if t not in known:
+                raise ValueError(f"node {node.id}: input {t!r} is not the graph input "
+                                 "or an earlier node's output")
+        on_codes = node.output in qg.act_params and node.id not in qg.fp32_nodes
+        for t in node.data_inputs if on_codes else ():
+            if t not in qg.act_params:
+                raise ValueError(f"node {node.id}: activation {t!r} has no act_params")
+        if node.kind in COMPUTE_KINDS:
+            if not 2 <= len(node.inputs) <= 3:
+                raise ValueError(f"node {node.id}: {node.kind} takes [data, weight(, bias)]")
+            w_table = qg.weight_codes if on_codes else qg.graph.weights
+            b_table = qg.bias_codes if on_codes else qg.graph.weights
+            for t, table in ((node.weight_id, w_table), (node.bias_id, b_table)):
+                if t is not None and t not in table:
+                    raise ValueError(f"node {node.id}: {t!r} has no "
+                                     f"{'codes' if on_codes else 'fp32 values'}")
+        elif node.kind in ("maxpool", "avgpool") and "kernel" not in node.attrs:
+            raise ValueError(f"node {node.id}: {node.kind} without a kernel")
+        known.add(node.output)
+
+
 def load_quantized(path: str) -> QuantizedGraph:
     header, buffers = read_container(path)
     if header.get("format") != "qtm8":
@@ -326,7 +359,7 @@ def load_quantized(path: str) -> QuantizedGraph:
         bias_codes = {t: next(it) for t in header["bias_tensors"]}
         # quantized weight tensors have no fp32 payload; the executor reads codes
         weights = {t: next(it) for t in header["fp32_weight_tensors"]}
-        return QuantizedGraph(
+        qg = QuantizedGraph(
             graph=_graph_from_header(header, weights),
             config=QuantConfig.from_dict(header["config"]),
             act_params=act_params,
@@ -336,3 +369,5 @@ def load_quantized(path: str) -> QuantizedGraph:
             fp32_nodes=set(header["fp32_nodes"]),
             fused=bool(header["fused"]),
         )
+        _check_references(qg)
+    return qg

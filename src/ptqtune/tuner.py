@@ -18,7 +18,8 @@ the history best.
                clamping; fitness calls are memoized so only first
                evaluations consume budget.
 
-Failed evaluations are recorded with accuracy 0.0 and consume their trial.
+Failed evaluations are recorded with accuracy 0.0 and the exception that
+failed them, and consume their trial.
 The tuning database is a line-oriented JSON log that round-trips exactly.
 """
 
@@ -90,9 +91,10 @@ class TuningRecord:
     timestamp: float
     trial: int
     error: bool = False
+    error_msg: str | None = None  # "<exception type>: <message>" of a failed trial
 
     def to_json(self) -> str:
-        return json.dumps({
+        d = {
             "v": DB_SCHEMA_VERSION,
             "model": self.model_name,
             "features": self.features.to_dict() if self.features else None,
@@ -101,7 +103,10 @@ class TuningRecord:
             "timestamp": self.timestamp,
             "trial": self.trial,
             "error": self.error,
-        }, sort_keys=True)
+        }
+        if self.error:
+            d["error_msg"] = self.error_msg
+        return json.dumps(d, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "TuningRecord":
@@ -116,6 +121,7 @@ class TuningRecord:
             timestamp=float(d["timestamp"]),
             trial=int(d["trial"]),
             error=bool(d.get("error", False)),
+            error_msg=d.get("error_msg"),
         )
 
 
@@ -170,23 +176,25 @@ class _Campaign:
     def exhausted(self) -> bool:
         return len(self.trials) >= self.budget or bool(self.explored.all())
 
-    def _safe_eval(self, i: int) -> tuple[float, bool]:
+    def _safe_eval(self, i: int) -> tuple[float, str | None]:
+        """(top1, None), or (0.0, why) when the evaluator raised."""
         try:
-            return float(self.evaluate(self.space[i])), False
-        except Exception:
-            return 0.0, True
+            return float(self.evaluate(self.space[i])), None
+        except Exception as e:
+            return 0.0, f"{type(e).__name__}: {e}"
 
-    def record(self, i: int, top1: float, error: bool) -> None:
+    def record(self, i: int, top1: float, error_msg: str | None) -> None:
         assert not self.explored[i], "strategy revisited a configuration"
         self.explored[i] = True
         self.trials.append(TuningRecord(
             model_name=self.model_name, features=self.features,
             config=self.space[i], top1=top1, timestamp=time.time(),
-            trial=len(self.trials) + 1, error=error))
+            trial=len(self.trials) + 1, error=error_msg is not None,
+            error_msg=error_msg))
 
     def measure(self, i: int) -> float:
-        top1, error = self._safe_eval(i)
-        self.record(i, top1, error)
+        top1, error_msg = self._safe_eval(i)
+        self.record(i, top1, error_msg)
         return top1
 
     def measure_many(self, picks: list[int], workers: int = 1) -> None:
@@ -199,8 +207,8 @@ class _Campaign:
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
             outcomes = list(ex.map(self._safe_eval, picks))
-        for i, (top1, error) in zip(picks, outcomes):
-            self.record(i, top1, error)
+        for i, (top1, error_msg) in zip(picks, outcomes):
+            self.record(i, top1, error_msg)
 
     def result(self, strategy: str) -> SearchResult:
         if not self.trials:

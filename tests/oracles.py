@@ -145,3 +145,62 @@ def kl_sweep_brute(bin_counts, min_seen, max_seen, n_bins=2048, levels=128):
 
 def finite_diff_grad(loss, y, yhat, eps=1e-5):
     return (loss(y, yhat + eps) - loss(y, yhat - eps)) / (2 * eps)
+
+
+def gbt_train_reference(X, y, **hyper):
+    """The exact-greedy trainer as first written: a stable argsort of every
+    column at every node, recursion over row subsets, and ``yhat`` updated by
+    re-walking each fresh tree.  ``ptqtune.gbt.train`` must reproduce its
+    trees, leaf weights and ``feature_gain`` bit for bit."""
+    from ptqtune.gbt import DEFAULT_HYPER, GBTModel, _predict_tree, grad_hess, leaf_weight
+
+    def _best_split(X, g, h, lam, gamma):
+        n, d = X.shape
+        if n < 2:
+            return None
+        order = np.argsort(X, axis=0, kind="stable")
+        Xs = np.take_along_axis(X, order, axis=0)
+        GL = np.cumsum(g[order], axis=0)[:-1]
+        HL = np.cumsum(h[order], axis=0)[:-1]
+        G, H = g.sum(), h.sum()
+        GR, HR = G - GL, H - HL
+        gains = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - G**2 / (H + lam)) - gamma
+        gains = np.where(Xs[1:] > Xs[:-1], gains, -np.inf)
+        flat = gains.T.reshape(-1)  # feature-major: ties -> lowest feature, then position
+        best = int(np.argmax(flat))
+        best_gain = float(flat[best])
+        if not np.isfinite(best_gain) or best_gain <= 0.0:
+            return None
+        f, k = divmod(best, n - 1)
+        return f, float(Xs[k + 1, f]), best_gain
+
+    def _build_tree(X, g, h, depth, hyper, gain_acc):
+        lam, gamma = hyper["lam"], hyper["gamma"]
+        if depth < hyper["max_depth"]:
+            found = _best_split(X, g, h, lam, gamma)
+        else:
+            found = None
+        if found is None:
+            return {"leaf": leaf_weight(g.sum(), h.sum(), lam)}
+        f, thr, gain = found
+        gain_acc[f] += gain
+        mask = X[:, f] < thr
+        return {
+            "feature": f,
+            "threshold": thr,
+            "left": _build_tree(X[mask], g[mask], h[mask], depth + 1, hyper, gain_acc),
+            "right": _build_tree(X[~mask], g[~mask], h[~mask], depth + 1, hyper, gain_acc),
+        }
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    hp = {**DEFAULT_HYPER, **hyper}
+    gain_acc = np.zeros(X.shape[1])
+    trees = []
+    yhat = np.zeros(len(y))
+    for _ in range(hp["n_trees"]):
+        g, h = grad_hess(y, yhat)
+        tree = _build_tree(X, g, h, 0, hp, gain_acc)
+        yhat = yhat + hp["eta"] * _predict_tree(tree, X)
+        trees.append(tree)
+    return GBTModel(trees=trees, hyper=hp, n_features=X.shape[1], feature_gain=gain_acc)

@@ -3,7 +3,7 @@ import pytest
 
 from ptqtune import (GraphError, QuantConfig, build_cache, load_cache, load_dataset,
                      load_model, load_quantized, make_dataset, quantize_model,
-                     save_cache, save_dataset, save_model, save_quantized)
+                     run_quantized, save_cache, save_dataset, save_model, save_quantized)
 from ptqtune.container import MAGIC, canonical_json, read_container, write_container
 
 
@@ -85,6 +85,7 @@ def test_loaders_reject_corrupt_files_with_value_error_only(tmp_path, lenet, ds)
         ("c.qcal", lambda p: save_cache(cache, p), load_cache, ValueError),
         ("q.qtm8", lambda p: save_quantized(qg, p), load_quantized, ValueError),
     ]
+    images = ds.eval_images[:2]
     rng = np.random.default_rng(17)
     for name, save, load, error in formats:
         path = tmp_path / name
@@ -100,6 +101,16 @@ def test_loaders_reject_corrupt_files_with_value_error_only(tmp_path, lenet, ds)
         for data in variants:
             path.write_bytes(data)
             try:
-                load(str(path))
+                loaded = load(str(path))
             except error:
-                pass
+                continue
+            if load is load_quantized:
+                # a graph that loads names only tensors that exist; what else
+                # a flipped bit breaks (shapes, strides) fails as ValueError
+                try:
+                    with np.errstate(all="ignore"):
+                        run_quantized(loaded, images)
+                except KeyError as e:
+                    pytest.fail(f"loaded .qtm8 has a dangling name: {e!r}")
+                except ValueError:
+                    pass

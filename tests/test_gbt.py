@@ -1,9 +1,11 @@
+import copy
+import json
 import time
 
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, gbt_train_reference
 from ptqtune import (QuantConfig, Scheme, extract_features, feature_importance,
                      load_gbt, predict, save_gbt, train)
 from ptqtune.gbt import (FEATURE_NAMES, N_FEATURES, encode, grad_hess,
@@ -103,6 +105,53 @@ def test_bad_inputs_rejected():
         predict(m, np.zeros((1, 5)))
 
 
+def _identity_corpus():
+    """Seeded training sets: random matrices of four kinds, then the encoded
+    GENERIC space, cold (target rows only) and warm (after 96 donor rows)."""
+    from ptqtune import TargetProfile, enumerate_space, recipe_feature_counts
+    rng = np.random.default_rng(2024)
+    for case in range(160):
+        n, d = int(rng.integers(1, 201)), int(rng.integers(1, 9))
+        kind = case % 4
+        if kind == 0:
+            X = rng.normal(size=(n, d))
+        elif kind == 1:
+            X = rng.integers(0, 2, size=(n, d)).astype(float)
+        elif kind == 2:
+            X = rng.integers(-2, 3, size=(n, d)).astype(float)
+        else:
+            X = np.hstack([np.full((n, 2), 7.0), rng.integers(0, 2, size=(n, d)),
+                           rng.normal(size=(n, 1)).round(1), np.zeros((n, 1))])
+        y = 0.3 * X.sum(axis=1) + rng.normal(size=n)
+        hyper = {"max_depth": int(rng.integers(1, 7)), "gamma": float(rng.choice([0.0, 0.01])),
+                 "lam": float(rng.choice([1.0, 0.3])), "eta": float(rng.choice([0.3, 0.05])),
+                 "n_trees": int(rng.integers(1, 31))}
+        yield X, y, hyper
+    space = enumerate_space(TargetProfile("Generic"))
+    target = np.stack([encode(recipe_feature_counts("lenet-ish"), c) for c in space])
+    donor = np.stack([encode(recipe_feature_counts("resnet-toy"), c) for c in space])
+    donor_y = 0.6 + 0.2 * donor[:, 2] + 0.1 * donor[:, 7] + 0.01 * rng.normal(size=96)
+    for case in range(24):
+        picks = rng.permutation(96)[:int(rng.integers(3, 97))]
+        y = 0.5 + 0.25 * target[picks, 2] + 0.1 * target[picks, 7] \
+            + 0.01 * rng.normal(size=len(picks))
+        hyper = {"n_trees": 30, "max_depth": 4}
+        yield target[picks], y, hyper
+        yield np.vstack([donor, target[picks]]), np.concatenate([donor_y, y]), hyper
+
+
+def test_train_is_byte_identical_to_the_per_node_sort_reference(tmp_path):
+    """Trees, thresholds, leaf weights and feature_gain bits all equal those
+    of the trainer that sorts every column at every node."""
+    ours, ref = tmp_path / "ours.json", tmp_path / "ref.json"
+    for X, y, hyper in _identity_corpus():
+        m, r = train(X, y, **hyper), gbt_train_reference(X, y, **hyper)
+        save_gbt(m, str(ours))
+        save_gbt(r, str(ref))
+        assert ours.read_bytes() == ref.read_bytes(), (X.shape, hyper)
+        assert np.array_equal(predict(m, X), predict(r, X))
+
+
 # --------------------------------------------------------------- importance
 
 def test_importance_ranks_the_only_informative_feature_first():
@@ -131,6 +180,41 @@ def test_round_trip_preserves_predictions(tmp_path):
     m2 = load_gbt(str(p))
     assert np.array_equal(predict(m, X), predict(m2, X))
     assert m2.hyper == m.hyper
+
+
+def test_load_rejects_malformed_documents_with_value_error_only(tmp_path):
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 3, size=(40, 3)).astype(float)
+    m = train(X, X[:, 0] - X[:, 2], n_trees=3, max_depth=2)
+    p = tmp_path / "m.gbt.json"
+    save_gbt(m, str(p))
+    text = p.read_text()
+    good = json.loads(text)
+    bad_docs = [text[:n] for n in range(0, len(text), 7)]
+    for key in ("format", "hyper", "n_features", "feature_gain", "trees"):
+        bad_docs.append(json.dumps({k: v for k, v in good.items() if k != key}))
+    assert "feature" in good["trees"][0]  # the first tree splits at its root
+    for key in ("leaf", "feature", "threshold", "left", "right"):
+        doc = copy.deepcopy(good)
+        node = doc["trees"][0]
+        if key == "leaf":
+            node = node["left"]
+            while "leaf" not in node:
+                node = node["left"]
+        del node[key]
+        bad_docs.append(json.dumps(doc))
+    for edit in ({"feature": 3}, {"feature": -1}, {"feature": 1.5}, {"threshold": "x"}):
+        doc = copy.deepcopy(good)
+        doc["trees"][0].update(edit)
+        bad_docs.append(json.dumps(doc))
+    for edit in ({"feature_gain": [0.0, 1.0]}, {"n_features": "3"}, {"trees": {}},
+                 {"hyper": {"eta": 0.3}}):
+        bad_docs.append(json.dumps({**good, **edit}))
+    bad_docs += ["[1, 2]", "[" * 100_000]
+    for data in bad_docs:
+        p.write_text(data)
+        with pytest.raises(ValueError):
+            load_gbt(str(p))
 
 
 # ------------------------------------------------------------ configuration

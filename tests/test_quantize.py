@@ -170,3 +170,18 @@ def test_mixed_precision_size_penalty_is_three_bytes_per_fp32_weight(lenet, lene
     first_last = (lenet.weights[compute[0].weight_id].size
                   + lenet.weights[compute[-1].weight_id].size)
     assert model_size(mixed) - model_size(base) == 3 * first_last
+
+
+def test_load_rejects_a_dangling_tensor_name_naming_the_node(tmp_path, lenet, lenet_cache_s2):
+    # an IntegerOnly artifact whose node 2 reads a tensor nobody writes
+    from ptqtune.container import read_container, write_container
+    qg = quantize_model(lenet, lenet_cache_s2, cfg(scheme=Scheme.SymmetricPower2))
+    path = str(tmp_path / "q.qtm8")
+    save_quantized(qg, path)
+    header, buffers = read_container(path)
+    del header["buffers"]
+    node = header["nodes"][2]
+    node["inputs"][0] = "t_missing"
+    write_container(path, header, buffers)
+    with pytest.raises(ValueError, match=f"node {node['id']}"):
+        load_quantized(path)

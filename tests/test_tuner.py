@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,30 @@ def test_db_round_trip_and_append(tmp_path):
         assert (a.model_name, a.config, a.top1, a.trial, a.error) == \
                (b.model_name, b.config, b.top1, b.trial, b.error)
         assert a.features == b.features
+
+
+def test_failed_trial_keeps_why_through_the_db(tmp_path):
+    bad = SPACE[8]  # the second grid pick at budget 12
+
+    def ev(cfg):
+        if cfg == bad:
+            raise RuntimeError("quantization exploded")
+        return 0.5
+
+    p = tmp_path / "db.jsonl"
+    for workers in (1, 2):
+        r = tune_grid(FEATS, SPACE, ev, budget=12, model_name="m", workers=workers)
+        record_db(str(p), r.trials, append=False)
+        lines = p.read_text().splitlines()
+        records = load_db(str(p))
+        for line, rec in zip(lines, records):
+            if rec.config == bad:
+                assert rec.error and rec.top1 == 0.0
+                assert rec.error_msg == "RuntimeError: quantization exploded"
+            else:  # rows of successful trials carry no new key
+                assert not rec.error and rec.error_msg is None
+                assert "error_msg" not in json.loads(line)
+        assert sum(rec.error for rec in records) == 1
 
 
 def test_db_rejects_future_schema(tmp_path):
