@@ -18,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import CACHE_SIZES, CLIPPINGS, GRANULARITIES, MIXED_MODES
-from .schemes import Scheme
+from . import quantize
 from .tuner import SearchResult, TuningRecord
 
-DIMENSIONS: dict[str, tuple] = {
-    "cache": CACHE_SIZES,
-    "scheme": tuple(s.value for s in Scheme),
-    "clipping": CLIPPINGS,
-    "granularity": GRANULARITIES,
-    "mixed": MIXED_MODES,
-}
+# the dimensions a Generic search varies
+DIMENSIONS: dict[str, tuple] = {name: values for name, values in quantize.DIMENSIONS.items()
+                                if name not in quantize.GENERIC.pins}
 
 
 def shannon_entropy(freqs) -> float:
@@ -82,7 +77,6 @@ def diversity_report(db: list[TuningRecord], threshold_pts: float = 1.0) -> Dive
             entropy[dim] = math.nan
             continue
         values = [getattr(r.config, dim) for r in survivors]
-        values = [v.value if isinstance(v, Scheme) else v for v in values]
         counts = [values.count(d) for d in domain]
         entropy[dim] = shannon_entropy(counts)
     return DiversityReport(threshold_pts=threshold_pts,

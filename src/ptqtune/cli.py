@@ -25,10 +25,8 @@ from .fp32 import evaluate_top1, top1_from_scores
 from .intexec import (OpTrace, check_integer_only, evaluate_quantized,
                       run_integer_only, run_quantized)
 from .ir import extract_features, load_model, save_model
-from .quantize import (CACHE_SIZES, CLIPPINGS, GRANULARITIES, MIXED_MODES,
-                       QuantConfig, load_quantized, model_size,
+from .quantize import (DIMENSIONS, QuantConfig, _plain, load_quantized, model_size,
                        quantize_model, save_quantized)
-from .schemes import Scheme
 from .tuner import (PROFILES, STRATEGIES, SearchResult, TuningRecord,
                     enumerate_space, load_db, make_accuracy_evaluator,
                     record_db, run_strategy)
@@ -110,9 +108,7 @@ def cmd_calibrate(args, arts: _Artifacts) -> None:
 
 
 def _config_from_args(args) -> QuantConfig:
-    return QuantConfig(cache=args.cache, scheme=Scheme(args.scheme),
-                       clipping=args.clipping, granularity=args.granularity,
-                       mixed=args.mixed, fusion=args.fusion)
+    return QuantConfig(**{name: getattr(args, name) for name in DIMENSIONS})
 
 
 def cmd_quantize(args, arts: _Artifacts) -> None:
@@ -263,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     qz = sub.add_parser("quantize", help="quantize a model under one config")
     qz.add_argument("--model", required=True)
     qz.add_argument("--cache-file", required=True)
-    qz.add_argument("--cache", choices=CACHE_SIZES, default="S3")
-    qz.add_argument("--scheme", choices=[s.value for s in Scheme],
-                    default=Scheme.Asymmetric.value)
-    qz.add_argument("--clipping", choices=CLIPPINGS, default="Max")
-    qz.add_argument("--granularity", choices=GRANULARITIES, default="Tensor")
-    qz.add_argument("--mixed", choices=MIXED_MODES, default="Off")
-    qz.add_argument("--fusion", action="store_true")
+    defaults = QuantConfig().to_dict()
+    for name, values in DIMENSIONS.items():  # one flag per dimension
+        if isinstance(defaults[name], bool):
+            qz.add_argument(f"--{name}", action="store_true")
+        else:
+            qz.add_argument(f"--{name}", choices=[_plain(v) for v in values],
+                            default=defaults[name])
     qz.add_argument("--profile", choices=sorted(PROFILES), default=None)
     qz.add_argument("--out", required=True)
     qz.set_defaults(func=cmd_quantize)

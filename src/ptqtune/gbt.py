@@ -38,9 +38,10 @@ power and an array square can differ in the last bit).  Each leaf writes
 its weight into a per-row delta as the tree is built, so updating the
 predictions takes no second walk of the tree.
 
-Also defines the feature encoding gluing a model's macro-architecture
-counts and a quantization configuration into one fixed-width vector
-(one-hot per categorical dimension + raw counts).
+Also defines the feature encoding gluing a quantization configuration and
+a model's macro-architecture counts into one fixed-width vector: one one-hot
+flag per value of each dimension of ``quantize.DIMENSIONS``, in that table's
+order (15 columns), then 8 raw counts.
 """
 
 from __future__ import annotations
@@ -52,18 +53,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import ModelFeatures
-from .quantize import CACHE_SIZES, CLIPPINGS, GRANULARITIES, MIXED_MODES, QuantConfig
-from .schemes import Scheme
+from .quantize import DIMENSIONS, QuantConfig, _plain
 
-SCHEME_ORDER = tuple(s.value for s in Scheme)
+
+def _feature_name(name: str, value) -> str:
+    if isinstance(value, bool):
+        value = "On" if value else "Off"
+    return f"{name}={_plain(value)}"
+
 
 FEATURE_NAMES: tuple[str, ...] = tuple(
-    [f"cache={c}" for c in CACHE_SIZES]
-    + [f"scheme={s}" for s in SCHEME_ORDER]
-    + [f"clipping={c}" for c in CLIPPINGS]
-    + [f"granularity={g}" for g in GRANULARITIES]
-    + [f"mixed={m}" for m in MIXED_MODES]
-    + ["fusion=Off", "fusion=On"]
+    [_feature_name(name, v) for name, values in DIMENSIONS.items() for v in values]
     + ["n_nodes", "n_layers", "n_conv", "n_depthwise", "n_pointwise",
        "n_skip", "n_relu", "n_softmax"]
 )
@@ -71,21 +71,12 @@ N_FEATURES = len(FEATURE_NAMES)  # 15 one-hot + 8 numeric = 23
 
 
 def encode(e: ModelFeatures, s: QuantConfig) -> np.ndarray:
-    def onehot(value, domain) -> list[float]:
-        return [1.0 if value == d else 0.0 for d in domain]
-
-    cols = (
-        onehot(s.cache, CACHE_SIZES)
-        + onehot(s.scheme.value, SCHEME_ORDER)
-        + onehot(s.clipping, CLIPPINGS)
-        + onehot(s.granularity, GRANULARITIES)
-        + onehot(s.mixed, MIXED_MODES)
-        + onehot(bool(s.fusion), (False, True))
-        + [float(e.n_nodes), float(e.n_layers), float(e.n_conv),
-           float(e.n_depthwise), float(e.n_pointwise), float(e.n_skip),
-           float(e.activation_kinds.get("relu", 0)),
-           float(e.activation_kinds.get("softmax", 0))]
-    )
+    cols = [1.0 if getattr(s, name) == v else 0.0
+            for name, values in DIMENSIONS.items() for v in values]
+    cols += [float(e.n_nodes), float(e.n_layers), float(e.n_conv),
+             float(e.n_depthwise), float(e.n_pointwise), float(e.n_skip),
+             float(e.activation_kinds.get("relu", 0)),
+             float(e.activation_kinds.get("softmax", 0))]
     return np.asarray(cols, dtype=np.float64)
 
 

@@ -35,8 +35,8 @@ from .dataset import Dataset
 from .fp32 import (AccuracyResult, _check_batch, _float_node, _linear, _pool_args,
                    _windows, maxpool, top1_from_scores)
 from .ir import COMPUTE_KINDS, Graph, INPUT_TENSOR, Node
-from .quantize import INT32_MAX, INT32_MIN, QuantizedGraph
-from .schemes import QMAX, QMIN, Scheme, ceil_log2, dequantize_array, quantize_array
+from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
+from .schemes import QMAX, QMIN, ceil_log2, dequantize_array, quantize_array
 
 # float_kernel marks a layer whose matrix/conv arithmetic runs in fp32
 # (the precision map); float_mul/float_add are elementwise float steps
@@ -104,13 +104,11 @@ def _per_channel(vec: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def check_integer_only(qg: QuantizedGraph) -> None:
-    cfg = qg.config
-    if cfg.scheme != Scheme.SymmetricPower2 or cfg.granularity != "Tensor" \
-            or cfg.mixed != "Off":
-        raise IntegerOnlyError(
-            "integer-only execution requires scheme=SymmetricPower2, "
-            f"granularity=Tensor, mixed=Off; got {cfg.scheme.value}/"
-            f"{cfg.granularity}/{cfg.mixed}")
+    if not INTEGER_ONLY.contains(qg.config):
+        pins = INTEGER_ONLY.pins
+        want = ", ".join(f"{name}={_plain(v)}" for name, v in pins.items())
+        got = "/".join(_plain(getattr(qg.config, name)) for name in pins)
+        raise IntegerOnlyError(f"integer-only execution requires {want}; got {got}")
     for node in qg.graph.nodes:
         if node.kind == "avgpool":
             area = _pool_args(node)[0] ** 2

@@ -37,19 +37,33 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import CalibrationCache
+from .calibration import SIZE_CLASSES, CalibrationCache
 from .clipping import clipped_range
 from .container import _malformed_header, read_container, write_container
-from .ir import (COMPUTE_KINDS, CONV_KINDS, NODE_KINDS, Graph, GraphError, INPUT_TENSOR,
-                 Node, _graph_from_header, _graph_header)
+from .ir import (COMPUTE_KINDS, Graph, GraphError, INPUT_TENSOR, Node,
+                 _graph_from_header, _graph_header, propagate_shapes)
 from .schemes import QuantParams, Scheme, params_for_range, quantize_array, round_half_away
 
-CACHE_SIZES = ("S1", "S2", "S3")
-CLIPPINGS = ("Max", "KL")
-GRANULARITIES = ("Tensor", "Channel")
-MIXED_MODES = ("Off", "FirstLastFp32")
+# The configuration space: each QuantConfig field, in declaration order, and
+# the values it takes, in enumeration order (``tuner.enumerate_space``) and
+# one-hot encoding order (``gbt.encode``).  Everything else that lists these
+# values derives them.
+DIMENSIONS: dict[str, tuple] = {
+    "cache": tuple(SIZE_CLASSES),
+    "scheme": tuple(Scheme),
+    "clipping": ("Max", "KL"),
+    "granularity": ("Tensor", "Channel"),
+    "mixed": ("Off", "FirstLastFp32"),
+    "fusion": (False, True),
+}
+CACHE_SIZES = DIMENSIONS["cache"]
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+def _plain(value):
+    """A dimension value as JSON and the CLI spell it."""
+    return value.value if isinstance(value, Scheme) else value
 
 
 @dataclass(frozen=True)
@@ -62,27 +76,50 @@ class QuantConfig:
     fusion: bool = False
 
     def __post_init__(self):
-        if self.cache not in CACHE_SIZES:
-            raise ValueError(f"bad cache size class {self.cache!r}")
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if self.clipping not in CLIPPINGS:
-            raise ValueError(f"bad clipping {self.clipping!r}")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"bad granularity {self.granularity!r}")
-        if self.mixed not in MIXED_MODES:
-            raise ValueError(f"bad mixed mode {self.mixed!r}")
+        for name, values in DIMENSIONS.items():
+            if getattr(self, name) not in values:
+                raise ValueError(f"bad {name} {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return {"cache": self.cache, "scheme": self.scheme.value,
-                "clipping": self.clipping, "granularity": self.granularity,
-                "mixed": self.mixed, "fusion": self.fusion}
+        return {name: _plain(getattr(self, name)) for name in DIMENSIONS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantConfig":
-        return cls(cache=d["cache"], scheme=Scheme(d["scheme"]),
-                   clipping=d["clipping"], granularity=d["granularity"],
-                   mixed=d["mixed"], fusion=bool(d.get("fusion", False)))
+        # fusion is optional: records written before it existed lack it
+        return cls(**{name: d[name] for name in DIMENSIONS if name != "fusion"},
+                   fusion=bool(d.get("fusion", False)))
+
+
+# What each deployment target pins; a dimension it does not name is free.
+PROFILE_PINS: dict[str, dict] = {
+    "Generic": {"fusion": False},
+    "IntegerOnly": {"scheme": Scheme.SymmetricPower2, "granularity": "Tensor",
+                    "mixed": "Off"},
+}
+
+
+@dataclass(frozen=True)
+class TargetProfile:
+    name: str
+
+    def __post_init__(self):
+        if self.name not in PROFILE_PINS:
+            raise ValueError(f"unknown profile {self.name!r}")
+
+    @property
+    def pins(self) -> dict:
+        return PROFILE_PINS[self.name]
+
+    def contains(self, cfg: QuantConfig) -> bool:
+        return all(getattr(cfg, name) == value for name, value in self.pins.items())
+
+
+GENERIC = TargetProfile("Generic")
+INTEGER_ONLY = TargetProfile("IntegerOnly")
+
+PROFILES = {"generic": GENERIC, "integer-only": INTEGER_ONLY}
 
 
 @dataclass
@@ -144,7 +181,6 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
     fp32_nodes: set[str] = set()
     if cfg.mixed == "FirstLastFp32":
         fp32_nodes = {compute[0].id, compute[-1].id}
-    first_id = compute[0].id
     last_id = compute[-1].id
 
     act_params: dict[str, QuantParams] = {}
@@ -305,36 +341,41 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
 
 
 def _check_references(qg: QuantizedGraph) -> None:
-    """Every name a node reads resolves where the executors will look it up:
-    a data input is the graph input or an earlier node's output, a node run
-    on codes has params for its inputs and int8/int32 codes for its weight
-    and bias, a node run in float has fp32 ones, and a pool has a kernel.
-    One pass of name lookups, so a corrupt ``.qtm8`` fails at load with
-    ValueError naming the node, instead of with KeyError mid-run."""
-    known = {INPUT_TENSOR}
-    for node in qg.graph.nodes:
-        if node.kind not in NODE_KINDS:
-            raise ValueError(f"node {node.id}: unknown kind {node.kind!r}")
-        for t in node.data_inputs:
-            if t not in known:
-                raise ValueError(f"node {node.id}: input {t!r} is not the graph input "
-                                 "or an earlier node's output")
+    """The executors find everything a node reads, in the shape they need:
+    shapes propagate through the graph (codes standing in for quantized
+    weights), a node run on codes has params for its inputs and int8/int32
+    codes for its weight and bias, a node run in float has fp32 ones, and
+    each bias and per-channel param has one entry per output channel.  So a
+    corrupt ``.qtm8`` fails at load with ValueError naming the node, instead
+    of mid-run."""
+    g = qg.graph
+    shapes = propagate_shapes(replace(g, weights={**g.weights, **qg.weight_codes}))
+    for t, p in qg.weight_params.items():
+        if p.axis not in (None, 0):
+            raise ValueError(f"weight {t!r}: param axis {p.axis!r} is not None or 0")
+    for node in g.nodes:
         on_codes = node.output in qg.act_params and node.id not in qg.fp32_nodes
         for t in node.data_inputs if on_codes else ():
             if t not in qg.act_params:
                 raise ValueError(f"node {node.id}: activation {t!r} has no act_params")
-        if node.kind in COMPUTE_KINDS:
-            if not 2 <= len(node.inputs) <= 3:
-                raise ValueError(f"node {node.id}: {node.kind} takes [data, weight(, bias)]")
-            w_table = qg.weight_codes if on_codes else qg.graph.weights
-            b_table = qg.bias_codes if on_codes else qg.graph.weights
-            for t, table in ((node.weight_id, w_table), (node.bias_id, b_table)):
-                if t is not None and t not in table:
-                    raise ValueError(f"node {node.id}: {t!r} has no "
-                                     f"{'codes' if on_codes else 'fp32 values'}")
-        elif node.kind in ("maxpool", "avgpool") and "kernel" not in node.attrs:
-            raise ValueError(f"node {node.id}: {node.kind} without a kernel")
-        known.add(node.output)
+        if node.kind not in COMPUTE_KINDS:
+            continue
+        if not 2 <= len(node.inputs) <= 3:
+            raise ValueError(f"node {node.id}: {node.kind} takes [data, weight(, bias)]")
+        w_table = qg.weight_codes if on_codes else g.weights
+        b_table = qg.bias_codes if on_codes else g.weights
+        for t, table in ((node.weight_id, w_table), (node.bias_id, b_table)):
+            if t is not None and t not in table:
+                raise ValueError(f"node {node.id}: {t!r} has no "
+                                 f"{'codes' if on_codes else 'fp32 values'}")
+        n_out = shapes[node.output][0]
+        per_channel = {"bias": b_table[node.bias_id]} if node.bias_id is not None else {}
+        if on_codes and (p := qg.weight_params[node.weight_id]).axis == 0:
+            per_channel.update(scale=p.scale, zero_point=p.zero_point)
+        for what, values in per_channel.items():
+            if np.shape(values) != (n_out,):
+                raise ValueError(f"node {node.id}: {what} shape {np.shape(values)} "
+                                 f"is not ({n_out},), one per output channel")
 
 
 def load_quantized(path: str) -> QuantizedGraph:

@@ -39,47 +39,20 @@ from .calibration import build_cache
 from .dataset import Dataset
 from .intexec import evaluate_quantized
 from .ir import Graph, ModelFeatures
-from .quantize import CACHE_SIZES, CLIPPINGS, GRANULARITIES, MIXED_MODES, QuantConfig, quantize_model
-from .schemes import Scheme
+from .quantize import CACHE_SIZES, DIMENSIONS, QuantConfig, TargetProfile, quantize_model
+from .quantize import GENERIC, INTEGER_ONLY, PROFILES  # noqa: F401  (re-exported)
 
 Evaluator = Callable[[QuantConfig], float]
 
 DB_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TargetProfile:
-    name: str
-
-    def contains(self, cfg: QuantConfig) -> bool:
-        if self.name == "Generic":
-            return not cfg.fusion
-        if self.name == "IntegerOnly":
-            return (cfg.scheme == Scheme.SymmetricPower2
-                    and cfg.granularity == "Tensor" and cfg.mixed == "Off")
-        raise ValueError(f"unknown profile {self.name!r}")
-
-
-GENERIC = TargetProfile("Generic")
-INTEGER_ONLY = TargetProfile("IntegerOnly")
-
-PROFILES = {"generic": GENERIC, "integer-only": INTEGER_ONLY}
-
-
 def enumerate_space(profile: TargetProfile) -> list[QuantConfig]:
-    if profile.name == "Generic":
-        return [
-            QuantConfig(cache=c, scheme=s, clipping=cl, granularity=g, mixed=m)
-            for c, s, cl, g, m in product(CACHE_SIZES, tuple(Scheme), CLIPPINGS,
-                                          GRANULARITIES, MIXED_MODES)
-        ]
-    if profile.name == "IntegerOnly":
-        return [
-            QuantConfig(cache=c, scheme=Scheme.SymmetricPower2, clipping=cl,
-                        granularity="Tensor", mixed="Off", fusion=f)
-            for c, cl, f in product(CACHE_SIZES, CLIPPINGS, (False, True))
-        ]
-    raise ValueError(f"unknown profile {profile.name!r}")
+    """Every config the profile allows, in ``DIMENSIONS`` order: the product
+    over each dimension of its pinned value, or of all its values."""
+    pins = profile.pins
+    allowed = [(pins[name],) if name in pins else values for name, values in DIMENSIONS.items()]
+    return [QuantConfig(*values) for values in product(*allowed)]
 
 
 @dataclass
@@ -236,32 +209,20 @@ def tune_grid(features: ModelFeatures | None, space: list[QuantConfig],
               model_name: str = "", workers: int = 1) -> SearchResult:
     _check_space(space, budget)
     camp = _Campaign(model_name, features, space, evaluate, budget)
-    picks: list[int] = []
-    seen = set()
-    for k in range(budget):
-        i = (k * len(space)) // budget
-        if i not in seen:
-            seen.add(i)
-            picks.append(i)
-    for i in range(len(space)):  # fill (defensive; strides are distinct when budget <= |space|)
-        if len(picks) == budget:
-            break
-        if i not in seen:
-            seen.add(i)
-            picks.append(i)
+    # budget <= len(space), so the strides are distinct
+    picks = [(k * len(space)) // budget for k in range(budget)]
     camp.measure_many(picks, workers)
     return camp.result("grid")
 
 
-DEFAULT_SURROGATE_HYPER = {"n_trees": 30, "max_depth": 4}
+SURROGATE_HYPER = {"n_trees": 30, "max_depth": 4}
 
 
 def tune_xgb(features: ModelFeatures, space: list[QuantConfig],
              evaluate: Evaluator, budget: int, seed: int = 0,
              seed_db: list[TuningRecord] | None = None,
-             hyper: dict | None = None, model_name: str = "") -> SearchResult:
+             model_name: str = "") -> SearchResult:
     _check_space(space, budget)
-    hyper = dict(DEFAULT_SURROGATE_HYPER if hyper is None else hyper)
     rng = np.random.default_rng(seed)
     camp = _Campaign(model_name, features, space, evaluate, budget)
     enc = np.stack([gbt.encode(features, c) for c in space])
@@ -279,7 +240,7 @@ def tune_xgb(features: ModelFeatures, space: list[QuantConfig],
         if len(camp.trials) < n_cold:
             i = int(rng.choice(np.flatnonzero(~camp.explored)))
         else:
-            model = gbt.train(np.stack(X_rows), np.asarray(y_rows), **hyper)
+            model = gbt.train(np.stack(X_rows), np.asarray(y_rows), **SURROGATE_HYPER)
             preds = gbt.predict(model, enc)
             preds = np.where(camp.explored, -np.inf, preds)
             i = int(np.argmax(preds))  # ties -> enumeration order
@@ -302,11 +263,10 @@ class GAParams:
 
 def _space_dims(space: list[QuantConfig]) -> tuple[list[list], dict[tuple, int]]:
     """Per-dimension value lists (first-seen order) + value-tuple -> index map."""
-    fields_ = ("cache", "scheme", "clipping", "granularity", "mixed", "fusion")
-    dims: list[list] = [[] for _ in fields_]
+    dims: list[list] = [[] for _ in DIMENSIONS]
     index: dict[tuple, int] = {}
     for i, cfg in enumerate(space):
-        key = tuple(getattr(cfg, f) for f in fields_)
+        key = tuple(getattr(cfg, f) for f in DIMENSIONS)
         index[key] = i
         for d, v in zip(dims, key):
             if v not in d:

@@ -185,3 +185,30 @@ def test_load_rejects_a_dangling_tensor_name_naming_the_node(tmp_path, lenet, le
     write_container(path, header, buffers)
     with pytest.raises(ValueError, match=f"node {node['id']}"):
         load_quantized(path)
+
+
+@pytest.mark.parametrize("what, match", [
+    ("axis", "axis 1 is not None or 0"),
+    ("scale", "scale shape"),
+    ("zero_point", "zero_point shape"),
+    ("bias", "bias shape"),
+])
+def test_load_rejects_per_channel_data_that_does_not_fit(tmp_path, lenet, lenet_cache_s2,
+                                                         what, match):
+    # a per-channel artifact: buffers are act scales, act zero points, then
+    # (codes, scales, zero points) per weight, then the int32 biases
+    from ptqtune.container import read_container, write_container
+    qg = quantize_model(lenet, lenet_cache_s2, cfg(granularity="Channel"))
+    path = str(tmp_path / "q.qtm8")
+    save_quantized(qg, path)
+    header, buffers = read_container(path)
+    del header["buffers"]
+    n_weights = len(header["weight_tensors"])
+    if what == "axis":
+        header["weight_tensors"][0]["axis"] = 1
+    else:
+        i = {"scale": 3, "zero_point": 4, "bias": 2 + 3 * n_weights}[what]
+        buffers[i] = buffers[i][:-1]
+    write_container(path, header, buffers)
+    with pytest.raises(ValueError, match=match):
+        load_quantized(path)

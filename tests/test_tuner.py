@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
-from ptqtune import (GAParams, QuantConfig, Scheme, TargetProfile,
-                     enumerate_space, load_db, record_db, recipe_feature_counts,
-                     run_strategy, tune_genetic, tune_grid, tune_random,
-                     tune_xgb)
-from ptqtune.tuner import PROFILES, STRATEGIES, TuningRecord, _check_space
+from ptqtune import (GAParams, IntegerOnlyError, QuantConfig, Scheme, TargetProfile,
+                     check_integer_only, enumerate_space, load_db, quantize_model,
+                     record_db, recipe_feature_counts, run_strategy, tune_genetic,
+                     tune_grid, tune_random, tune_xgb)
+from ptqtune.gbt import FEATURE_NAMES, encode
+from ptqtune.tuner import (GENERIC, INTEGER_ONLY, PROFILES, STRATEGIES, TuningRecord,
+                           _check_space)
 
 FEATS = recipe_feature_counts("lenet-ish")
 
@@ -60,6 +64,60 @@ def test_profile_membership():
         TargetProfile("DSP").contains(QuantConfig())
     with pytest.raises(ValueError):
         enumerate_space(TargetProfile("DSP"))
+
+
+# the space as written out by hand, in enumeration and encoding order
+CACHES = ("S1", "S2", "S3")
+SCHEMES = ("Asymmetric", "Symmetric", "SymmetricUint8", "SymmetricPower2")
+CLIPPINGS = ("Max", "KL")
+GRANULARITIES = ("Tensor", "Channel")
+MIXED = ("Off", "FirstLastFp32")
+FUSION = (False, True)
+
+
+def literal_config(cache, scheme, clipping, granularity, mixed, fusion):
+    return QuantConfig(cache=cache, scheme=scheme, clipping=clipping,
+                       granularity=granularity, mixed=mixed, fusion=fusion)
+
+
+def test_spaces_and_encoding_are_pinned():
+    generic = [literal_config(*v, False)
+               for v in product(CACHES, SCHEMES, CLIPPINGS, GRANULARITIES, MIXED)]
+    intonly = [literal_config(c, "SymmetricPower2", cl, "Tensor", "Off", f)
+               for c, cl, f in product(CACHES, CLIPPINGS, FUSION)]
+    assert enumerate_space(GENERIC) == generic
+    assert enumerate_space(INTEGER_ONLY) == intonly
+    names = ([f"cache={v}" for v in CACHES] + [f"scheme={v}" for v in SCHEMES]
+             + [f"clipping={v}" for v in CLIPPINGS]
+             + [f"granularity={v}" for v in GRANULARITIES]
+             + [f"mixed={v}" for v in MIXED] + ["fusion=Off", "fusion=On"])
+    assert list(FEATURE_NAMES[:15]) == names
+    for c in generic + intonly:
+        fields = (c.cache, c.scheme.value, c.clipping, c.granularity, c.mixed, c.fusion)
+        onehot = [float(x == v) for x, values in
+                  zip(fields, (CACHES, SCHEMES, CLIPPINGS, GRANULARITIES, MIXED, FUSION))
+                  for v in values]
+        assert encode(FEATS, c)[:15].tolist() == onehot
+
+
+def test_check_integer_only_rejects_what_the_profile_rejects(lenet, lenet_cache_s2):
+    qg = quantize_model(lenet, lenet_cache_s2, QuantConfig(cache="S2"))
+    combos = list(product(CACHES, SCHEMES, CLIPPINGS, GRANULARITIES, MIXED, FUSION))
+    assert len(combos) == 192
+    for v in combos:
+        c = literal_config(*v)
+        try:
+            check_integer_only(replace(qg, config=c))
+            accepted = True
+        except IntegerOnlyError:
+            accepted = False
+        assert accepted == INTEGER_ONLY.contains(c)
+        assert accepted == ((c.scheme.value, c.granularity, c.mixed)
+                             == ("SymmetricPower2", "Tensor", "Off"))
+    with pytest.raises(IntegerOnlyError, match=r"^integer-only execution requires "
+                       r"scheme=SymmetricPower2, granularity=Tensor, mixed=Off; "
+                       r"got Asymmetric/Channel/Off$"):
+        check_integer_only(replace(qg, config=QuantConfig(granularity="Channel")))
 
 
 def test_space_guardrails():
