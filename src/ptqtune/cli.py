@@ -22,8 +22,7 @@ from .container import read_container
 from .dataset import load_dataset, make_dataset, save_dataset
 from .fixtures import FIXTURE_RECIPES, generate_fixture
 from .fp32 import evaluate_top1, top1_from_scores
-from .intexec import (OpTrace, check_integer_only, evaluate_quantized,
-                      run_integer_only, run_quantized)
+from .intexec import OpTrace, evaluate_quantized, run_integer_only, run_quantized
 from .ir import extract_features, load_model, save_model
 from .quantize import (DIMENSIONS, QuantConfig, _plain, load_quantized, model_size,
                        quantize_model, save_quantized)
@@ -152,7 +151,6 @@ def cmd_eval(args, arts: _Artifacts) -> None:
         report["config"] = model.config.to_dict()
         trace = OpTrace() if args.trace else None
         if args.integer_only:
-            check_integer_only(model)
             codes = run_integer_only(model, d.eval_images, trace=trace)
             res = top1_from_scores(codes.astype("float32"), d.eval_labels)
         else:

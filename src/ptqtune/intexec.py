@@ -13,14 +13,19 @@ dequantize and boundary quantize) or the code step on int8 codes.
 The two differ only in how an accumulator is rescaled (``_rescale``: float
 multiplier or shift) and in ``add``.  Both round half up, so for power-of-two
 scales they agree bit-for-bit:
-(acc + (1 << (s-1))) >> s  ==  floor(acc * 2**-s + 0.5).
+(acc + (1 << (s-1))) >> s  ==  floor(ldexp(acc, -s) + 0.5)
+                           ==  floor(acc * 2**-s + 0.5).
 
-Every intermediate value is an integer; NumPy carries the matmuls in float64
-purely for speed.  Products of zero-shifted int8 codes are < 2**16, and the
-widest layer the fixture grammar builds, a fully_connected over 64x32x32
-inputs, sums 2**16 taps (``conv+fc`` already sums 8192), so every sum stays
-below 2**32, far under 2**53, and the float64 arithmetic is exact —
-bit-identical to true integer execution.  The OpTrace records the *semantic*
+Codes are carried in float64 end to end, from input quantization to the
+int8 cast of the graph output; a shift is ``np.ldexp``, which is exact on
+integers below 2**53.  Every intermediate value is an integer.  Products of
+zero-shifted int8 codes are < 2**16, and the widest layer the fixture
+grammar builds, a fully_connected over 64x32x32 inputs, sums 2**16 taps
+(``conv+fc`` already sums 8192), so every sum stays below 2**32, far under
+2**53, and the float64 arithmetic is exact — bit-identical to true integer
+execution.  The integer-only ``add`` aligns zero-shifted codes (|x| <= 255)
+by a left shift of |log2 sa - log2 sb|; that stays exact while the shift is
+at most 45, since 255 * 2**45 < 2**53.  The OpTrace records the *semantic*
 operation categories of the quantized program, which is what the
 integer-only audit asserts over.
 """
@@ -36,7 +41,7 @@ from .fp32 import (AccuracyResult, _check_batch, _float_node, _linear, _pool_arg
                    _windows, maxpool, top1_from_scores)
 from .ir import COMPUTE_KINDS, Graph, INPUT_TENSOR, Node
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
-from .schemes import QMAX, QMIN, ceil_log2, dequantize_array, quantize_array
+from .schemes import QMAX, QMIN, _broadcast, ceil_log2, dequantize_array, quantize_array
 
 # float_kernel marks a layer whose matrix/conv arithmetic runs in fp32
 # (the precision map); float_mul/float_add are elementwise float steps
@@ -68,25 +73,15 @@ class OpTrace:
         return "\n".join(lines) + "\n"
 
 
-def _rhu(x: np.ndarray) -> np.ndarray:
-    """Round half up (toward +inf), the requantization rounding mode."""
-    return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
-
-
 def requantize(acc: np.ndarray | int, multiplier: float | np.ndarray | None = None,
                shift: int | None = None, zero_point: int = 0) -> np.ndarray:
-    """int32 accumulator -> int8 code, via float multiplier or right-shift."""
-    acc = np.asarray(acc, dtype=np.int64)
+    """int32 accumulator -> int8 codes as float64, via float multiplier or
+    shift (right for ``shift > 0``, left for ``shift < 0``), rounding half up."""
+    acc = np.asarray(acc, dtype=np.float64)
     if (multiplier is None) == (shift is None):
         raise ValueError("pass exactly one of multiplier/shift")
-    if multiplier is not None:
-        scaled = _rhu(acc * np.asarray(multiplier, dtype=np.float64))
-    elif shift >= 0:
-        half = (1 << (shift - 1)) if shift > 0 else 0
-        scaled = (acc + half) >> shift
-    else:
-        scaled = acc << (-shift)
-    return np.clip(scaled + zero_point, QMIN, QMAX).astype(np.int8)
+    s = acc * multiplier if multiplier is not None else np.ldexp(acc, -shift)
+    return np.clip(np.floor(s + 0.5) + zero_point, QMIN, QMAX)
 
 
 def _exact_log2(scale: float) -> int:
@@ -109,6 +104,12 @@ def check_integer_only(qg: QuantizedGraph) -> None:
         want = ", ".join(f"{name}={_plain(v)}" for name, v in pins.items())
         got = "/".join(_plain(getattr(qg.config, name)) for name in pins)
         raise IntegerOnlyError(f"integer-only execution requires {want}; got {got}")
+    # the graph as run, which a relabelled config can misdescribe
+    if qg.fp32_nodes:
+        raise IntegerOnlyError(f"fp32 layers {sorted(qg.fp32_nodes)} in an integer-only graph")
+    for wid, wp in qg.weight_params.items():
+        if wp.axis is not None:
+            raise IntegerOnlyError(f"weight {wid}: per-channel params in an integer-only graph")
     for node in qg.graph.nodes:
         if node.kind == "avgpool":
             area = _pool_args(node)[0] ** 2
@@ -130,20 +131,19 @@ def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
 
 def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
                trace: OpTrace, integer_only: bool) -> np.ndarray:
-    """One node on int8 codes (carried as int64); returns int64 codes."""
+    """One node on int8 codes carried in float64; returns float64 codes."""
     params = [qg.act_params[t] for t in node.data_inputs]
     out_p = qg.act_params[node.output]
     zo = int(out_p.zero_point)
     x = xs[0]
     if node.kind in COMPUTE_KINDS:
         wp = qg.weight_params[node.weight_id]
-        w = qg.weight_codes[node.weight_id].astype(np.int64)
-        w = w - wp.zp_vec().reshape((-1,) + (1,) * (w.ndim - 1))
-        xz = x - int(params[0].zero_point)
-        acc = _linear(node, xz.astype(np.float64), w.astype(np.float64), None).astype(np.int64)
+        w = qg.weight_codes[node.weight_id]
+        w = w - _broadcast(wp, w.ndim)[1]  # int8 - float64 zero point
+        acc = _linear(node, x - int(params[0].zero_point), w, None)
         trace.add(node.id, "int_mul", "int_add")
         if node.bias_id is not None:
-            b = qg.bias_codes[node.bias_id].astype(np.int64)
+            b = qg.bias_codes[node.bias_id].astype(np.float64)
             acc = acc + (_per_channel(b, acc.ndim) if acc.ndim == 4 else b)
             trace.add(node.id, "int_add")
         acc = np.clip(acc, INT32_MIN, INT32_MAX)  # saturating int32 contract
@@ -153,7 +153,7 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         out = _rescale(acc, float(params[0].scale) * sw, float(out_p.scale), zo,
                        integer_only, trace, node.id)
         if node.attrs.get("fused_relu", False):
-            out = np.maximum(out, np.int8(zo))
+            out = np.maximum(out, zo)
             trace.add(node.id, "clamp")
     elif node.kind == "relu":
         out = np.maximum(x, zo)
@@ -176,13 +176,13 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
             ka = _exact_log2(float(pa.scale))
             kb = _exact_log2(float(pb.scale))
             kmin = min(ka, kb)
-            acc = (xa << (ka - kmin)) + (xb << (kb - kmin))
+            acc = np.ldexp(xa, ka - kmin) + np.ldexp(xb, kb - kmin)
             out = requantize(acc, shift=_exact_log2(float(out_p.scale)) - kmin, zero_point=zo)
             trace.add(node.id, "int_add", "shift", "int_add", "shift", "int_add", "shift", "clamp")
         else:
             so = float(out_p.scale)
             acc = xa * (float(pa.scale) / so) + xb * (float(pb.scale) / so)
-            out = np.clip(_rhu(acc) + zo, QMIN, QMAX)
+            out = np.clip(np.floor(acc + 0.5) + zo, QMIN, QMAX)
             trace.add(node.id, "int_add", "float_mul", "int_add", "float_mul",
                       "float_add", "round", "int_add", "clamp")
     elif node.kind == "concat":
@@ -194,7 +194,7 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         out = x  # monotone map: identity on codes
     else:  # pragma: no cover
         raise ValueError(f"unknown node kind {node.kind!r}")
-    return out.astype(np.int64, copy=False)
+    return out
 
 
 def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
@@ -205,7 +205,7 @@ def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
     xs = []
     for t in node.data_inputs:
         if t in qg.act_params:
-            xs.append(dequantize_array(env[t].astype(np.int8, copy=False), qg.act_params[t]))
+            xs.append(dequantize_array(env[t], qg.act_params[t]))
             trace.add(node.id, "int_add", "float_mul")
         else:
             xs.append(env[t])
@@ -219,7 +219,7 @@ def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
     elif node.kind == "softmax":
         trace.add(node.id, "float_add", "float_mul")
     if node.output in qg.act_params:
-        out = quantize_array(out, qg.act_params[node.output]).astype(np.int64)
+        out = quantize_array(out, qg.act_params[node.output]).astype(np.float64)
         trace.add(node.id, "float_mul", "round", "int_add", "clamp")
     return out
 
@@ -232,7 +232,7 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, trace: OpTrace | None,
     if INPUT_TENSOR in qg.act_params:
         # host-side input quantization (not part of the traced graph program)
         env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
-                                           qg.act_params[INPUT_TENSOR]).astype(np.int64)
+                                           qg.act_params[INPUT_TENSOR]).astype(np.float64)
     for node in g.nodes:
         if node.output in qg.act_params and node.id not in qg.fp32_nodes:
             out = _code_node(qg, node, [env[t] for t in node.data_inputs], trace, integer_only)
@@ -249,8 +249,9 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
                   return_codes: bool = False, sink=None) -> np.ndarray:
     """Simulated-int8 forward pass; returns fp32 logits (or codes).
 
-    ``sink(tensor_id, values)`` observes every node output (codes for
-    quantized tensors; fp32 for tensors kept in float)."""
+    ``sink(tensor_id, values)`` observes every node output (int8 codes
+    carried as float64 for quantized tensors; fp32 for tensors kept in
+    float)."""
     out = _execute(qg, batch, trace, integer_only=False, sink=sink)
     t = qg.graph.output_tensor()
     if t in qg.act_params:

@@ -188,24 +188,20 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
     weight_params: dict[str, QuantParams] = {}
     bias_codes: dict[str, np.ndarray] = {}
 
-    # tensor domain: True = int8 codes, False = fp32 values
-    domain: dict[str, bool] = {INPUT_TENSOR: cfg.mixed == "Off"}
-    if domain[INPUT_TENSOR]:
+    # a tensor carries int8 codes iff it has act_params; the rest stay fp32
+    if cfg.mixed == "Off":
         act_params[INPUT_TENSOR] = _act_params(cache, INPUT_TENSOR, cfg)
 
     for node in g.nodes:
-        in_domains = [domain[t] for t in node.data_inputs]
+        in_codes = [t in act_params for t in node.data_inputs]
         if node.kind in COMPUTE_KINDS:
             if node.id in fp32_nodes:
                 # output is the quantize boundary unless this is the last layer
-                if node.id == last_id:
-                    domain[node.output] = False
-                else:
+                if node.id != last_id:
                     src = _narrowed_source(g, node)
                     act_params[node.output] = _act_params(cache, src, cfg)
-                    domain[node.output] = True
                 continue
-            if not all(in_domains):
+            if not all(in_codes):
                 raise GraphError(f"node {node.id}: quantized layer fed by fp32 tensor")
             w = g.weights[node.weight_id]
             codes, wp = quantize_weights(w, cfg.scheme, cfg.granularity)
@@ -219,23 +215,18 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                 bias_codes[node.bias_id] = np.clip(bq, INT32_MIN, INT32_MAX).astype(np.int32)
             src = _narrowed_source(g, node)
             act_params[node.output] = _act_params(cache, src, cfg)
-            domain[node.output] = True
         elif node.kind in ("add", "concat"):
-            if all(in_domains):
+            if all(in_codes):
                 if node.kind == "add":
                     src = _narrowed_source(g, node)
                 else:
                     src = node.output
                 act_params[node.output] = _act_params(cache, src, cfg)
-                domain[node.output] = True
-            elif not any(in_domains):
-                domain[node.output] = False
-            else:
+            elif any(in_codes):
                 raise GraphError(f"node {node.id}: mixed int8/fp32 operands")
         else:  # relu / maxpool / avgpool / softmax: adopt
             src = node.data_inputs[0]
-            domain[node.output] = domain[src]
-            if domain[src]:
+            if src in act_params:
                 act_params[node.output] = act_params[src]
 
     qg = QuantizedGraph(graph=g, config=cfg, act_params=act_params,

@@ -204,3 +204,19 @@ def gbt_train_reference(X, y, **hyper):
         yhat = yhat + hp["eta"] * _predict_tree(tree, X)
         trees.append(tree)
     return GBTModel(trees=trees, hyper=hp, n_features=X.shape[1], feature_gain=gain_acc)
+
+
+def requantize_int64(acc, multiplier=None, shift=None, zero_point=0):
+    """int32 accumulator -> int8 code in int64 arithmetic: ``>>``/``<<`` for a
+    shift, float rounding half up for a multiplier."""
+    acc = np.asarray(acc, dtype=np.int64)
+    if (multiplier is None) == (shift is None):
+        raise ValueError("pass exactly one of multiplier/shift")
+    if multiplier is not None:
+        scaled = np.floor(acc * np.asarray(multiplier, dtype=np.float64) + 0.5)
+    elif shift >= 0:
+        half = (1 << (shift - 1)) if shift > 0 else 0
+        scaled = (acc + half) >> shift
+    else:
+        scaled = acc << (-shift)
+    return np.clip(scaled + zero_point, -128, 127).astype(np.int8)

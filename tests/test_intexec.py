@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import round_half_up
+from oracles import requantize_int64, round_half_up
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
                      build_cache, check_integer_only, enumerate_space,
                      evaluate_quantized, evaluate_top1, fuse_conv_relu,
@@ -41,6 +43,15 @@ def test_requantize_multiplier_matches_shift_bitwise():
         want = np.array([min(max(round_half_up(int(v) * 2.0**-s) + 3, -128), 127)
                          for v in acc])
         assert np.array_equal(a.astype(np.int64), want)
+    # the float64 carrier against int64 >>/<< at the int32 extremes, for
+    # left, zero and right shifts and the extreme zero points
+    acc = np.concatenate([acc, [2**31 - 1, -(2**31 - 1), -(2**31)]])
+    for s in range(-3, 32):
+        for zp in (-128, 0, 127):
+            want = requantize_int64(acc, shift=s, zero_point=zp)
+            assert np.array_equal(requantize(acc, shift=s, zero_point=zp), want), (s, zp)
+            assert np.array_equal(requantize(acc, multiplier=2.0**-s, zero_point=zp),
+                                  want), (s, zp)
 
 
 def test_requantize_needs_exactly_one_of_multiplier_shift():
@@ -128,8 +139,13 @@ def test_mixed_trace_confines_float_ops_to_first_and_last(lenet, lenet_cache_s2)
 def test_sink_sees_every_node_output_under_mixed_precision(fusion, lenet, lenet_cache_s2, ds):
     qg = quantize_model(lenet, lenet_cache_s2, cfg(mixed="FirstLastFp32", fusion=fusion))
     seen = []
-    run_quantized(qg, ds.eval_images[:4], sink=lambda t, v: seen.append(t))
-    assert seen == [n.output for n in qg.graph.nodes]
+    run_quantized(qg, ds.eval_images[:4], sink=lambda t, v: seen.append((t, v)))
+    assert [t for t, _ in seen] == [n.output for n in qg.graph.nodes]
+    codes = {t: v for t, v in seen if t in qg.act_params}
+    assert set(codes) == set(qg.act_params)
+    for t, v in codes.items():
+        assert np.array_equal(v, np.round(v)), t
+        assert -128 <= v.min() and v.max() <= 127, t
 
 
 # ------------------------------------------------------------------- fusion
@@ -167,6 +183,16 @@ def test_integer_only_requires_power2_tensor_off(lenet, lenet_cache_s2):
         with pytest.raises(IntegerOnlyError):
             check_integer_only(quantize_model(lenet, lenet_cache_s2, bad))
     check_integer_only(quantize_model(lenet, lenet_cache_s2, int_cfg()))
+    # a config relabelled to pass must still fail on the graph it describes
+    mixed = quantize_model(lenet, lenet_cache_s2, int_cfg(mixed="FirstLastFp32"))
+    first = lenet.compute_nodes()[0].id
+    with pytest.raises(IntegerOnlyError, match=f"fp32 layers .*'{first}'"):
+        check_integer_only(replace(mixed, config=replace(mixed.config, mixed="Off")))
+    channel = quantize_model(lenet, lenet_cache_s2, int_cfg(granularity="Channel"))
+    wid = lenet.compute_nodes()[0].weight_id
+    with pytest.raises(IntegerOnlyError, match=f"weight {wid}: per-channel"):
+        check_integer_only(replace(channel, config=replace(channel.config,
+                                                           granularity="Tensor")))
 
 
 def test_integer_path_is_bitwise_equal_and_float_free(lenet, resnet, mobile, ds):
