@@ -5,7 +5,8 @@ over the ten node kinds and holds the only conv/depthwise/pointwise/fc
 dispatch (``_linear``) and pool-attribute parse (``_pool_args``).
 ``run_fp32`` walks a graph with it; the quantized executor (``intexec``)
 uses it for tensors kept in float and for mixed-precision fp32 layers, and
-reuses ``_linear`` on its exact float64 carrier for integer accumulation.
+reuses ``_linear`` and ``maxpool`` on integer codes, where float32 or float64
+operands hold the sums exactly.
 Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
 deployed fp32 baseline would; the test suite pins this against a scalar
 brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation
@@ -65,8 +66,26 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
+def _taps(x: np.ndarray, kh: int, kw: int, stride: int):
+    """The kh*kw strided (N, C, OH, OW) views whose elementwise sum or max
+    over a window position is that window's sum or max; unpadded."""
+    oh = (x.shape[2] - kh) // stride + 1
+    ow = (x.shape[3] - kw) // stride + 1
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, x[:, :, i:i + stride * (oh - 1) + 1:stride,
+                          j:j + stride * (ow - 1) + 1:stride]
+
+
 def maxpool(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    return _windows(x, k, k, stride, 0).max(axis=(-1, -2))
+    # a running maximum over the k*k taps: max is order-free, and a NaN in
+    # a window propagates as in a window reduction.  The result keeps the
+    # memory order of x, as the reduction did, since a later float sum
+    # (avgpool) rounds by memory order.
+    out = None
+    for _, _, tap in _taps(x, k, k, stride):
+        out = tap.copy(order="K") if out is None else np.maximum(out, tap, out=out)
+    return out
 
 
 def avgpool(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -87,8 +106,8 @@ def _pool_args(node: Node) -> tuple[int, int]:
 
 def _linear(node: Node, x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """conv2d / depthwise / pointwise / fully_connected node.  Runs in the
-    dtype of its operands: fp32, or the exact float64 carrier of the integer
-    path."""
+    dtype of its operands: fp32, or the exact float32/float64 integer sums
+    of the code path."""
     if node.kind == "fully_connected":
         out = x.reshape(x.shape[0], -1) @ w.T
         return out if b is None else out + b

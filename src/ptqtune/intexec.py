@@ -16,18 +16,37 @@ scales they agree bit-for-bit:
 (acc + (1 << (s-1))) >> s  ==  floor(ldexp(acc, -s) + 0.5)
                            ==  floor(acc * 2**-s + 0.5).
 
-Codes are carried in float64 end to end, from input quantization to the
-int8 cast of the graph output; a shift is ``np.ldexp``, which is exact on
-integers below 2**53.  Every intermediate value is an integer.  Products of
-zero-shifted int8 codes are < 2**16, and the widest layer the fixture
-grammar builds, a fully_connected over 64x32x32 inputs, sums 2**16 taps
-(``conv+fc`` already sums 8192), so every sum stays below 2**32, far under
-2**53, and the float64 arithmetic is exact — bit-identical to true integer
-execution.  The integer-only ``add`` aligns zero-shifted codes (|x| <= 255)
-by a left shift of |log2 sa - log2 sb|; that stays exact while the shift is
-at most 45, since 255 * 2**45 < 2**53.  The OpTrace records the *semantic*
-operation categories of the quantized program, which is what the
-integer-only audit asserts over.
+Codes are carried as float32 integers, from input quantization to the int8
+cast of the graph output; every code, and every zero-shifted code or weight
+(|v| <= 255), is exact in float32.  Every intermediate value is an integer,
+so the arithmetic is bit-identical to true integer execution as long as no
+value needs more significand bits than its dtype has.
+
+  * Weighted layers accumulate in float32 when a bound proves it exact.
+    ``_accumulate`` takes, per output channel, the sum of |w - zp_w| over
+    its taps times the largest |x - zp_x| the input's zero point allows,
+    max(zp_x - QMIN, QMAX - zp_x); no data is read.  When the largest of
+    these is below 2**24, every partial sum of every output, in any order
+    and with or without FMA, is an integer below 2**24, hence exact.
+    Otherwise the layer accumulates in float64: the widest layer the
+    fixture grammar builds, a fully_connected over 64x32x32 inputs, sums
+    2**16 taps below 2**32, far under 2**53.
+  * float64 stays where a float32 result could round: the bias add and
+    int32 saturation (int32 values), the requantize multiply, the simulated
+    ``add`` (codes times scale ratios) and the avgpool sums.  Requantize and
+    ``add`` run in ``_blocks`` of the batch, in place.  A shift is
+    ``np.ldexp``, exact on integers below 2**53.  The integer-only ``add`` aligns zero-shifted codes by a
+    left shift of |log2 sa - log2 sb|, exact while the shift is at most 45,
+    since 255 * 2**45 < 2**53.
+
+Exactness makes summation order free on codes, so the code step lowers
+depthwise conv to a sum of strided tap products and pointwise conv to one
+matmul.  It is not free on fp32, where order sets the rounding, so
+``run_fp32`` keeps its own kernels; conv2d and fully_connected on codes
+reuse them (``_linear``).
+
+The OpTrace records the *semantic* operation categories of the quantized
+program, which is what the integer-only audit asserts over.
 """
 
 from __future__ import annotations
@@ -37,8 +56,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, _check_batch, _float_node, _linear, _pool_args,
-                   _windows, maxpool, top1_from_scores)
+from .fp32 import (AccuracyResult, _check_batch, _float_node, _linear, _pool_args, _taps,
+                   maxpool, top1_from_scores)
 from .ir import COMPUTE_KINDS, Graph, INPUT_TENSOR, Node
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, ceil_log2, dequantize_array, quantize_array
@@ -47,6 +66,9 @@ from .schemes import QMAX, QMIN, _broadcast, ceil_log2, dequantize_array, quanti
 # (the precision map); float_mul/float_add are elementwise float steps
 # (dequantize, requantize multiplier, boundary quantize)
 FLOAT_CATS = ("float_mul", "float_add", "float_kernel")
+# elements per block of the float64 requantize steps (512 KiB), which then
+# stream through cache instead of memory
+_BLOCK = 1 << 16
 
 
 class IntegerOnlyError(ValueError):
@@ -77,11 +99,28 @@ def requantize(acc: np.ndarray | int, multiplier: float | np.ndarray | None = No
                shift: int | None = None, zero_point: int = 0) -> np.ndarray:
     """int32 accumulator -> int8 codes as float64, via float multiplier or
     shift (right for ``shift > 0``, left for ``shift < 0``), rounding half up."""
-    acc = np.asarray(acc, dtype=np.float64)
     if (multiplier is None) == (shift is None):
         raise ValueError("pass exactly one of multiplier/shift")
-    s = acc * multiplier if multiplier is not None else np.ldexp(acc, -shift)
-    return np.clip(np.floor(s + 0.5) + zero_point, QMIN, QMAX)
+    return _requantize(np.array(acc, dtype=np.float64), multiplier, shift, zero_point)
+
+
+def _requantize(acc: np.ndarray, multiplier, shift, zero_point: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``requantize`` in place on the float64 accumulator ``acc``; the codes
+    land in ``out`` (default ``acc``)."""
+    if multiplier is not None:
+        np.multiply(acc, multiplier, out=acc)
+    else:
+        np.ldexp(acc, -shift, out=acc)
+    return _round_clamp(acc, zero_point, out)
+
+
+def _round_clamp(acc: np.ndarray, zero_point: int, out: np.ndarray | None = None) -> np.ndarray:
+    """clip(floor(acc + 0.5) + zero_point), overwriting the float64 ``acc``."""
+    acc += 0.5
+    np.floor(acc, out=acc)
+    acc += zero_point
+    return np.clip(acc, QMIN, QMAX, out=acc if out is None else out)
 
 
 def _exact_log2(scale: float) -> int:
@@ -118,20 +157,75 @@ def check_integer_only(qg: QuantizedGraph) -> None:
 
 
 def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
-             zero_point: int, integer_only: bool, trace: OpTrace, node_id: str) -> np.ndarray:
-    """Accumulator at ``src_scale`` -> int8 codes at ``dst_scale``: a shift
-    (power-of-two scales only) under integer_only, else a float multiplier."""
+             zero_point: int, integer_only: bool, trace: OpTrace, node_id: str,
+             bias: np.ndarray | None = None) -> np.ndarray:
+    """Integer accumulator at ``src_scale``, plus ``bias`` codes and
+    saturated to int32 -> float32 int8 codes at ``dst_scale``: a shift
+    (power-of-two scales only) under integer_only, else a float multiplier.
+
+    Runs in float64 on ``_blocks`` of the batch, whose temporaries stay in
+    cache."""
     if integer_only:
         trace.add(node_id, "int_add", "shift", "clamp")
-        shift = _exact_log2(float(dst_scale)) - _exact_log2(float(src_scale))
-        return requantize(acc, shift=shift, zero_point=zero_point)
-    trace.add(node_id, "int_add", "float_mul", "round", "clamp")
-    return requantize(acc, multiplier=src_scale / dst_scale, zero_point=zero_point)
+        multiplier, shift = None, _exact_log2(float(dst_scale)) - _exact_log2(float(src_scale))
+    else:
+        trace.add(node_id, "int_add", "float_mul", "round", "clamp")
+        multiplier, shift = src_scale / dst_scale, None
+    out = np.empty_like(acc, dtype=np.float32)
+    for sl in _blocks(acc):
+        a = acc[sl].astype(np.float64)
+        if bias is not None:
+            a += bias
+        np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
+        _requantize(a, multiplier, shift, zero_point, out[sl])
+    return out
+
+
+def _blocks(x: np.ndarray):
+    """Slices of ``x`` along the batch of about ``_BLOCK`` elements each."""
+    step = max(1, _BLOCK // max(1, x[0].size))
+    return (slice(lo, lo + step) for lo in range(0, len(x), step))
+
+
+def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray:
+    """The integer sum of a weighted node: float32 codes ``x`` at zero point
+    ``zx`` against zero-shifted weights ``w`` (float64).
+
+    Runs in float32 when no partial sum can reach 2**24, else in float64;
+    either way the result is the exact integer sum."""
+    reach = max(zx - QMIN, QMAX - zx)  # largest |x - zx|
+    bound = float(np.abs(w).reshape(len(w), -1).sum(axis=1).max()) * reach
+    dtype = np.float32 if bound < 2**24 else np.float64
+    x = np.subtract(x, zx, dtype=dtype)
+    w = w.astype(dtype, copy=False)
+    stride = int(node.attrs.get("stride", 1))
+    pad = int(node.attrs.get("padding", 0))
+    if node.kind == "depthwise_conv2d":
+        return _depthwise_taps(x, w, stride, pad)
+    if node.kind == "pointwise_conv2d" and stride == 1 and not pad:
+        n, c, h, wd = x.shape
+        return np.matmul(w[:, :, 0, 0], x.reshape(n, c, h * wd)).reshape(n, -1, h, wd)
+    return _linear(node, x, w, None)
+
+
+def _depthwise_taps(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Depthwise conv as the sum of its k*k strided tap products."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = tmp = None
+    for i, j, tap in _taps(x, w.shape[2], w.shape[3], stride):
+        wij = w[None, :, 0, i, j, None, None]
+        if out is None:
+            out = tap * wij
+            tmp = np.empty_like(out)
+        else:
+            out += np.multiply(tap, wij, out=tmp)
+    return out
 
 
 def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
                trace: OpTrace, integer_only: bool) -> np.ndarray:
-    """One node on int8 codes carried in float64; returns float64 codes."""
+    """One node on int8 codes carried in float32; returns float32 codes."""
     params = [qg.act_params[t] for t in node.data_inputs]
     out_p = qg.act_params[node.output]
     zo = int(out_p.zero_point)
@@ -140,20 +234,20 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         wp = qg.weight_params[node.weight_id]
         w = qg.weight_codes[node.weight_id]
         w = w - _broadcast(wp, w.ndim)[1]  # int8 - float64 zero point
-        acc = _linear(node, x - int(params[0].zero_point), w, None)
+        acc = _accumulate(node, x, int(params[0].zero_point), w)
         trace.add(node.id, "int_mul", "int_add")
+        b = None
         if node.bias_id is not None:
             b = qg.bias_codes[node.bias_id].astype(np.float64)
-            acc = acc + (_per_channel(b, acc.ndim) if acc.ndim == 4 else b)
+            b = _per_channel(b, acc.ndim) if acc.ndim == 4 else b
             trace.add(node.id, "int_add")
-        acc = np.clip(acc, INT32_MIN, INT32_MAX)  # saturating int32 contract
         sw = np.asarray(wp.scale, dtype=np.float64)
         if wp.axis is not None and acc.ndim == 4:
             sw = _per_channel(sw, acc.ndim)
         out = _rescale(acc, float(params[0].scale) * sw, float(out_p.scale), zo,
-                       integer_only, trace, node.id)
+                       integer_only, trace, node.id, bias=b)
         if node.attrs.get("fused_relu", False):
-            out = np.maximum(out, zo)
+            np.maximum(out, zo, out=out)
             trace.add(node.id, "clamp")
     elif node.kind == "relu":
         out = np.maximum(x, zo)
@@ -162,33 +256,44 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         out = maxpool(x, *_pool_args(node))
     elif node.kind == "avgpool":
         k, s = _pool_args(node)
-        total = _windows(x, k, k, s, 0).sum(axis=(-1, -2))
-        out = _rescale(total - zo * k * k, 1.0, float(k * k), zo, integer_only, trace, node.id)
+        total = None
+        for _, _, tap in _taps(x, k, k, s):
+            total = tap.astype(np.float64) if total is None else np.add(total, tap, out=total)
+        total -= zo * k * k
+        out = _rescale(total, 1.0, float(k * k), zo, integer_only, trace, node.id)
     elif node.kind == "add":
         # align both inputs to a common scale WITHOUT clamping, sum in the
         # wide accumulator, then round/clamp once -- clamping the addends
         # separately would destroy negative contributions when the output
         # range is relu-narrowed
         pa, pb = params
-        xa = x - int(pa.zero_point)
-        xb = xs[1] - int(pb.zero_point)
+        out = np.empty_like(x)
         if integer_only:
             ka = _exact_log2(float(pa.scale))
             kb = _exact_log2(float(pb.scale))
             kmin = min(ka, kb)
-            acc = np.ldexp(xa, ka - kmin) + np.ldexp(xb, kb - kmin)
-            out = requantize(acc, shift=_exact_log2(float(out_p.scale)) - kmin, zero_point=zo)
+            shift = _exact_log2(float(out_p.scale)) - kmin
             trace.add(node.id, "int_add", "shift", "int_add", "shift", "int_add", "shift", "clamp")
         else:
             so = float(out_p.scale)
-            acc = xa * (float(pa.scale) / so) + xb * (float(pb.scale) / so)
-            out = np.clip(np.floor(acc + 0.5) + zo, QMIN, QMAX)
+            ra, rb = float(pa.scale) / so, float(pb.scale) / so
             trace.add(node.id, "int_add", "float_mul", "int_add", "float_mul",
                       "float_add", "round", "int_add", "clamp")
+        for sl in _blocks(x):
+            xa = np.subtract(x[sl], int(pa.zero_point), dtype=np.float64)
+            xb = np.subtract(xs[1][sl], int(pb.zero_point), dtype=np.float64)
+            if integer_only:
+                np.ldexp(xa, ka - kmin, out=xa)
+                xa += np.ldexp(xb, kb - kmin, out=xb)
+                _requantize(xa, None, shift, zo, out[sl])
+            else:
+                xa *= ra
+                xa += np.multiply(xb, rb, out=xb)
+                _round_clamp(xa, zo, out[sl])
     elif node.kind == "concat":
         out = np.concatenate([
-            _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo,
-                     integer_only, trace, node.id)
+            _rescale(xi - int(p.zero_point), float(p.scale),
+                     float(out_p.scale), zo, integer_only, trace, node.id)
             for xi, p in zip(xs, params)], axis=1)
     elif node.kind == "softmax":
         out = x  # monotone map: identity on codes
@@ -219,7 +324,7 @@ def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
     elif node.kind == "softmax":
         trace.add(node.id, "float_add", "float_mul")
     if node.output in qg.act_params:
-        out = quantize_array(out, qg.act_params[node.output]).astype(np.float64)
+        out = quantize_array(out, qg.act_params[node.output]).astype(np.float32)
         trace.add(node.id, "float_mul", "round", "int_add", "clamp")
     return out
 
@@ -232,7 +337,7 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, trace: OpTrace | None,
     if INPUT_TENSOR in qg.act_params:
         # host-side input quantization (not part of the traced graph program)
         env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
-                                           qg.act_params[INPUT_TENSOR]).astype(np.float64)
+                                           qg.act_params[INPUT_TENSOR]).astype(np.float32)
     for node in g.nodes:
         if node.output in qg.act_params and node.id not in qg.fp32_nodes:
             out = _code_node(qg, node, [env[t] for t in node.data_inputs], trace, integer_only)
@@ -250,7 +355,7 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
     """Simulated-int8 forward pass; returns fp32 logits (or codes).
 
     ``sink(tensor_id, values)`` observes every node output (int8 codes
-    carried as float64 for quantized tensors; fp32 for tensors kept in
+    carried as float32 for quantized tensors; fp32 for tensors kept in
     float)."""
     out = _execute(qg, batch, trace, integer_only=False, sink=sink)
     t = qg.graph.output_tensor()

@@ -6,6 +6,7 @@ from oracles import (avgpool_scalar, conv2d_scalar, depthwise_scalar,
 from ptqtune import (avgpool, conv2d, depthwise_conv2d, evaluate_top1,
                      maxpool, observe_activations, run_fp32, softmax,
                      top1_from_scores)
+from ptqtune.fp32 import _windows
 
 RNG = np.random.default_rng(42)
 
@@ -33,6 +34,28 @@ def test_pools_match_scalar_oracles():
     x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
     assert np.allclose(maxpool(x, 2, 2)[0], maxpool_scalar(x[0], 2, 2))
     assert np.allclose(avgpool(x, 4, 4)[0], avgpool_scalar(x[0], 4, 4), atol=1e-6)
+
+
+def window_max(x, k, stride):
+    """maxpool as a reduction over each window."""
+    return _windows(x, k, k, stride, 0).max(axis=(-1, -2))
+
+
+@pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (2, 1), (3, 2), (4, 4)])
+def test_maxpool_matches_scalar_oracle_and_window_reduction(k, stride):
+    x = RNG.standard_normal((2, 3, 9, 9)).astype(np.float32)
+    x[0, 1, 2, 3] = np.nan
+    x[1, 0, :, 4] = np.nan
+    x[1, 2, 5, 5] = np.inf
+    x[0, 0, 0, 0] = -np.inf
+    got = maxpool(x, k, stride)
+    for n in range(2):
+        assert np.array_equal(got[n], maxpool_scalar(x[n], k, stride), equal_nan=True)
+    assert got.tobytes() == window_max(x, k, stride).tobytes()
+    # the memory order of x carries through, as in the reduction: a later
+    # float sum over the result rounds by memory order
+    x_nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert maxpool(x_nhwc, k, stride).strides == window_max(x_nhwc, k, stride).strides
 
 
 def test_softmax_rows_are_distributions():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import requantize_int64, round_half_up
+from oracles import conv2d_scalar, requantize_int64, round_half_up
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
                      build_cache, check_integer_only, enumerate_space,
                      evaluate_quantized, evaluate_top1, fuse_conv_relu,
                      generate_fixture, quantize_model, requantize,
                      run_integer_only, run_quantized, validate)
 from ptqtune.fixtures import _GRAMMAR_KINDS
+from ptqtune.intexec import _accumulate
 from ptqtune.ir import INPUT_TENSOR, Graph, Node
 from ptqtune.tuner import INTEGER_ONLY
 
@@ -59,6 +60,66 @@ def test_requantize_needs_exactly_one_of_multiplier_shift():
         requantize(1)
     with pytest.raises(ValueError):
         requantize(1, multiplier=0.5, shift=1)
+
+
+# ------------------------------------------ float32 accumulation bound
+
+# Input codes 127 at zero point -128 (the widest reach, 255) against weight
+# codes at zero point 0: output channel 1, all -128, sets the layer's bound
+# 255 * 128 * taps; channel 0, all 127, sums the odd 255 * 127 per tap, so
+# past 2**24 its sum has no float32 representation and a float32
+# accumulation there is wrong.
+ZX = -128
+EDGE_LAYERS = [  # (kind, input channels or fc taps, taps per output, float32?)
+    ("fully_connected", 514, 514, True),   # bound 16,776,960 = 2**24 - 256
+    ("fully_connected", 519, 519, False),  # bound 16,942,080; channel 0 16,807,815
+    ("conv2d", 57, 57 * 9, True),          # bound 16,744,320
+    ("conv2d", 59, 59 * 9, False),         # channel 0 17,196,435
+    ("pointwise_conv2d", 514, 514, True),
+    ("pointwise_conv2d", 519, 519, False),
+]
+
+
+def edge_layer(kind, width):
+    """A node, its input codes (image 0 all 127, image 1 random) and its
+    zero-shifted weights (channel 0 all 127, channel 1 all -128, channel 2
+    drawn from -128, -127 and 127)."""
+    rng = np.random.default_rng(width)
+    if kind == "fully_connected":
+        node = Node("l", kind, ["x", "w"], "y")
+        x_shape, w_shape = (2, width), (3, width)
+    elif kind == "conv2d":
+        node = Node("l", kind, ["x", "w"], "y", {"stride": 1, "padding": 1})
+        x_shape, w_shape = (2, width, 4, 4), (3, width, 3, 3)
+    else:
+        node = Node("l", kind, ["x", "w"], "y", {"stride": 1, "padding": 0})
+        x_shape, w_shape = (2, width, 2, 2), (3, width, 1, 1)
+    x = np.full(x_shape, 127, dtype=np.float32)
+    x[1] = rng.integers(-128, 128, size=x_shape[1:])
+    w = rng.choice([-128.0, -127.0, 127.0], size=w_shape)
+    w[0] = 127.0
+    w[1] = -128.0
+    return node, x, w
+
+
+@pytest.mark.parametrize("kind,width,taps,in_float32", EDGE_LAYERS)
+def test_accumulation_is_exact_on_both_sides_of_the_float32_bound(kind, width, taps,
+                                                                  in_float32):
+    node, x, w = edge_layer(kind, width)
+    bound = taps * 128 * (127 - ZX)
+    assert (bound < 2**24) == in_float32
+    acc = _accumulate(node, x, ZX, w)
+    assert acc.dtype == (np.float32 if in_float32 else np.float64)
+    xs = (x - ZX).astype(np.int64)
+    if kind == "conv2d":
+        want = np.stack([conv2d_scalar(xi, w, padding=1) for xi in xs]).astype(np.int64)
+    elif kind == "fully_connected":
+        want = xs @ w.astype(np.int64).T
+    else:
+        want = np.einsum("nchw,oc->nohw", xs, w[:, :, 0, 0].astype(np.int64))
+    assert np.abs(want).max() == bound  # the bound is reached
+    assert want[0, 0].max() == taps * 127 * (127 - ZX)
+    assert np.array_equal(acc, want)
 
 
 # --------------------------------------------------- simulated int8 forward
