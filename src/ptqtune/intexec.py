@@ -34,10 +34,10 @@ value needs more significand bits than its dtype has.
   * float64 stays where a float32 result could round: the bias add and
     int32 saturation (int32 values), the requantize multiply, the simulated
     ``add`` (codes times scale ratios) and the avgpool sums.  Requantize and
-    ``add`` run in ``_blocks`` of the batch, in place.  A shift is
-    ``np.ldexp``, exact on integers below 2**53.  The integer-only ``add`` aligns zero-shifted codes by a
-    left shift of |log2 sa - log2 sb|, exact while the shift is at most 45,
-    since 255 * 2**45 < 2**53.
+    ``add`` run in place on ``_blocks`` of the batch.  A shift is
+    ``np.ldexp``, exact on integers below 2**53.  The integer-only ``add``
+    aligns zero-shifted codes by a left shift of |log2 sa - log2 sb|, exact
+    while the shift is at most 45, since 255 * 2**45 < 2**53.
 
 Exactness makes summation order free on codes, so the code step lowers
 depthwise conv to a sum of strided tap products and pointwise conv to one
@@ -112,11 +112,6 @@ def _requantize(acc: np.ndarray, multiplier, shift, zero_point: int,
         np.multiply(acc, multiplier, out=acc)
     else:
         np.ldexp(acc, -shift, out=acc)
-    return _round_clamp(acc, zero_point, out)
-
-
-def _round_clamp(acc: np.ndarray, zero_point: int, out: np.ndarray | None = None) -> np.ndarray:
-    """clip(floor(acc + 0.5) + zero_point), overwriting the float64 ``acc``."""
     acc += 0.5
     np.floor(acc, out=acc)
     acc += zero_point
@@ -289,11 +284,11 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
             else:
                 xa *= ra
                 xa += np.multiply(xb, rb, out=xb)
-                _round_clamp(xa, zo, out[sl])
+                _requantize(xa, 1.0, None, zo, out[sl])  # already at the output scale
     elif node.kind == "concat":
         out = np.concatenate([
-            _rescale(xi - int(p.zero_point), float(p.scale),
-                     float(out_p.scale), zo, integer_only, trace, node.id)
+            _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo,
+                     integer_only, trace, node.id)
             for xi, p in zip(xs, params)], axis=1)
     elif node.kind == "softmax":
         out = x  # monotone map: identity on codes
