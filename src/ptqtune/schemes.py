@@ -60,8 +60,17 @@ class QuantParams:
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
     """Round halves away from zero (the ROUND used by all schemes)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return _round_half_away(np.array(x, dtype=np.float64))
+
+
+def _round_half_away(v: np.ndarray) -> np.ndarray:
+    """``round_half_away`` in place on the float64 array ``v``."""
+    sign = np.sign(v)
+    np.abs(v, out=v)
+    v += 0.5
+    np.floor(v, out=v)
+    v *= sign
+    return v
 
 
 def ceil_log2(x: float) -> int:
@@ -144,10 +153,11 @@ def _broadcast(p: QuantParams, ndim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quantize_array(x: np.ndarray, p: QuantParams) -> np.ndarray:
     """fp -> int8 codes under p (vectorized; per-channel when p.axis set)."""
-    x = np.asarray(x, dtype=np.float64)
-    scale, zp = _broadcast(p, x.ndim)
-    codes = round_half_away(x / scale + zp)
-    return np.clip(codes, QMIN, QMAX).astype(np.int8)
+    v = np.array(x, dtype=np.float64)  # a copy, scaled and rounded in place
+    scale, zp = _broadcast(p, v.ndim)
+    v /= scale
+    v += zp
+    return np.clip(_round_half_away(v), QMIN, QMAX, out=v).astype(np.int8)
 
 
 def dequantize_array(codes: np.ndarray, p: QuantParams) -> np.ndarray:

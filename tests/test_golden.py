@@ -23,7 +23,6 @@ is a behaviour change:
 import hashlib
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -34,9 +33,7 @@ from ptqtune import (OpTrace, build_cache, enumerate_space, generate_fixture,
                      make_dataset, quantize_model, run_integer_only, run_quantized,
                      save_quantized)
 from ptqtune.quantize import GENERIC, INTEGER_ONLY
-
-sys.path.insert(0, str(Path(__file__).parent))
-from test_intexec import concat_graph  # noqa: E402
+from test_intexec import concat_graph
 
 DIGESTS = Path(__file__).parent / "golden_digests.json"
 GROUPS = ("run_quantized", "run_integer_only", "optrace", "sink", "qtm8")
@@ -71,15 +68,14 @@ def _array(h, a: np.ndarray) -> None:
     h.update(a.tobytes())
 
 
-def _outcome(h, fn) -> np.ndarray | None:
+def _outcome(h, fn) -> None:
     """Fold ``fn()``'s array, or its exception type and message, into ``h``."""
     try:
         out = fn()
     except Exception as e:  # noqa: BLE001 - the error is the pinned outcome
         h.update(f"{type(e).__name__}: {e}".encode())
-        return None
+        return
     _array(h, out)
-    return out
 
 
 def digests(g, d) -> dict[str, str]:
@@ -112,13 +108,9 @@ def digests(g, d) -> dict[str, str]:
     return {name: h.hexdigest() for name, h in hs.items()}
 
 
-def _pinned() -> dict:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))
-
-
 @pytest.fixture(scope="module")
 def pinned():
-    want = _pinned()
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = environment()
     assert want["environment"] == got, (
         f"digests were made under {want['environment']}, this is {got}; "
