@@ -11,6 +11,9 @@ moved:
   sink              every ``run_quantized`` sink value, cast to float64 so
                     that the carrier's dtype does not enter the digest
   qtm8              the ``save_quantized`` bytes
+  qcal              the ``save_cache`` bytes of the S1, S2 and S3 caches
+  kl_ranges         ``clipped_range(h, "KL")`` as float64 bytes, for every
+                    tensor of the S1, S2 and S3 caches
 
 The fp32 steps (calibration, mixed-precision layers) run through BLAS, so
 the digest file records the numpy version and BLAS build it was made with;
@@ -29,14 +32,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptqtune import (OpTrace, build_cache, enumerate_space, generate_fixture,
-                     make_dataset, quantize_model, run_integer_only, run_quantized,
-                     save_quantized)
+from ptqtune import (OpTrace, build_cache, clipped_range, enumerate_space,
+                     generate_fixture, make_dataset, quantize_model, run_integer_only,
+                     run_quantized, save_cache, save_quantized)
 from ptqtune.quantize import GENERIC, INTEGER_ONLY
 from test_intexec import concat_graph
 
 DIGESTS = Path(__file__).parent / "golden_digests.json"
-GROUPS = ("run_quantized", "run_integer_only", "optrace", "sink", "qtm8")
+GROUPS = ("run_quantized", "run_integer_only", "optrace", "sink", "qtm8",
+          "qcal", "kl_ranges")
 RECIPES = ("lenet-ish", "resnet-toy", "mobile-toy",
            "conv+relu+maxpool+dwconv+relu+pwconv+avgpool+fc",
            "conv+avgpool+conv+relu+fc+relu+fc+softmax",
@@ -81,8 +85,16 @@ def _outcome(h, fn) -> None:
 def digests(g, d) -> dict[str, str]:
     hs = {name: hashlib.sha256() for name in GROUPS}
     images = d.eval_images[:N_IMAGES]
-    caches = {c: build_cache(g, d, c, seed=0) for c in ("S1", "S2")}
+    caches = {c: build_cache(g, d, c, seed=0) for c in ("S1", "S2", "S3")}
     with tempfile.TemporaryDirectory() as tmp:
+        for size_class, cache in caches.items():
+            path = os.path.join(tmp, f"{size_class}.qcal")
+            save_cache(cache, path)
+            hs["qcal"].update(Path(path).read_bytes())
+            for tid in sorted(cache.histograms):
+                hs["kl_ranges"].update(tid.encode())
+                _array(hs["kl_ranges"],
+                       np.array(clipped_range(cache.histograms[tid], "KL"), dtype=np.float64))
         for cfg in golden_configs():
             key = json.dumps(cfg.to_dict(), sort_keys=True).encode()
             for h in hs.values():
