@@ -143,6 +143,46 @@ def kl_sweep_brute(bin_counts, min_seen, max_seen, n_bins=2048, levels=128):
     return start, end, float(edges[start]), float(edges[end])
 
 
+def clip_range_kl_loop(h, n=8):
+    """The KL sweep as first written: one window at a time, each scored by
+    ``_window_kl``.  ``ptqtune.clipping.clip_range_kl`` must return the same
+    ``(lo, hi)`` for every histogram."""
+    from ptqtune.calibration import N_BINS
+    from ptqtune.clipping import _window_kl
+
+    if h.n_samples <= 0:
+        raise ValueError(f"histogram {h.tensor_id!r} is empty")
+    lo, hi = float(h.min_seen), float(h.max_seen)
+    if lo == hi:
+        return lo, hi
+    counts = np.asarray(h.bin_counts, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        return lo, hi
+    levels = 2 ** (n - 1)
+    signed = lo < 0.0
+    zero_bin = int((0.0 - lo) / ((hi - lo) / N_BINS)) if signed else 0
+    cum = np.cumsum(counts)
+    edges = h.bin_edges()
+
+    best_kl = math.inf
+    best = (0, N_BINS)
+    for i in range(levels, N_BINS + 1):
+        start = min(max(zero_bin - i // 2, 0), N_BINS - i) if signed else 0
+        end = start + i
+        win = counts[start:end]
+        ref = win.copy()
+        if start > 0:
+            ref[0] += cum[start - 1]
+        ref[-1] += total - cum[end - 1]
+        kl = _window_kl(win, ref, levels)
+        if kl < best_kl:
+            best_kl = kl
+            best = (start, end)
+    start, end = best
+    return float(edges[start]), float(edges[end])
+
+
 def finite_diff_grad(loss, y, yhat, eps=1e-5):
     return (loss(y, yhat + eps) - loss(y, yhat - eps)) / (2 * eps)
 
