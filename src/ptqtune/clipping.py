@@ -137,20 +137,20 @@ def _approx_kl(counts: np.ndarray, widths: np.ndarray, starts: np.ndarray,
     """Every window's KL from prefix sums (inf where infeasible), and the
     bound on its distance from ``_window_kl``; see the module docstring."""
     c = np.asarray(counts, dtype=np.int64)
-    cf = c.astype(np.float64)
+    xlx = _xlogx(c)
     C = np.concatenate(([0], np.cumsum(c)))
     Z = np.concatenate(([0], np.cumsum(c > 0)))
-    PL = np.concatenate(([0.0], np.cumsum(_xlogx(cf))))
+    PL = np.concatenate(([0.0], np.cumsum(xlx)))
     total = int(C[-1])
     group = np.arange(levels + 1)
     kl = np.empty(len(widths))
     for b in range(0, len(widths), _BLOCK):
         w, s = widths[b:b + _BLOCK], starts[b:b + _BLOCK]
         e = s + w
-        edges = s[:, None] + group * (w // levels)[:, None]
-        edges[:, -1] = e
-        S = np.diff(C[edges], axis=1)
-        nz = np.diff(Z[edges], axis=1)
+        bounds = s[:, None] + group * (w // levels)[:, None]
+        bounds[:, -1] = e
+        S = np.diff(C[bounds], axis=1)
+        nz = np.diff(Z[bounds], axis=1)
         left, right = C[s], total - C[e]
         first, last = c[s] + left, c[e - 1] + right
         nz[:, 0] += (first > 0) & (c[s] == 0)
@@ -160,8 +160,7 @@ def _approx_kl(counts: np.ndarray, widths: np.ndarray, starts: np.ndarray,
         R[:, -1] += right
         log_q = np.zeros(S.shape)
         np.log(S / np.maximum(nz, 1), out=log_q, where=S > 0)
-        plogp = (PL[e] - PL[s] + _xlogx(first.astype(np.float64))
-                 + _xlogx(last.astype(np.float64)) - _xlogx(cf[s]) - _xlogx(cf[e - 1]))
+        plogp = PL[e] - PL[s] - xlx[s] - xlx[e - 1] + _xlogx(first) + _xlogx(last)
         kl[b:b + _BLOCK] = np.where(np.any((S == 0) & (nz > 0), axis=1), math.inf,
                                     (plogp - np.sum(R * log_q, axis=1)) / total)
     bound = 5 * N_BINS * 2.0 ** -53 * (math.log(total) + math.log(N_BINS))

@@ -2,7 +2,6 @@
 match a plain-Python brute-force sweep bin for bin, and the window-by-window
 loop on drawn histograms."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -204,8 +203,9 @@ def test_kl_sweep_peak_memory_stays_under_4_mib():
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_kl_needs_two_levels():
-    h = hist_from_values(np.random.default_rng(0).standard_normal(100))
+def test_kl_other_bit_widths_match_window_loop():
+    h = hist_from_values(np.random.default_rng(0).standard_normal(5000))
+    for n in (2, 5):
+        assert clip_range_kl(h, n) == clip_range_kl_loop(h, n)
     with pytest.raises(ValueError):
         clip_range_kl(h, n=1)
-    assert math.isfinite(clip_range_kl(h, n=2)[1])
