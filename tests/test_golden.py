@@ -15,6 +15,12 @@ moved:
   kl_ranges         ``clipped_range(h, "KL")`` as float64 bytes, for every
                     tensor of the S1, S2 and S3 caches
 
+Beside them, five lenet-ish campaigns (budget 24, seed 0, Generic space,
+200 eval images), one per strategy, pin the config, ``top1`` and
+``error_msg`` of every trial, in order; xgb-t transfers from a resnet-toy
+grid campaign of the same budget.  For xgb and xgb-t the ``save_gbt``
+bytes of the last surrogate trained are pinned as a SHA-256.
+
 The fp32 steps (calibration, mixed-precision layers) run through BLAS, so
 the digest file records the numpy version and BLAS build it was made with;
 on any other the test fails and names the mismatch.  Regenerating the file
@@ -27,15 +33,19 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ptqtune import (OpTrace, build_cache, clipped_range, enumerate_space,
-                     generate_fixture, make_dataset, quantize_model, run_integer_only,
-                     run_quantized, save_cache, save_quantized)
+                     extract_features, generate_fixture, make_accuracy_evaluator,
+                     make_dataset, quantize_model, run_integer_only, run_quantized,
+                     run_strategy, save_cache, save_gbt, save_quantized)
+from ptqtune import gbt
 from ptqtune.quantize import GENERIC, INTEGER_ONLY
+from ptqtune.tuner import STRATEGIES
 from test_intexec import concat_graph
 
 DIGESTS = Path(__file__).parent / "golden_digests.json"
@@ -47,6 +57,8 @@ RECIPES = ("lenet-ish", "resnet-toy", "mobile-toy",
            "conv+fc")
 MODELS = RECIPES + ("concat",)
 N_IMAGES = 16
+CAMPAIGN = {"model": "lenet-ish", "transfer_model": "resnet-toy",
+            "transfer_strategy": "grid", "budget": 24, "seed": 0}
 
 
 def environment() -> dict:
@@ -120,6 +132,56 @@ def digests(g, d) -> dict[str, str]:
     return {name: h.hexdigest() for name, h in hs.items()}
 
 
+@contextmanager
+def trained_surrogates():
+    """Collect every model ``gbt.train`` returns while the block runs."""
+    models = []
+    train = gbt.train
+
+    def recording(*args, **kwargs):
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    gbt.train = recording
+    try:
+        yield models
+    finally:
+        gbt.train = train
+
+
+def _trial(r) -> str:
+    return f"{'/'.join(map(str, r.config.to_dict().values()))} {r.top1!r} {r.error_msg}"
+
+
+def campaigns(d) -> dict[str, dict]:
+    """Per strategy, the trial rows of its ``CAMPAIGN`` and, for the guided
+    ones, the SHA-256 of the last surrogate's ``save_gbt`` bytes."""
+    space = enumerate_space(GENERIC)
+    budget, seed = CAMPAIGN["budget"], CAMPAIGN["seed"]
+
+    def run(strategy, model, seed_db=None):
+        g = generate_fixture(model, seed=1)
+        evaluate = make_accuracy_evaluator(g, d, seed=seed, profile=GENERIC)
+        return run_strategy(strategy, extract_features(g), space, evaluate, budget=budget,
+                            seed=seed, seed_db=seed_db, model_name=g.name)
+
+    transfer = run(CAMPAIGN["transfer_strategy"], CAMPAIGN["transfer_model"])
+    out = {"transfer": {"trials": [_trial(r) for r in transfer.trials], "surrogate": None}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for strategy in STRATEGIES:
+            with trained_surrogates() as models:
+                res = run(strategy, CAMPAIGN["model"],
+                          transfer.trials if strategy == "xgb-t" else None)
+            surrogate = None
+            if models:
+                path = os.path.join(tmp, "surrogate.json")
+                save_gbt(models[-1], path)
+                surrogate = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            out[strategy] = {"trials": [_trial(r) for r in res.trials],
+                             "surrogate": surrogate}
+    return out
+
+
 @pytest.fixture(scope="module")
 def pinned():
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))
@@ -137,12 +199,29 @@ def test_executor_outputs_match_golden_digests(name, pinned, ds):
     assert not moved, f"{name}: digests changed for {moved}"
 
 
+@pytest.fixture(scope="module")
+def campaigns_run(ds):
+    return campaigns(ds)
+
+
+@pytest.mark.parametrize("strategy", ("transfer",) + STRATEGIES)
+def test_campaigns_match_golden_trials(strategy, pinned, campaigns_run):
+    want = pinned["campaigns"]
+    assert {k: want[k] for k in CAMPAIGN} == CAMPAIGN
+    got, want = campaigns_run[strategy], want["strategies"][strategy]
+    moved = [i + 1 for i, (a, b) in enumerate(zip(got["trials"], want["trials"])) if a != b]
+    assert len(got["trials"]) == len(want["trials"])
+    assert not moved, f"{strategy}: trials {moved} changed, first {got['trials'][moved[0] - 1]}"
+    assert got["surrogate"] == want["surrogate"], f"{strategy}: the last surrogate changed"
+
+
 def main() -> None:
     d = make_dataset(seed=0)
     out = {"environment": environment(),
            "images": N_IMAGES,
            "configs": len(golden_configs()),
-           "models": {name: digests(_model(name), d) for name in MODELS}}
+           "models": {name: digests(_model(name), d) for name in MODELS},
+           "campaigns": {**CAMPAIGN, "strategies": campaigns(d)}}
     DIGESTS.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 
