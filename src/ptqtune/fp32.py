@@ -1,12 +1,12 @@
 """Floating-point executor.
 
 Runs a Graph on NCHW fp32 batches.  ``_float_node`` is the one fp32 step
-over the ten node kinds and holds the only conv/depthwise/pointwise/fc
-dispatch (``_linear``) and pool-attribute parse (``_pool_args``).
+over the ten node kinds and holds the fp32 conv/depthwise/pointwise/fc
+dispatch; ``_pool_args`` is the one pool-attribute parse.
 ``run_fp32`` walks a graph with it; the quantized executor (``intexec``)
 uses it for tensors kept in float and for mixed-precision fp32 layers, and
-reuses ``_linear`` and ``maxpool`` on integer codes, where float32 or float64
-operands hold the sums exactly.
+reuses ``maxpool`` and the window views (``_taps``, ``_windows``) on
+integer codes, whose conv kernels are its own.
 Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
 deployed fp32 baseline would; the test suite pins this against a scalar
 brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation
@@ -104,25 +104,21 @@ def _pool_args(node: Node) -> tuple[int, int]:
     return k, int(node.attrs.get("stride", k))
 
 
-def _linear(node: Node, x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """conv2d / depthwise / pointwise / fully_connected node.  Runs in the
-    dtype of its operands: fp32, or the exact float32/float64 integer sums
-    of the code path."""
-    if node.kind == "fully_connected":
-        out = x.reshape(x.shape[0], -1) @ w.T
-        return out if b is None else out + b
-    fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
-    return fn(x, w, b, int(node.attrs.get("stride", 1)), int(node.attrs.get("padding", 0)))
-
-
 def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]) -> np.ndarray:
     """One node in fp32 on its data inputs ``xs``; the float step of every
     executor (``run_fp32``, and float tensors and fp32 layers of quantized
     graphs)."""
     x = xs[0]
     if node.kind in COMPUTE_KINDS:
+        w = weights[node.weight_id]
         b = weights[node.bias_id] if node.bias_id else None
-        out = _linear(node, x, weights[node.weight_id], b)
+        if node.kind == "fully_connected":
+            out = x.reshape(x.shape[0], -1) @ w.T
+            out = out if b is None else out + b
+        else:
+            fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
+            out = fn(x, w, b, int(node.attrs.get("stride", 1)),
+                     int(node.attrs.get("padding", 0)))
         if node.attrs.get("fused_relu", False):
             out = np.maximum(out, np.float32(0))
     elif node.kind == "relu":

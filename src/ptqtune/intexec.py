@@ -39,11 +39,26 @@ value needs more significand bits than its dtype has.
     aligns zero-shifted codes by a left shift of |log2 sa - log2 sb|, exact
     while the shift is at most 45, since 255 * 2**45 < 2**53.
 
-Exactness makes summation order free on codes, so the code step lowers
-depthwise conv to a sum of strided tap products and pointwise conv to one
-matmul.  It is not free on fp32, where order sets the rounding, so
-``run_fp32`` keeps its own kernels; conv2d and fully_connected on codes
-reuse them (``_linear``).
+Exactness makes summation order free on codes, and layout with it: an
+exact integer sum has one value however it is formed.  So the code step
+lowers conv itself, a block of the batch at a time (``_blocks``; a block
+holds about ``_BLOCK`` elements of working set, at least one image):
+
+  * conv2d and pointwise conv (``_conv_cols``): the block is zero-shifted
+    into a zero-bordered buffer, its im2col columns are gathered in
+    (C, kh, kw, OH, OW) order by one copy whose inner loop runs along an
+    output row, and one batched matmul of the (O, C*kh*kw) weights writes
+    the block of the NCHW output.
+  * depthwise conv (``_depthwise_taps``): the sum of the kh*kw strided tap
+    products of the shifted, bordered block, written into the output.
+  * fully_connected: one matmul.
+
+Each returns a C-contiguous NCHW array; the fp32 conv kernel, which the
+code step once shared, returns a view with NHWC memory order, gathered
+from a full-batch (N*OH*OW, C*kh*kw) matrix.  None of this is free on fp32,
+where the order of a sum and the row count of an sgemm set the rounding,
+so ``run_fp32``, calibration and the fp32 layers of mixed-precision graphs
+keep the ``fp32`` kernels.
 
 The OpTrace records the *semantic* operation categories of the quantized
 program, which is what the integer-only audit asserts over.
@@ -51,12 +66,13 @@ program, which is what the integer-only audit asserts over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, _check_batch, _float_node, _linear, _pool_args, _taps,
+from .fp32 import (AccuracyResult, _check_batch, _float_node, _pool_args, _taps, _windows,
                    maxpool, top1_from_scores)
 from .ir import COMPUTE_KINDS, Graph, INPUT_TENSOR, Node
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
@@ -66,8 +82,9 @@ from .schemes import QMAX, QMIN, _broadcast, ceil_log2, dequantize_array, quanti
 # (the precision map); float_mul/float_add are elementwise float steps
 # (dequantize, requantize multiplier, boundary quantize)
 FLOAT_CATS = ("float_mul", "float_add", "float_kernel")
-# elements per block of the float64 requantize steps (512 KiB), which then
-# stream through cache instead of memory
+# elements per batch block of the code steps (512 KiB in float64): the
+# requantize steps and the conv working buffers then stay in cache instead
+# of streaming through memory
 _BLOCK = 1 << 16
 
 
@@ -167,7 +184,7 @@ def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
         trace.add(node_id, "int_add", "float_mul", "round", "clamp")
         multiplier, shift = src_scale / dst_scale, None
     out = np.empty_like(acc, dtype=np.float32)
-    for sl in _blocks(acc):
+    for sl in _blocks(len(acc), math.prod(acc.shape[1:])):
         a = acc[sl].astype(np.float64)
         if bias is not None:
             a += bias
@@ -176,10 +193,11 @@ def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
     return out
 
 
-def _blocks(x: np.ndarray):
-    """Slices of ``x`` along the batch of about ``_BLOCK`` elements each."""
-    step = max(1, _BLOCK // max(1, x[0].size))
-    return (slice(lo, lo + step) for lo in range(0, len(x), step))
+def _blocks(n: int, item: int):
+    """Slices of a batch of ``n`` items of ``item`` elements each, about
+    ``_BLOCK`` elements per slice."""
+    step = max(1, _BLOCK // max(1, item))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray:
@@ -187,34 +205,79 @@ def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray
     ``zx`` against zero-shifted weights ``w`` (float64).
 
     Runs in float32 when no partial sum can reach 2**24, else in float64;
-    either way the result is the exact integer sum."""
+    either way the result is the exact integer sum, C-contiguous."""
     reach = max(zx - QMIN, QMAX - zx)  # largest |x - zx|
     bound = float(np.abs(w).reshape(len(w), -1).sum(axis=1).max()) * reach
     dtype = np.float32 if bound < 2**24 else np.float64
-    x = np.subtract(x, zx, dtype=dtype)
     w = w.astype(dtype, copy=False)
+    if node.kind == "fully_connected":
+        return np.subtract(x, zx, dtype=dtype).reshape(len(x), -1) @ w.T
     stride = int(node.attrs.get("stride", 1))
     pad = int(node.attrs.get("padding", 0))
     if node.kind == "depthwise_conv2d":
-        return _depthwise_taps(x, w, stride, pad)
-    if node.kind == "pointwise_conv2d" and stride == 1 and not pad:
-        n, c, h, wd = x.shape
-        return np.matmul(w[:, :, 0, 0], x.reshape(n, c, h * wd)).reshape(n, -1, h, wd)
-    return _linear(node, x, w, None)
+        return _depthwise_taps(x, zx, w, stride, pad)
+    return _conv_cols(x, zx, w, stride, pad)
 
 
-def _depthwise_taps(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Depthwise conv as the sum of its k*k strided tap products."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = tmp = None
-    for i, j, tap in _taps(x, w.shape[2], w.shape[3], stride):
-        wij = w[None, :, 0, i, j, None, None]
-        if out is None:
-            out = tap * wij
-            tmp = np.empty_like(out)
-        else:
-            out += np.multiply(tap, wij, out=tmp)
+def _shifted_blocks(x: np.ndarray, zx: int, dtype, pad: int, item: int):
+    """``(slice, block)`` over the batch of ``x``, each block ``x[slice] - zx``
+    in ``dtype`` inside a zero border of ``pad``, in one reused buffer;
+    ``item`` is the working set per image that sizes the blocks."""
+    n, c, h, wd = x.shape
+    buf = None
+    for sl in _blocks(n, item):
+        xb = x[sl]
+        if buf is None:
+            buf = np.zeros((len(xb), c, h + 2 * pad, wd + 2 * pad), dtype=dtype)
+        xp = buf[:len(xb)]
+        np.subtract(xb, zx, out=xp[:, :, pad:pad + h, pad:pad + wd])
+        yield sl, xp
+
+
+def _out_size(size: int, k: int, stride: int, pad: int) -> int:
+    return (size + 2 * pad - k) // stride + 1
+
+
+def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """conv2d / pointwise on codes: per batch block, one im2col copy in
+    (C, kh, kw, OH, OW) order, then one batched matmul into the NCHW
+    output."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh, ow = _out_size(h, kh, stride, pad), _out_size(wd, kw, stride, pad)
+    out = np.empty((n, o, oh, ow), dtype=w.dtype)
+    w2 = w.reshape(o, -1)
+    cols = None
+    for sl, xp in _shifted_blocks(x, zx, w.dtype, pad, c * kh * kw * oh * ow):
+        if cols is None:
+            cols = np.empty((len(xp), c, kh, kw, oh, ow), dtype=w.dtype)
+        nb = len(xp)
+        cb = cols[:nb]
+        np.copyto(cb, _windows(xp, kh, kw, stride, 0).transpose(0, 1, 4, 5, 2, 3))
+        np.matmul(w2, cb.reshape(nb, -1, oh * ow), out=out[sl].reshape(nb, o, oh * ow))
+    return out
+
+
+def _depthwise_taps(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Depthwise conv on codes: per batch block, the sum of its k*k strided
+    tap products, written into the NCHW output."""
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2], w.shape[3]
+    oh, ow = _out_size(h, kh, stride, pad), _out_size(wd, kw, stride, pad)
+    out = np.empty((n, c, oh, ow), dtype=w.dtype)
+    tmp = None
+    item = c * (h + 2 * pad) * (wd + 2 * pad)
+    for sl, xp in _shifted_blocks(x, zx, w.dtype, pad, item):
+        ob = out[sl]
+        if tmp is None:
+            tmp = np.empty_like(ob)
+        tb = tmp[:len(ob)]
+        for i, j, tap in _taps(xp, kh, kw, stride):
+            wij = w[None, :, 0, i, j, None, None]
+            if i == j == 0:
+                np.multiply(tap, wij, out=ob)
+            else:
+                ob += np.multiply(tap, wij, out=tb)
     return out
 
 
@@ -274,7 +337,7 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
             ra, rb = float(pa.scale) / so, float(pb.scale) / so
             trace.add(node.id, "int_add", "float_mul", "int_add", "float_mul",
                       "float_add", "round", "int_add", "clamp")
-        for sl in _blocks(x):
+        for sl in _blocks(len(x), math.prod(x.shape[1:])):
             xa = np.subtract(x[sl], int(pa.zero_point), dtype=np.float64)
             xb = np.subtract(xs[1][sl], int(pb.zero_point), dtype=np.float64)
             if integer_only:

@@ -1,18 +1,20 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_scalar, requantize_int64, round_half_up
+from oracles import conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
                      build_cache, check_integer_only, enumerate_space,
                      evaluate_quantized, evaluate_top1, fuse_conv_relu,
                      generate_fixture, quantize_model, requantize,
                      run_integer_only, run_quantized, validate)
 from ptqtune.fixtures import _GRAMMAR_KINDS
-from ptqtune.intexec import _accumulate
+from ptqtune import intexec
+from ptqtune.intexec import _BLOCK, _accumulate
 from ptqtune.ir import INPUT_TENSOR, Graph, Node
 from ptqtune.tuner import INTEGER_ONLY
 
@@ -77,6 +79,8 @@ EDGE_LAYERS = [  # (kind, input channels or fc taps, taps per output, float32?)
     ("conv2d", 59, 59 * 9, False),         # channel 0 17,196,435
     ("pointwise_conv2d", 514, 514, True),
     ("pointwise_conv2d", 519, 519, False),
+    ("depthwise_conv2d", 22, 22 * 22, True),   # bound 15,797,760
+    ("depthwise_conv2d", 23, 23 * 23, False),  # channel 0 17,131,965
 ]
 
 
@@ -91,6 +95,9 @@ def edge_layer(kind, width):
     elif kind == "conv2d":
         node = Node("l", kind, ["x", "w"], "y", {"stride": 1, "padding": 1})
         x_shape, w_shape = (2, width, 4, 4), (3, width, 3, 3)
+    elif kind == "depthwise_conv2d":  # width is the kernel size
+        node = Node("l", kind, ["x", "w"], "y", {"stride": 1, "padding": 1})
+        x_shape, w_shape = (2, 3, width, width), (3, 1, width, width)
     else:
         node = Node("l", kind, ["x", "w"], "y", {"stride": 1, "padding": 0})
         x_shape, w_shape = (2, width, 2, 2), (3, width, 1, 1)
@@ -113,6 +120,8 @@ def test_accumulation_is_exact_on_both_sides_of_the_float32_bound(kind, width, t
     xs = (x - ZX).astype(np.int64)
     if kind == "conv2d":
         want = np.stack([conv2d_scalar(xi, w, padding=1) for xi in xs]).astype(np.int64)
+    elif kind == "depthwise_conv2d":
+        want = np.stack([depthwise_scalar(xi, w, padding=1) for xi in xs]).astype(np.int64)
     elif kind == "fully_connected":
         want = xs @ w.astype(np.int64).T
     else:
@@ -120,6 +129,89 @@ def test_accumulation_is_exact_on_both_sides_of_the_float32_bound(kind, width, t
     assert np.abs(want).max() == bound  # the bound is reached
     assert want[0, 0].max() == taps * 127 * (127 - ZX)
     assert np.array_equal(acc, want)
+
+
+def conv_oracle(kind, x, zx, w, stride, pad):
+    """int64 sums of a conv layer on codes ``x`` at zero point ``zx``."""
+    scalar = depthwise_scalar if kind == "depthwise_conv2d" else conv2d_scalar
+    return np.stack([scalar(xi - zx, w, stride=stride, padding=pad)
+                     for xi in x.astype(np.int64)]).astype(np.int64)
+
+
+def check_conv(kind, x, zx, w, stride, pad):
+    node = Node("l", kind, ["x", "w"], "y", {"stride": stride, "padding": pad})
+    bound = np.abs(w).reshape(len(w), -1).sum(axis=1).max() * max(zx + 128, 127 - zx)
+    acc = _accumulate(node, x, zx, w)
+    assert acc.dtype == (np.float32 if bound < 2**24 else np.float64)
+    assert acc.flags.c_contiguous
+    assert np.array_equal(acc, conv_oracle(kind, x, zx, w, stride, pad))
+    return bound
+
+
+@st.composite
+def conv_layers(draw):
+    """A conv2d, pointwise or depthwise layer on int8 codes, its batch, and
+    a block size for the batch: one image or up to seven, in blocks of one
+    to three images or of less than one."""
+    kind = draw(st.sampled_from(["conv2d", "pointwise_conv2d", "depthwise_conv2d"]))
+    # zero-shifted weights reach 255 in magnitude; all-extreme weights on a
+    # conv2d of 275 taps or more put its bound past 2**24
+    wide = kind == "conv2d" and draw(st.booleans())
+    k = 5 if wide else 1 if kind == "pointwise_conv2d" else draw(st.integers(1, 5))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    c = draw(st.integers(11 if wide else 1, 16))
+    o = c if kind == "depthwise_conv2d" else draw(st.integers(1, 4 if wide else 16))
+    lo = max(1, k - 2 * pad)
+    h, wd = draw(st.integers(lo, lo + 4)), draw(st.integers(lo, lo + 4))
+    n = draw(st.integers(1, 7))
+    zx = draw(st.sampled_from([-128, 127])) if wide else draw(st.integers(-128, 127))
+    extreme = wide or draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-128, 128, size=(n, c, h, wd)).astype(np.float32)
+    x[0] = 127 if zx < 0 else -128  # the reach of zx
+    w_shape = (o, 1 if kind == "depthwise_conv2d" else c, k, k)
+    w = (rng.choice([-255.0, 255.0], size=w_shape) if extreme
+         else rng.integers(-255, 256, size=w_shape).astype(np.float64))
+    # elements per image that size the blocks: the gathered columns, or the
+    # padded input of a depthwise layer
+    oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    item = c * ((h + 2 * pad) * (wd + 2 * pad) if kind == "depthwise_conv2d"
+                else k * k * oh * ow)
+    step = draw(st.integers(0, 3))  # 0: an image larger than a block
+    block = max(1, item - 1) if step == 0 else step * item + draw(st.integers(0, item - 1))
+    return kind, x, zx, w, stride, pad, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_layers())
+@example(("conv2d", np.full((3, 16, 5, 5), 127, dtype=np.float32), -128,
+          np.full((2, 16, 5, 5), -255.0), 1, 0, 1000))  # bound 26,010,000
+@example(("conv2d", np.full((3, 8, 5, 5), 127, dtype=np.float32), -128,
+          np.full((2, 8, 5, 5), -255.0), 2, 1, 5000))   # bound 13,005,000
+def test_conv_kernels_on_codes_match_scalar_oracles(layer):
+    kind, x, zx, w, stride, pad, block = layer
+    with mock.patch.object(intexec, "_BLOCK", block):
+        check_conv(kind, x, zx, w, stride, pad)
+
+
+@pytest.mark.parametrize("kind,k,c,o", [("conv2d", 3, 4, 2), ("pointwise_conv2d", 1, 16, 2),
+                                        ("depthwise_conv2d", 2, 4, 4)])
+def test_conv_kernels_on_codes_block_at_the_shipped_size(kind, k, c, o):
+    """At the shipped ``_BLOCK`` (padding 1): a batch that ends in a ragged
+    block, and one image larger than a block."""
+    rng = np.random.default_rng(k * c)
+    depthwise = kind == "depthwise_conv2d"
+    w = rng.integers(-255, 256, size=(o, 1 if depthwise else c, k, k)).astype(np.float64)
+
+    def item(h):  # elements per image of the gathered columns, or the padded input
+        return c * (h + 2) ** 2 if depthwise else c * k * k * (h + 3 - k) ** 2
+
+    big = next(h for h in range(1, 256) if item(h) > _BLOCK)
+    step = _BLOCK // item(16)
+    assert step > 1
+    for h, n in ((16, step + 1 + step // 2), (big, 2)):
+        x = rng.integers(-128, 128, size=(n, c, h, h)).astype(np.float32)
+        check_conv(kind, x, 5, w, 1, 1)
 
 
 # --------------------------------------------------- simulated int8 forward
