@@ -140,11 +140,24 @@ def load_cache(path: str) -> CalibrationCache:
         raise ValueError(f"{path}: not a calibration cache")
     with _malformed_header(path):
         ranges, counts = buffers
+        tensors, n_samples = header["tensors"], header["n_samples"]
+        n = len(tensors)
+        # the KL sweep indexes N_BINS bins and assumes nonnegative integer counts
+        if counts.dtype != np.int64 or counts.shape != (n, N_BINS):
+            raise ValueError(f"{path}: bin counts are {counts.dtype}{list(counts.shape)}, "
+                             f"not int64[{n}, {N_BINS}]")
+        if (counts < 0).any():
+            raise ValueError(f"{path}: negative bin counts")
+        if ranges.shape != (n, 2) or not np.isfinite(ranges).all() \
+                or (ranges[:, 0] > ranges[:, 1]).any():
+            raise ValueError(f"{path}: ranges must be {n} finite (lo, hi) pairs with lo <= hi")
+        if len(n_samples) != n:
+            raise ValueError(f"{path}: {len(n_samples)} sample counts for {n} tensors")
         hists = {}
-        for i, t in enumerate(header["tensors"]):
+        for i, t in enumerate(tensors):
             hists[t] = TensorHistogram(
                 tensor_id=t, min_seen=ranges[i, 0], max_seen=ranges[i, 1],
-                bin_counts=counts[i].copy(), n_samples=int(header["n_samples"][i]),
+                bin_counts=counts[i].copy(), n_samples=int(n_samples[i]),
             )
         return CalibrationCache(model_name=header["model_name"],
                                 size_class=header["size_class"],

@@ -3,6 +3,7 @@ import pytest
 
 from ptqtune import Graph, Node, build_cache, calibrate, load_cache, save_cache
 from ptqtune.calibration import N_BINS, SIZE_CLASSES, select_images
+from ptqtune.container import write_container
 from ptqtune.ir import INPUT_TENSOR
 
 
@@ -102,3 +103,42 @@ def test_wrong_format_rejected(tmp_path, ds):
     save_dataset(ds, str(p))
     with pytest.raises(ValueError):
         load_cache(str(p))
+
+
+def write_qcal(path, ranges, counts, n_samples):
+    header = {"format": "qcal", "version": 1, "model_name": "m", "size_class": "S1",
+              "image_ids": [0], "tensors": ["a", "b"], "n_samples": n_samples}
+    write_container(str(path), header, [ranges, counts])
+
+
+GOOD_RANGES = np.array([[-1.0, 2.0], [0.0, 0.0]], dtype=np.float32)
+GOOD_COUNTS = np.zeros((2, N_BINS), dtype=np.int64)
+
+
+@pytest.mark.parametrize("ranges,counts,n_samples", [
+    (GOOD_RANGES, np.zeros((2, 16), dtype=np.int64), [0, 0]),         # 16 bins wide
+    (GOOD_RANGES, np.zeros((2, N_BINS + 1), dtype=np.int64), [0, 0]),
+    (GOOD_RANGES, np.zeros((3, N_BINS), dtype=np.int64), [0, 0]),
+    (GOOD_RANGES, np.full((2, N_BINS), 0.5), [0, 0]),                 # fractional
+    (GOOD_RANGES, GOOD_COUNTS.astype(np.int32), [0, 0]),
+    (GOOD_RANGES, np.where(np.arange(N_BINS) == 7, -1, GOOD_COUNTS), [0, 0]),
+    (GOOD_RANGES[:, :1], GOOD_COUNTS, [0, 0]),
+    (np.zeros((2, 3), dtype=np.float32), GOOD_COUNTS, [0, 0]),
+    (np.array([[-1.0, np.nan], [0.0, 0.0]], dtype=np.float32), GOOD_COUNTS, [0, 0]),
+    (np.array([[-np.inf, 2.0], [0.0, 0.0]], dtype=np.float32), GOOD_COUNTS, [0, 0]),
+    (np.array([[2.0, -1.0], [0.0, 0.0]], dtype=np.float32), GOOD_COUNTS, [0, 0]),  # lo > hi
+    (GOOD_RANGES, GOOD_COUNTS, [0]),
+    (GOOD_RANGES, GOOD_COUNTS, [0, 0, 0]),
+])
+def test_load_cache_rejects_malformed_buffers(tmp_path, ranges, counts, n_samples):
+    p = tmp_path / "bad.qcal"
+    write_qcal(p, ranges, counts, n_samples)
+    with pytest.raises(ValueError):
+        load_cache(str(p))
+
+
+def test_load_cache_accepts_the_same_file_well_formed(tmp_path):
+    p = tmp_path / "good.qcal"
+    write_qcal(p, GOOD_RANGES, GOOD_COUNTS, [0, 0])
+    c = load_cache(str(p))
+    assert c.histograms["a"].max_seen == 2.0 and c.histograms["b"].n_samples == 0
