@@ -249,9 +249,9 @@ def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> 
     w2 = w.reshape(o, -1)
     cols = None
     for sl, xp in _shifted_blocks(x, zx, w.dtype, pad, c * kh * kw * oh * ow):
-        if cols is None:
-            cols = np.empty((len(xp), c, kh, kw, oh, ow), dtype=w.dtype)
         nb = len(xp)
+        if cols is None:
+            cols = np.empty((nb, c, kh, kw, oh, ow), dtype=w.dtype)
         cb = cols[:nb]
         np.copyto(cb, _windows(xp, kh, kw, stride, 0).transpose(0, 1, 4, 5, 2, 3))
         np.matmul(w2, cb.reshape(nb, -1, oh * ow), out=out[sl].reshape(nb, o, oh * ow))

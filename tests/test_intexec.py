@@ -145,7 +145,6 @@ def check_conv(kind, x, zx, w, stride, pad):
     assert acc.dtype == (np.float32 if bound < 2**24 else np.float64)
     assert acc.flags.c_contiguous
     assert np.array_equal(acc, conv_oracle(kind, x, zx, w, stride, pad))
-    return bound
 
 
 @st.composite
@@ -208,8 +207,9 @@ def test_conv_kernels_on_codes_block_at_the_shipped_size(kind, k, c, o):
 
     big = next(h for h in range(1, 256) if item(h) > _BLOCK)
     step = _BLOCK // item(16)
-    assert step > 1
-    for h, n in ((16, step + 1 + step // 2), (big, 2)):
+    ragged = step + step // 2 + 1
+    assert step > 1 and ragged % step
+    for h, n in ((16, ragged), (big, 2)):
         x = rng.integers(-128, 128, size=(n, c, h, h)).astype(np.float32)
         check_conv(kind, x, 5, w, 1, 1)
 
