@@ -18,8 +18,10 @@ moved:
 Beside them, five lenet-ish campaigns (budget 24, seed 0, Generic space,
 200 eval images), one per strategy, pin the config, ``top1`` and
 ``error_msg`` of every trial, in order; xgb-t transfers from a resnet-toy
-grid campaign of the same budget.  For xgb and xgb-t the ``save_gbt``
-bytes of the last surrogate trained are pinned as a SHA-256.
+grid campaign of the same budget.  Every lenet-ish trial scores 1.0, so a
+cold resnet-toy xgb campaign, whose accuracy varies, pins a surrogate that
+guides.  For the xgb campaigns and xgb-t the ``save_gbt`` bytes of the last
+surrogate trained are pinned as a SHA-256.
 
 The fp32 steps (calibration, mixed-precision layers) run through BLAS, so
 the digest file records the numpy version and BLAS build it was made with;
@@ -58,7 +60,9 @@ RECIPES = ("lenet-ish", "resnet-toy", "mobile-toy",
 MODELS = RECIPES + ("concat",)
 N_IMAGES = 16
 CAMPAIGN = {"model": "lenet-ish", "transfer_model": "resnet-toy",
-            "transfer_strategy": "grid", "budget": 24, "seed": 0}
+            "transfer_strategy": "grid", "cold_model": "resnet-toy",
+            "cold_strategy": "xgb", "budget": 24, "seed": 0}
+PINNED_CAMPAIGNS = ("transfer", "cold") + STRATEGIES
 
 
 def environment() -> dict:
@@ -154,8 +158,8 @@ def _trial(r) -> str:
 
 
 def campaigns(d) -> dict[str, dict]:
-    """Per strategy, the trial rows of its ``CAMPAIGN`` and, for the guided
-    ones, the SHA-256 of the last surrogate's ``save_gbt`` bytes."""
+    """Per pinned campaign, its trial rows and, for the guided ones, the
+    SHA-256 of the last surrogate's ``save_gbt`` bytes."""
     space = enumerate_space(GENERIC)
     budget, seed = CAMPAIGN["budget"], CAMPAIGN["seed"]
 
@@ -165,20 +169,24 @@ def campaigns(d) -> dict[str, dict]:
         return run_strategy(strategy, extract_features(g), space, evaluate, budget=budget,
                             seed=seed, seed_db=seed_db, model_name=g.name)
 
-    transfer = run(CAMPAIGN["transfer_strategy"], CAMPAIGN["transfer_model"])
-    out = {"transfer": {"trials": [_trial(r) for r in transfer.trials], "surrogate": None}}
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for strategy in STRATEGIES:
+        def pin(key, strategy, model, seed_db=None):
             with trained_surrogates() as models:
-                res = run(strategy, CAMPAIGN["model"],
-                          transfer.trials if strategy == "xgb-t" else None)
+                res = run(strategy, model, seed_db)
             surrogate = None
             if models:
                 path = os.path.join(tmp, "surrogate.json")
                 save_gbt(models[-1], path)
                 surrogate = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            out[strategy] = {"trials": [_trial(r) for r in res.trials],
-                             "surrogate": surrogate}
+            out[key] = {"trials": [_trial(r) for r in res.trials], "surrogate": surrogate}
+            return res
+
+        transfer = pin("transfer", CAMPAIGN["transfer_strategy"], CAMPAIGN["transfer_model"])
+        pin("cold", CAMPAIGN["cold_strategy"], CAMPAIGN["cold_model"])
+        for strategy in STRATEGIES:
+            pin(strategy, strategy, CAMPAIGN["model"],
+                transfer.trials if strategy == "xgb-t" else None)
     return out
 
 
@@ -204,7 +212,7 @@ def campaigns_run(ds):
     return campaigns(ds)
 
 
-@pytest.mark.parametrize("strategy", ("transfer",) + STRATEGIES)
+@pytest.mark.parametrize("strategy", PINNED_CAMPAIGNS)
 def test_campaigns_match_golden_trials(strategy, pinned, campaigns_run):
     assert {k: pinned["campaigns"][k] for k in CAMPAIGN} == CAMPAIGN
     got, want = campaigns_run[strategy], pinned["campaigns"]["strategies"][strategy]
