@@ -17,12 +17,12 @@ from .fp32 import (AccuracyResult, avgpool, conv2d, depthwise_conv2d,
                    softmax, top1_from_scores)
 from .gbt import GBTModel, feature_importance, load_gbt, predict, save_gbt, train
 from .intexec import (IntegerOnlyError, OpTrace, check_integer_only,
-                      evaluate_quantized, fuse_conv_relu, requantize,
-                      run_integer_only, run_quantized)
+                      evaluate_quantized, requantize, run_integer_only,
+                      run_quantized)
 from .ir import (Graph, GraphError, ModelFeatures, Node, extract_features,
                  load_model, propagate_shapes, save_model, validate)
-from .quantize import (QuantConfig, QuantizedGraph, load_quantized, model_size,
-                       quantize_model, quantize_weights, save_quantized)
+from .quantize import (QuantConfig, QuantizedGraph, fuse_conv_relu, load_quantized,
+                       model_size, quantize_model, quantize_weights, save_quantized)
 from .schemes import QuantParams, Scheme, dequantize_array, params_for_range, quantize_array
 from .tuner import (GAParams, SearchResult, TargetProfile, TuningRecord,
                     enumerate_space, load_db, make_accuracy_evaluator,

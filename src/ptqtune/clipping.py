@@ -80,8 +80,10 @@ import math
 import numpy as np
 
 from .calibration import N_BINS, TensorHistogram
+from .schemes import QMAX
 
 _BLOCK = 256  # window widths per block of the vectorized pass
+_LEVELS = QMAX + 1  # KL levels: the int8 codes on one side of zero
 
 
 def clip_range_max(h: TensorHistogram) -> tuple[float, float]:
@@ -167,27 +169,24 @@ def _approx_kl(counts: np.ndarray, widths: np.ndarray, starts: np.ndarray,
     return kl, bound
 
 
-def clip_range_kl(h: TensorHistogram, n: int = 8) -> tuple[float, float]:
+def clip_range_kl(h: TensorHistogram) -> tuple[float, float]:
     if h.n_samples <= 0:
         raise ValueError(f"histogram {h.tensor_id!r} is empty")
-    if n < 2:
-        raise ValueError(f"KL clipping needs at least 2 bits, got {n}")
     lo, hi = float(h.min_seen), float(h.max_seen)
     if lo == hi:
         return lo, hi
     counts = np.asarray(h.bin_counts, dtype=np.float64)
     if counts.sum() <= 0:
         return lo, hi
-    levels = 2 ** (n - 1)
-    widths, starts = _window_starts(h, levels)
-    approx, bound = _approx_kl(h.bin_counts, widths, starts, levels)
+    widths, starts = _window_starts(h, _LEVELS)
+    approx, bound = _approx_kl(h.bin_counts, widths, starts, _LEVELS)
     cum = np.cumsum(counts)
 
     best_kl = math.inf
     best = (0, N_BINS)
     for j in np.flatnonzero(approx <= approx.min(initial=math.inf) + 2 * bound):
         start, end = int(starts[j]), int(starts[j] + widths[j])
-        kl = _window_kl(*_reference(counts, cum, start, end), levels)
+        kl = _window_kl(*_reference(counts, cum, start, end), _LEVELS)
         if kl < best_kl:
             best_kl = kl
             best = (start, end)
@@ -196,11 +195,10 @@ def clip_range_kl(h: TensorHistogram, n: int = 8) -> tuple[float, float]:
     return float(edges[start]), float(edges[end])
 
 
-def clipped_range(h: TensorHistogram, mode: str, n: int = 8) -> tuple[float, float]:
+def clipped_range(h: TensorHistogram, mode: str) -> tuple[float, float]:
     """Memoized dispatch; KL sweeps are reused across configurations."""
     if mode not in ("Max", "KL"):
         raise ValueError(f"unknown clipping mode {mode!r}")
-    key = (mode, n)
-    if key not in h._range_cache:
-        h._range_cache[key] = clip_range_max(h) if mode == "Max" else clip_range_kl(h, n)
-    return h._range_cache[key]
+    if mode not in h._range_cache:
+        h._range_cache[mode] = clip_range_max(h) if mode == "Max" else clip_range_kl(h)
+    return h._range_cache[mode]

@@ -62,10 +62,6 @@ class Dataset:
     def eval_labels(self) -> np.ndarray:
         return self.labels[self.n_calib:]
 
-    @property
-    def input_shape(self) -> tuple[int, int, int]:
-        return tuple(self.images.shape[1:])
-
 
 def make_dataset(n_calib: int = 300, n_eval: int = 200, seed: int = 0,
                  noise: float = 0.25, n_classes: int = N_CLASSES,

@@ -28,7 +28,8 @@ import numpy as np
 
 from .dataset import IMAGE_SHAPE, N_CLASSES, class_templates
 from .fp32 import run_fp32
-from .ir import Graph, GraphError, INPUT_TENSOR, ModelFeatures, Node, propagate_shapes, validate
+from .ir import (Graph, GraphError, INPUT_TENSOR, ModelFeatures, Node, out_size,
+                 propagate_shapes, validate)
 
 
 class _Builder:
@@ -59,22 +60,23 @@ class _Builder:
         self.weights[wid] = (std * self.rng.standard_normal(shape)).astype(np.float32)
         return wid
 
+    def _window(self, c: int, k: int, stride: int, pad: int = 0) -> None:
+        """The shape after a k x k window at ``stride``, with ``c`` channels."""
+        h, w = self.shape[1:]
+        self.shape = (c, out_size(h, k, stride, pad), out_size(w, k, stride, pad))
+
     def conv(self, out_c: int, k: int, stride: int = 1, pad: int = 0) -> str:
         c = self.shape[0]
         w = self._weight("conv", (out_c, c, k, k), np.sqrt(2.0 / (c * k * k)))
         b = self._weight("bias", (out_c,), 0.01)
-        oh = (self.shape[1] + 2 * pad - k) // stride + 1
-        ow = (self.shape[2] + 2 * pad - k) // stride + 1
-        self.shape = (out_c, oh, ow)
+        self._window(out_c, k, stride, pad)
         return self._emit("conv2d", [self.cur, w, b], {"stride": stride, "padding": pad})
 
     def dwconv(self, k: int = 3, stride: int = 1, pad: int = 1) -> str:
         c = self.shape[0]
         w = self._weight("dw", (c, 1, k, k), np.sqrt(2.0 / (k * k)))
         b = self._weight("bias", (c,), 0.01)
-        oh = (self.shape[1] + 2 * pad - k) // stride + 1
-        ow = (self.shape[2] + 2 * pad - k) // stride + 1
-        self.shape = (c, oh, ow)
+        self._window(c, k, stride, pad)
         return self._emit("depthwise_conv2d", [self.cur, w, b], {"stride": stride, "padding": pad})
 
     def pwconv(self, out_c: int) -> str:
@@ -95,12 +97,12 @@ class _Builder:
 
     def maxpool(self, k: int, stride: int | None = None) -> str:
         s = stride or k
-        self.shape = (self.shape[0], (self.shape[1] - k) // s + 1, (self.shape[2] - k) // s + 1)
+        self._window(self.shape[0], k, s)
         return self._emit("maxpool", [self.cur], {"kernel": k, "stride": s})
 
     def avgpool(self, k: int, stride: int | None = None) -> str:
         s = stride or k
-        self.shape = (self.shape[0], (self.shape[1] - k) // s + 1, (self.shape[2] - k) // s + 1)
+        self._window(self.shape[0], k, s)
         return self._emit("avgpool", [self.cur], {"kernel": k, "stride": s})
 
     def add(self, other: str) -> str:

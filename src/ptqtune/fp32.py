@@ -2,11 +2,12 @@
 
 Runs a Graph on NCHW fp32 batches.  ``_float_node`` is the one fp32 step
 over the ten node kinds and holds the fp32 conv/depthwise/pointwise/fc
-dispatch; ``_pool_args`` is the one pool-attribute parse.
-``run_fp32`` walks a graph with it; the quantized executor (``intexec``)
-uses it for tensors kept in float and for mixed-precision fp32 layers, and
-reuses ``maxpool`` and the window views (``_taps``, ``_windows``) on
-integer codes, whose conv kernels are its own.
+dispatch; node attributes and window geometry come from ``ir``
+(``conv_args``, ``pool_args``, ``out_size``).  ``run_fp32`` walks a graph
+with it; the quantized executor (``intexec``) uses it for tensors kept in
+float and for mixed-precision fp32 layers, and reuses ``maxpool`` and the
+window views (``_taps``, ``_windows``) on integer codes, whose conv kernels
+are its own.
 Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
 deployed fp32 baseline would; the test suite pins this against a scalar
 brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Dataset
-from .ir import COMPUTE_KINDS, INPUT_TENSOR, Graph, Node
+from .ir import COMPUTE_KINDS, INPUT_TENSOR, Graph, Node, conv_args, out_size, pool_args
 
 ObserverSink = Callable[[str, np.ndarray], None]
 
@@ -69,8 +70,7 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 def _taps(x: np.ndarray, kh: int, kw: int, stride: int):
     """The kh*kw strided (N, C, OH, OW) views whose elementwise sum or max
     over a window position is that window's sum or max; unpadded."""
-    oh = (x.shape[2] - kh) // stride + 1
-    ow = (x.shape[3] - kw) // stride + 1
+    oh, ow = out_size(x.shape[2], kh, stride), out_size(x.shape[3], kw, stride)
     for i in range(kh):
         for j in range(kw):
             yield i, j, x[:, :, i:i + stride * (oh - 1) + 1:stride,
@@ -98,12 +98,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pool_args(node: Node) -> tuple[int, int]:
-    """(kernel, stride) of a maxpool/avgpool node; stride defaults to kernel."""
-    k = int(node.attrs["kernel"])
-    return k, int(node.attrs.get("stride", k))
-
-
 def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]) -> np.ndarray:
     """One node in fp32 on its data inputs ``xs``; the float step of every
     executor (``run_fp32``, and float tensors and fp32 layers of quantized
@@ -117,16 +111,15 @@ def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]
             out = out if b is None else out + b
         else:
             fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
-            out = fn(x, w, b, int(node.attrs.get("stride", 1)),
-                     int(node.attrs.get("padding", 0)))
+            out = fn(x, w, b, *conv_args(node))
         if node.attrs.get("fused_relu", False):
             out = np.maximum(out, np.float32(0))
     elif node.kind == "relu":
         out = np.maximum(x, np.float32(0))
     elif node.kind == "maxpool":
-        out = maxpool(x, *_pool_args(node))
+        out = maxpool(x, *pool_args(node))
     elif node.kind == "avgpool":
-        out = avgpool(x, *_pool_args(node))
+        out = avgpool(x, *pool_args(node))
     elif node.kind == "add":
         out = x + xs[1]
     elif node.kind == "concat":

@@ -91,12 +91,6 @@ def leaf_weight(G: float, H: float, lam: float) -> float:
     return -G / (H + lam)
 
 
-def split_gain(GL: float, HL: float, GR: float, HR: float,
-               lam: float, gamma: float) -> float:
-    joint = (GL + GR) ** 2 / (HL + HR + lam)
-    return 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - joint) - gamma
-
-
 DEFAULT_HYPER = {"eta": 0.3, "gamma": 0.0, "lam": 1.0, "max_depth": 6, "n_trees": 100}
 
 

@@ -67,14 +67,14 @@ program, which is what the integer-only audit asserts over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, _check_batch, _float_node, _pool_args, _taps, _windows,
-                   maxpool, top1_from_scores)
-from .ir import COMPUTE_KINDS, Graph, INPUT_TENSOR, Node
+from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _windows, maxpool,
+                   top1_from_scores)
+from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, out_size, pool_args
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, ceil_log2, dequantize_array, quantize_array
 
@@ -163,7 +163,7 @@ def check_integer_only(qg: QuantizedGraph) -> None:
             raise IntegerOnlyError(f"weight {wid}: per-channel params in an integer-only graph")
     for node in qg.graph.nodes:
         if node.kind == "avgpool":
-            area = _pool_args(node)[0] ** 2
+            area = pool_args(node)[0] ** 2
             if area & (area - 1):
                 raise IntegerOnlyError(f"avgpool {node.id}: area {area} not a power of two")
 
@@ -212,8 +212,7 @@ def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray
     w = w.astype(dtype, copy=False)
     if node.kind == "fully_connected":
         return np.subtract(x, zx, dtype=dtype).reshape(len(x), -1) @ w.T
-    stride = int(node.attrs.get("stride", 1))
-    pad = int(node.attrs.get("padding", 0))
+    stride, pad = conv_args(node)
     if node.kind == "depthwise_conv2d":
         return _depthwise_taps(x, zx, w, stride, pad)
     return _conv_cols(x, zx, w, stride, pad)
@@ -234,17 +233,13 @@ def _shifted_blocks(x: np.ndarray, zx: int, dtype, pad: int, item: int):
         yield sl, xp
 
 
-def _out_size(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
 def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """conv2d / pointwise on codes: per batch block, one im2col copy in
     (C, kh, kw, OH, OW) order, then one batched matmul into the NCHW
     output."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    oh, ow = _out_size(h, kh, stride, pad), _out_size(wd, kw, stride, pad)
+    oh, ow = out_size(h, kh, stride, pad), out_size(wd, kw, stride, pad)
     out = np.empty((n, o, oh, ow), dtype=w.dtype)
     w2 = w.reshape(o, -1)
     cols = None
@@ -263,7 +258,7 @@ def _depthwise_taps(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int
     tap products, written into the NCHW output."""
     n, c, h, wd = x.shape
     kh, kw = w.shape[2], w.shape[3]
-    oh, ow = _out_size(h, kh, stride, pad), _out_size(wd, kw, stride, pad)
+    oh, ow = out_size(h, kh, stride, pad), out_size(wd, kw, stride, pad)
     out = np.empty((n, c, oh, ow), dtype=w.dtype)
     tmp = None
     item = c * (h + 2 * pad) * (wd + 2 * pad)
@@ -311,9 +306,9 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         out = np.maximum(x, zo)
         trace.add(node.id, "clamp")
     elif node.kind == "maxpool":
-        out = maxpool(x, *_pool_args(node))
+        out = maxpool(x, *pool_args(node))
     elif node.kind == "avgpool":
-        k, s = _pool_args(node)
+        k, s = pool_args(node)
         total = None
         for _, _, tap in _taps(x, k, k, s):
             total = tap.astype(np.float64) if total is None else np.add(total, tap, out=total)
@@ -397,7 +392,7 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, trace: OpTrace | None,
         env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
                                            qg.act_params[INPUT_TENSOR]).astype(np.float32)
     for node in g.nodes:
-        if node.output in qg.act_params and node.id not in qg.fp32_nodes:
+        if qg.on_codes(node):
             out = _code_node(qg, node, [env[t] for t in node.data_inputs], trace, integer_only)
         else:
             out = _float_step(qg, node, env, trace)
@@ -439,34 +434,3 @@ def evaluate_quantized(qg: QuantizedGraph, d: Dataset) -> AccuracyResult:
     scores = run_quantized(qg, d.eval_images)
     return top1_from_scores(scores, d.eval_labels)
 
-
-def fuse_conv_relu(qg: QuantizedGraph) -> QuantizedGraph:
-    """Merge conv/fc -> relu pairs; numerics are unchanged by construction
-    (producer and relu output share one QuantParams)."""
-    g = qg.graph
-    fuse_map: dict[str, Node] = {}  # producer node id -> its sole relu consumer
-    for n in g.nodes:
-        if n.kind in COMPUTE_KINDS:
-            consumers = g.consumers(n.output)
-            if len(consumers) == 1 and consumers[0].kind == "relu":
-                fuse_map[n.id] = consumers[0]
-    if not fuse_map:
-        return qg
-    drop_ids = {relu.id for relu in fuse_map.values()}
-    fused_nodes: list[Node] = []
-    for n in g.nodes:
-        if n.id in drop_ids:
-            continue
-        if n.id in fuse_map:
-            fused_nodes.append(Node(id=n.id, kind=n.kind, inputs=list(n.inputs),
-                                    output=fuse_map[n.id].output,
-                                    attrs={**n.attrs, "fused_relu": True}))
-        else:
-            fused_nodes.append(Node(id=n.id, kind=n.kind, inputs=list(n.inputs),
-                                    output=n.output, attrs=dict(n.attrs)))
-    new_graph = Graph(name=g.name, nodes=fused_nodes, weights=g.weights,
-                      input_shape=g.input_shape, output_classes=g.output_classes)
-    live = {INPUT_TENSOR} | {n.output for n in fused_nodes} \
-        | {t for n in fused_nodes for t in n.data_inputs}
-    act_params = {t: p for t, p in qg.act_params.items() if t in live}
-    return replace(qg, graph=new_graph, act_params=act_params, fused=True)

@@ -72,14 +72,16 @@ class Graph:
     input_shape: tuple[int, int, int]  # (C, H, W)
     output_classes: int
 
-    def node_by_output(self, tensor_id: str) -> Node:
-        for n in self.nodes:
-            if n.output == tensor_id:
-                return n
-        raise KeyError(tensor_id)
-
     def consumers(self, tensor_id: str) -> list[Node]:
         return [n for n in self.nodes if tensor_id in n.data_inputs]
+
+    def sole_relu(self, tensor_id: str) -> Node | None:
+        """The relu that is the only consumer of ``tensor_id``, else None:
+        the one pairing that both narrows a producer's range and fuses it."""
+        consumers = self.consumers(tensor_id)
+        if len(consumers) == 1 and consumers[0].kind == "relu":
+            return consumers[0]
+        return None
 
     def output_tensor(self) -> str:
         consumed = {t for n in self.nodes for t in n.data_inputs}
@@ -92,9 +94,25 @@ class Graph:
         return [n for n in self.nodes if n.kind in COMPUTE_KINDS]
 
 
+def conv_args(node: Node) -> tuple[int, int]:
+    """(stride, padding) of a conv-family node; they default to 1 and 0."""
+    return int(node.attrs.get("stride", 1)), int(node.attrs.get("padding", 0))
+
+
+def pool_args(node: Node) -> tuple[int, int]:
+    """(kernel, stride) of a maxpool/avgpool node; stride defaults to kernel."""
+    k = int(node.attrs.get("kernel", 0))
+    return k, int(node.attrs.get("stride", k))
+
+
+def out_size(size: int, k: int, stride: int, pad: int = 0) -> int:
+    """Window positions of a k-wide window at ``stride`` along ``size``
+    padded by ``pad`` on each side."""
+    return (size + 2 * pad - k) // stride + 1
+
+
 def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh, ow = out_size(h, kh, stride, pad), out_size(w, kw, stride, pad)
     if oh < 1 or ow < 1:
         raise GraphError(f"kernel {kh}x{kw} stride {stride} pad {pad} does not fit {h}x{w}")
     return oh, ow
@@ -104,6 +122,8 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
     """Return per-tensor shapes (without the batch dim); validates as it goes."""
     shapes: dict[str, tuple[int, ...]] = {INPUT_TENSOR: tuple(g.input_shape)}
     for n in g.nodes:
+        if n.kind in COMPUTE_KINDS and not 2 <= len(n.inputs) <= 3:
+            raise GraphError(f"node {n.id}: {n.kind} takes [data, weight(, bias)]")
         for t in n.data_inputs:
             if t not in shapes:
                 raise GraphError(f"node {n.id}: input {t!r} not defined before use")
@@ -116,8 +136,7 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
                 raise GraphError(f"node {n.id}: missing weight tensor")
             if w.ndim != 4:
                 raise GraphError(f"node {n.id}: conv weight must be 4-d, got {w.shape}")
-            stride = int(n.attrs.get("stride", 1))
-            pad = int(n.attrs.get("padding", 0))
+            stride, pad = conv_args(n)
             if stride < 1 or pad < 0:
                 raise GraphError(f"node {n.id}: bad stride/padding")
             o, i, kh, kw = w.shape
@@ -143,8 +162,7 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
         elif n.kind in ("maxpool", "avgpool"):
             if len(x) != 3:
                 raise GraphError(f"node {n.id}: pooling needs a CHW input")
-            k = int(n.attrs.get("kernel", 0))
-            stride = int(n.attrs.get("stride", k))
+            k, stride = pool_args(n)
             if k < 1 or stride < 1:
                 raise GraphError(f"node {n.id}: bad pool kernel/stride")
             oh, ow = _conv_out_hw(x[1], x[2], k, k, stride, 0)
@@ -184,8 +202,6 @@ def validate(g: Graph) -> None:
         if n.kind not in NODE_KINDS:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
         if n.kind in COMPUTE_KINDS:
-            if not 2 <= len(n.inputs) <= 3:
-                raise GraphError(f"node {n.id}: {n.kind} takes [data, weight(, bias)]")
             for t in n.inputs[1:]:
                 if t not in g.weights:
                     raise GraphError(f"node {n.id}: {t!r} is not a weight tensor")

@@ -133,6 +133,11 @@ class QuantizedGraph:
     fp32_nodes: set[str] = field(default_factory=set)
     fused: bool = False
 
+    def on_codes(self, node: Node) -> bool:
+        """Whether ``node`` runs on int8 codes: its output carries codes and
+        it is not a mixed-precision fp32 layer."""
+        return node.output in self.act_params and node.id not in self.fp32_nodes
+
 
 def quantize_weights(w: np.ndarray, scheme: Scheme,
                      granularity: str) -> tuple[np.ndarray, QuantParams]:
@@ -162,10 +167,36 @@ def _act_params(cache: CalibrationCache, tensor_id: str,
 
 def _narrowed_source(g: Graph, node: Node) -> str:
     """Histogram tensor to calibrate node's output from (post-relu if fused range applies)."""
-    consumers = g.consumers(node.output)
-    if len(consumers) == 1 and consumers[0].kind == "relu":
-        return consumers[0].output
-    return node.output
+    relu = g.sole_relu(node.output)
+    return node.output if relu is None else relu.output
+
+
+def fuse_conv_relu(qg: QuantizedGraph) -> QuantizedGraph:
+    """Merge conv/fc -> relu pairs; numerics are unchanged by construction:
+    the producer's params come from its sole relu's output
+    (``_narrowed_source``) and the relu adopts them, so both share one
+    QuantParams."""
+    g = qg.graph
+    # producer node id -> its sole relu consumer
+    fuse_map = {n.id: relu for n in g.compute_nodes()
+                if (relu := g.sole_relu(n.output)) is not None}
+    if not fuse_map:
+        return qg
+    drop_ids = {relu.id for relu in fuse_map.values()}
+    fused_nodes: list[Node] = []
+    for n in g.nodes:
+        relu = fuse_map.get(n.id)
+        if n.id not in drop_ids:
+            fused_nodes.append(Node(
+                id=n.id, kind=n.kind, inputs=list(n.inputs),
+                output=n.output if relu is None else relu.output,
+                attrs=dict(n.attrs) if relu is None else {**n.attrs, "fused_relu": True}))
+    new_graph = Graph(name=g.name, nodes=fused_nodes, weights=g.weights,
+                      input_shape=g.input_shape, output_classes=g.output_classes)
+    live = {INPUT_TENSOR} | {n.output for n in fused_nodes} \
+        | {t for n in fused_nodes for t in n.data_inputs}
+    act_params = {t: p for t, p in qg.act_params.items() if t in live}
+    return replace(qg, graph=new_graph, act_params=act_params, fused=True)
 
 
 def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
@@ -232,11 +263,7 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
     qg = QuantizedGraph(graph=g, config=cfg, act_params=act_params,
                         weight_codes=weight_codes, weight_params=weight_params,
                         bias_codes=bias_codes, fp32_nodes=fp32_nodes)
-    if cfg.fusion:
-        from .intexec import fuse_conv_relu
-
-        qg = fuse_conv_relu(qg)
-    return qg
+    return fuse_conv_relu(qg) if cfg.fusion else qg
 
 
 def model_size(qg: QuantizedGraph) -> int:
@@ -345,14 +372,12 @@ def _check_references(qg: QuantizedGraph) -> None:
         if p.axis not in (None, 0):
             raise ValueError(f"weight {t!r}: param axis {p.axis!r} is not None or 0")
     for node in g.nodes:
-        on_codes = node.output in qg.act_params and node.id not in qg.fp32_nodes
+        on_codes = qg.on_codes(node)
         for t in node.data_inputs if on_codes else ():
             if t not in qg.act_params:
                 raise ValueError(f"node {node.id}: activation {t!r} has no act_params")
         if node.kind not in COMPUTE_KINDS:
             continue
-        if not 2 <= len(node.inputs) <= 3:
-            raise ValueError(f"node {node.id}: {node.kind} takes [data, weight(, bias)]")
         w_table = qg.weight_codes if on_codes else g.weights
         b_table = qg.bias_codes if on_codes else g.weights
         for t, table in ((node.weight_id, w_table), (node.bias_id, b_table)):

@@ -1,6 +1,9 @@
 """Linear int8 quantization schemes.
 
-Four families over signed int8 codes in [-128, 127]:
+int8 is the only code width: every range below, and the KL sweep's 128
+levels in ``clipping``, derive from ``QMIN`` and ``QMAX``.
+
+Four families over signed int8 codes in [QMIN, QMAX] = [-128, 127]:
 
   Asymmetric       scale=(max-min)/255,  zero_point=-ROUND(min/scale)-128
   Symmetric        scale=max_abs/127,    zero_point=0
@@ -48,7 +51,6 @@ class QuantParams:
 
     scale: np.ndarray | float
     zero_point: np.ndarray | int
-    bit_width: int = 8
     axis: int | None = None
 
     def scale_vec(self) -> np.ndarray:
@@ -87,56 +89,56 @@ def _check_finite(*vals: float) -> None:
             raise ValueError(f"non-finite range value {v}")
 
 
-def params_asymmetric(vmin: float, vmax: float, n: int = 8) -> QuantParams:
+def params_asymmetric(vmin: float, vmax: float) -> QuantParams:
     _check_finite(vmin, vmax)
     if vmin > vmax:
         raise ValueError(f"min {vmin} > max {vmax}")
     vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)  # keep 0.0 representable
     if vmin == vmax:  # only possible when both are 0
         return QuantParams(scale=np.float32(1.0), zero_point=0)
-    scale = (vmax - vmin) / (2**n - 1)
+    scale = (vmax - vmin) / (QMAX - QMIN)
     # zero point from the full-precision scale: a centered range like
     # (-1, 1) must land min/scale on an exact half so ROUND settles it,
     # which the fp32-rounded scale would miss by one ulp
-    zp = int(-round_half_away(vmin / scale)) - 2 ** (n - 1)
+    zp = int(-round_half_away(vmin / scale)) + QMIN
     return QuantParams(scale=np.float32(scale), zero_point=zp)
 
 
-def params_symmetric(max_abs: float, n: int = 8) -> QuantParams:
+def params_symmetric(max_abs: float) -> QuantParams:
     _check_finite(max_abs)
     if max_abs == 0.0:
         return QuantParams(scale=np.float32(1.0), zero_point=0)
-    scale = np.float32(abs(max_abs) / (2 ** (n - 1) - 1))
+    scale = np.float32(abs(max_abs) / QMAX)
     return QuantParams(scale=scale, zero_point=0)
 
 
-def params_symmetric_uint8(vmin: float, max_abs: float, n: int = 8) -> QuantParams:
+def params_symmetric_uint8(vmin: float, max_abs: float) -> QuantParams:
     _check_finite(vmin, max_abs)
     if vmin < 0.0:
-        return params_symmetric(max_abs, n)
+        return params_symmetric(max_abs)
     if max_abs == 0.0:
-        return QuantParams(scale=np.float32(1.0), zero_point=-(2 ** (n - 1)))
-    scale = np.float32(abs(max_abs) / (2**n - 1))
-    return QuantParams(scale=scale, zero_point=-(2 ** (n - 1)))
+        return QuantParams(scale=np.float32(1.0), zero_point=QMIN)
+    scale = np.float32(abs(max_abs) / (QMAX - QMIN))
+    return QuantParams(scale=scale, zero_point=QMIN)
 
 
-def params_power2(max_abs: float, n: int = 8) -> QuantParams:
-    base = params_symmetric(max_abs, n)
+def params_power2(max_abs: float) -> QuantParams:
+    base = params_symmetric(max_abs)
     k = ceil_log2(float(base.scale))
     return QuantParams(scale=np.float32(2.0**k), zero_point=0)
 
 
-def params_for_range(scheme: Scheme, vmin: float, vmax: float, n: int = 8) -> QuantParams:
+def params_for_range(scheme: Scheme, vmin: float, vmax: float) -> QuantParams:
     """Dispatch on scheme given an observed/clipped (min, max) range."""
     max_abs = max(abs(float(vmin)), abs(float(vmax)))
     if scheme == Scheme.Asymmetric:
-        return params_asymmetric(vmin, vmax, n)
+        return params_asymmetric(vmin, vmax)
     if scheme == Scheme.Symmetric:
-        return params_symmetric(max_abs, n)
+        return params_symmetric(max_abs)
     if scheme == Scheme.SymmetricUint8:
-        return params_symmetric_uint8(vmin, max_abs, n)
+        return params_symmetric_uint8(vmin, max_abs)
     if scheme == Scheme.SymmetricPower2:
-        return params_power2(max_abs, n)
+        return params_power2(max_abs)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

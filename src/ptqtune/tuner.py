@@ -84,6 +84,8 @@ class TuningRecord:
     @classmethod
     def from_json(cls, line: str) -> "TuningRecord":
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"a record is a JSON object, not {type(d).__name__}")
         if d.get("v", DB_SCHEMA_VERSION) != DB_SCHEMA_VERSION:
             raise ValueError(f"unsupported record schema version {d['v']}")
         return cls(
@@ -114,12 +116,18 @@ def record_db(path: str, records: list[TuningRecord], append: bool = True) -> No
 
 
 def load_db(path: str) -> list[TuningRecord]:
+    """Every record of a tuning database; a line that is not a record
+    raises ValueError naming the path and line number."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(TuningRecord.from_json(line))
+            except (ValueError, KeyError, TypeError) as e:
+                raise ValueError(f"{path}:{lineno}: not a tuning record: {e!r}") from e
     return out
 
 

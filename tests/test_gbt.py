@@ -8,8 +8,7 @@ import pytest
 from oracles import finite_diff_grad, gbt_train_reference
 from ptqtune import (QuantConfig, Scheme, extract_features, feature_importance,
                      load_gbt, predict, save_gbt, train)
-from ptqtune.gbt import (FEATURE_NAMES, N_FEATURES, encode, grad_hess,
-                         leaf_weight, split_gain)
+from ptqtune.gbt import FEATURE_NAMES, N_FEATURES, _gains, encode, grad_hess, leaf_weight
 
 
 # -------------------------------------------------------------- derivatives
@@ -39,6 +38,13 @@ def test_leaf_weight_closed_form():
     rng = np.random.default_rng(2)
     for G, H, lam in rng.uniform(0.1, 9, size=(30, 3)):
         assert leaf_weight(G, H, lam) == -G / (H + lam)
+
+
+def split_gain(GL, HL, GR, HR, lam, gamma):
+    """The gain of one split with child sums (GL, HL) and (GR, HR), as the
+    trainer's ``_gains`` scores it."""
+    return float(_gains(np.array([GL]), np.array([HL]), np.float64(GL + GR), HL + HR,
+                        lam, gamma)[0])
 
 
 def test_split_gain_behavior():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
-                     build_cache, check_integer_only, enumerate_space,
+                     build_cache, check_integer_only, clipped_range, enumerate_space,
                      evaluate_quantized, evaluate_top1, fuse_conv_relu,
-                     generate_fixture, quantize_model, requantize,
+                     generate_fixture, params_for_range, quantize_model, requantize,
                      run_integer_only, run_quantized, validate)
 from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune import intexec
@@ -321,6 +321,66 @@ def test_fusion_without_relu_is_identity(ds):
     cache = build_cache(g, ds, "S1", seed=0)
     qg = quantize_model(g, cache, cfg())
     assert fuse_conv_relu(qg) is qg
+
+
+def paired_relu_graph(shared: str) -> Graph:
+    """conv c0 feeds a relu plus an add (``shared="add"``) or two relus
+    (``shared="relus"``); conv c1 feeds a sole relu."""
+    rng = np.random.default_rng(4)
+
+    def weight(*shape, std):
+        return (std * rng.standard_normal(shape)).astype(np.float32)
+
+    head = [Node("c0", "conv2d", [INPUT_TENSOR, "w0", "b0"], "t_c0", {"stride": 1, "padding": 1}),
+            Node("r0", "relu", ["t_c0"], "t_r0")]
+    if shared == "add":
+        head.append(Node("s", "add", ["t_r0", "t_c0"], "t_s"))
+    else:
+        head += [Node("r0b", "relu", ["t_c0"], "t_r0b"),
+                 Node("s", "add", ["t_r0", "t_r0b"], "t_s")]
+    g = Graph(f"paired-{shared}", head + [
+        Node("c1", "conv2d", ["t_s", "w1", "b1"], "t_c1", {"stride": 1, "padding": 1}),
+        Node("r1", "relu", ["t_c1"], "t_r1"),
+        Node("mp", "maxpool", ["t_r1"], "t_mp", {"kernel": 4, "stride": 4}),
+        Node("fc", "fully_connected", ["t_mp", "wfc"], "t_fc"),
+    ], weights={"w0": weight(8, 3, 3, 3, std=0.3), "b0": weight(8, std=0.1),
+                "w1": weight(8, 8, 3, 3, std=0.2), "b1": weight(8, std=0.1),
+                "wfc": weight(10, 8 * 8 * 8, std=0.05)},
+        input_shape=(3, 32, 32), output_classes=10)
+    validate(g)
+    return g
+
+
+@pytest.mark.parametrize("shared", ["add", "relus"])
+def test_only_a_sole_relu_narrows_and_fuses(shared, ds):
+    g = paired_relu_graph(shared)
+    nodes = {n.id: n for n in g.nodes}
+    assert g.sole_relu("t_c0") is None
+    assert g.sole_relu("t_c1") is nodes["r1"]
+    assert g.sole_relu("t_s") is None and g.sole_relu("t_fc") is None
+    cache = build_cache(g, ds, "S2", seed=0)
+
+    def params_from(t):
+        p = params_for_range(Scheme.Asymmetric, *clipped_range(cache.histograms[t], "Max"))
+        return float(p.scale), int(p.zero_point)
+
+    qg = quantize_model(g, cache, cfg())
+    got = {t: (float(p.scale), int(p.zero_point)) for t, p in qg.act_params.items()}
+    assert params_from("t_c0") != params_from("t_r0")  # narrowing would show
+    assert got["t_c0"] == params_from("t_c0")
+    assert got["t_c1"] == params_from("t_r1") != params_from("t_c1")
+    assert qg.act_params["t_r1"] is qg.act_params["t_c1"]
+
+    fused = quantize_model(g, cache, cfg(fusion=True))
+    by_id = {n.id: n for n in fused.graph.nodes}
+    assert [n.id for n in fused.graph.nodes if n.attrs.get("fused_relu")] == ["c1"]
+    assert by_id["c1"].output == "t_r1" and "r1" not in by_id
+    assert by_id["c0"].output == "t_c0" and "r0" in by_id
+    for scheme in (Scheme.Asymmetric, Scheme.SymmetricUint8):
+        a = run_quantized(quantize_model(g, cache, cfg(scheme=scheme)), ds.eval_images[:16])
+        b = run_quantized(quantize_model(g, cache, cfg(scheme=scheme, fusion=True)),
+                          ds.eval_images[:16])
+        assert np.array_equal(a, b), scheme
 
 
 # ------------------------------------------------------------- integer-only

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -304,4 +305,23 @@ def test_db_rejects_future_schema(tmp_path):
     line = rec.to_json().replace('"v": 1', '"v": 2')
     p.write_text(line + "\n")
     with pytest.raises(ValueError):
+        load_db(str(p))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: {"v": 1},
+    lambda d: [],
+    lambda d: {**d, "top1": [1]},
+    lambda d: {**d, "features": {k: v for k, v in d["features"].items() if k != "n_conv"}},
+    lambda d: {**d, "config": {k: v for k, v in d["config"].items() if k != "scheme"}},
+    lambda d: {**d, "config": {**d["config"], "scheme": "Int4"}},
+    lambda d: {**d, "features": 3},
+    lambda d: "record",
+], ids=["no-fields", "array", "top1-list", "features-no-key", "config-no-scheme",
+        "unknown-scheme", "features-int", "string"])
+def test_db_rejects_malformed_records_with_value_error(tmp_path, edit):
+    good = TuningRecord("m", FEATS, SPACE[0], 0.5, 0.0, 1).to_json()
+    p = tmp_path / "db.jsonl"
+    p.write_text(good + "\n\n" + json.dumps(edit(json.loads(good))) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: not a tuning record"):
         load_db(str(p))
