@@ -26,8 +26,7 @@ from .quantize import (QuantConfig, QuantizedGraph, fuse_conv_relu, load_quantiz
 from .schemes import QuantParams, Scheme, dequantize_array, params_for_range, quantize_array
 from .tuner import (GAParams, SearchResult, TargetProfile, TuningRecord,
                     enumerate_space, load_db, make_accuracy_evaluator,
-                    record_db, run_strategy, tune_genetic, tune_grid,
-                    tune_random, tune_xgb)
+                    record_db, run_strategy)
 
 __version__ = "0.1.0"
 
@@ -48,6 +47,5 @@ __all__ = [
     "quantize_weights", "recipe_feature_counts", "record_db", "requantize",
     "run_fp32", "run_integer_only", "run_quantized", "run_strategy",
     "save_cache", "save_dataset", "save_gbt", "save_model", "save_quantized",
-    "softmax", "top1_from_scores", "train", "tune_genetic", "tune_grid",
-    "tune_random", "tune_xgb", "validate",
+    "softmax", "top1_from_scores", "train", "validate",
 ]

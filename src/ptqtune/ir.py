@@ -10,7 +10,8 @@ tensor" holds structurally.
 Conventions:
   * the graph input tensor is always named ``"input"``;
   * compute kinds (conv family + fully_connected) take inputs
-    ``[data, weight]`` or ``[data, weight, bias]``;
+    ``[data, weight]`` or ``[data, weight, bias]``; ``add`` takes two
+    inputs, ``concat`` one or more and every other kind exactly one;
   * ``fully_connected`` flattens its data input row-major (there is no
     separate flatten node);
   * exactly one node output is consumed by nothing — that is the graph
@@ -19,7 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -31,6 +32,14 @@ INPUT_TENSOR = "input"
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 COMPUTE_KINDS = CONV_KINDS + ("fully_connected",)
 NODE_KINDS = COMPUTE_KINDS + ("relu", "maxpool", "avgpool", "add", "concat", "softmax")
+# kind -> (fewest, most) inputs and how many it takes; compute kinds count
+# their weight and bias
+_ARITY = {
+    **{k: (2, 3, "[data, weight(, bias)]") for k in COMPUTE_KINDS},
+    **{k: (1, 1, "exactly one input") for k in ("relu", "maxpool", "avgpool", "softmax")},
+    "add": (2, 2, "exactly two inputs"),
+    "concat": (1, np.inf, "at least one input"),
+}
 
 
 class GraphError(ValueError):
@@ -122,8 +131,11 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
     """Return per-tensor shapes (without the batch dim); validates as it goes."""
     shapes: dict[str, tuple[int, ...]] = {INPUT_TENSOR: tuple(g.input_shape)}
     for n in g.nodes:
-        if n.kind in COMPUTE_KINDS and not 2 <= len(n.inputs) <= 3:
-            raise GraphError(f"node {n.id}: {n.kind} takes [data, weight(, bias)]")
+        if n.kind not in _ARITY:
+            raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
+        fewest, most, takes = _ARITY[n.kind]
+        if not fewest <= len(n.inputs) <= most:
+            raise GraphError(f"node {n.id}: {n.kind} takes {takes}")
         for t in n.data_inputs:
             if t not in shapes:
                 raise GraphError(f"node {n.id}: input {t!r} not defined before use")
@@ -170,8 +182,6 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
         elif n.kind == "relu" or n.kind == "softmax":
             shapes[n.output] = x
         elif n.kind == "add":
-            if len(n.data_inputs) != 2:
-                raise GraphError(f"node {n.id}: add takes exactly two inputs")
             y = shapes[n.data_inputs[1]]
             if x != y:
                 raise GraphError(f"node {n.id}: add shape mismatch {x} vs {y}")
@@ -184,8 +194,6 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
             if len(hw) != 1:
                 raise GraphError(f"node {n.id}: concat spatial mismatch {hw}")
             shapes[n.output] = (sum(p[0] for p in parts),) + parts[0][1:]
-        else:
-            raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
     return shapes
 
 
@@ -235,31 +243,12 @@ class ModelFeatures:
     activation_kinds: dict[str, int]  # relu / maxpool / avgpool / softmax
 
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_layers": self.n_layers,
-            "n_conv": self.n_conv,
-            "n_depthwise": self.n_depthwise,
-            "n_pointwise": self.n_pointwise,
-            "n_skip": self.n_skip,
-            "n_fc": self.n_fc,
-            "n_concat": self.n_concat,
-            "activation_kinds": dict(self.activation_kinds),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelFeatures":
-        return cls(
-            n_nodes=d["n_nodes"],
-            n_layers=d["n_layers"],
-            n_conv=d["n_conv"],
-            n_depthwise=d["n_depthwise"],
-            n_pointwise=d["n_pointwise"],
-            n_skip=d["n_skip"],
-            n_fc=d["n_fc"],
-            n_concat=d["n_concat"],
-            activation_kinds=dict(d["activation_kinds"]),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)}
+                   | {"activation_kinds": dict(d["activation_kinds"])})
 
 
 def extract_features(g: Graph) -> ModelFeatures:

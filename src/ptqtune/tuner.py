@@ -1,22 +1,23 @@
 """Configuration search over the quantization space.
 
-Four strategies share one contract: evaluate at most ``budget`` *distinct*
-configurations from an enumerated space, record every measurement, return
-the history best.
+``run_strategy`` runs every strategy as one campaign under one contract:
+evaluate at most ``budget`` *distinct* configurations from an enumerated
+space, record every measurement, return the first trial reaching the
+history best.  A strategy is a picker that only decides what to measure:
 
-  tune_xgb     model-guided loop: pick the unexplored config the boosted-tree
-               cost model ranks highest, measure it, append to the database,
-               retrain.  Starts with max(3, ceil(5% of space)) random trials
-               when the database is empty; pre-seeding it with records from
-               other models (``seed_db``) skips the cold start — that is the
-               transfer-learning variant.
-  tune_random  uniform sampling without replacement.
-  tune_grid    fixed-stride traversal of the enumeration order.
-  tune_genetic generational GA over binary-encoded configs (one-point
-               crossover, per-bit mutation, tournament selection, elitism);
-               decoded out-of-range dimension values are repaired by
-               clamping; fitness calls are memoized so only first
-               evaluations consume budget.
+  xgb      model-guided loop: pick the unexplored config the boosted-tree
+           cost model ranks highest, measure it, append to the database,
+           retrain.  Starts with max(3, ceil(5% of space)) uniform picks.
+  xgb-t    the same loop, transfer-learning variant: records from other
+           models (``seed_db``) pre-seed the database and replace the
+           cold start.
+  random   uniform sampling without replacement.
+  grid     fixed-stride traversal of the enumeration order.
+  genetic  generational GA over binary-encoded configs (one-point
+           crossover, per-bit mutation, tournament selection, elitism);
+           decoded out-of-range dimension values are repaired by
+           clamping; a genome that decodes to a measured config reuses
+           that measurement, so only new configs consume budget.
 
 Failed evaluations are recorded with accuracy 0.0 and the exception that
 failed them, and consume their trial.
@@ -157,6 +158,10 @@ class _Campaign:
     def exhausted(self) -> bool:
         return len(self.trials) >= self.budget or bool(self.explored.all())
 
+    def unexplored(self, rng: np.random.Generator) -> int:
+        """A uniform pick among the configs not yet measured."""
+        return int(rng.choice(np.flatnonzero(~self.explored)))
+
     def _safe_eval(self, i: int) -> tuple[float, str | None]:
         """(top1, None), or (0.0, why) when the evaluator raised."""
         try:
@@ -191,49 +196,28 @@ class _Campaign:
         for i, (top1, error_msg) in zip(picks, outcomes):
             self.record(i, top1, error_msg)
 
-    def result(self, strategy: str) -> SearchResult:
-        if not self.trials:
-            raise ValueError("no trials executed")
-        best_top1 = max(r.top1 for r in self.trials)
-        first = next(r for r in self.trials if r.top1 == best_top1)
-        return SearchResult(strategy=strategy, best_config=first.config,
-                            best_top1=best_top1, trials_to_best=first.trial,
-                            trials=self.trials)
 
+# A picker spends a campaign's budget.  Each takes the campaign, the
+# campaign's RNG and, by keyword, the inputs it reads (``workers``,
+# ``seed_db``, ``ga``); it ignores the others.
 
-def tune_random(features: ModelFeatures | None, space: list[QuantConfig],
-                evaluate: Evaluator, budget: int, seed: int = 0,
-                model_name: str = "", workers: int = 1) -> SearchResult:
-    _check_space(space, budget)
-    rng = np.random.default_rng(seed)
-    camp = _Campaign(model_name, features, space, evaluate, budget)
-    picks = [int(i) for i in rng.permutation(len(space))[:budget]]
+def _random(camp: _Campaign, rng: np.random.Generator, *, workers: int, **_) -> None:
+    picks = [int(i) for i in rng.permutation(len(camp.space))[:camp.budget]]
     camp.measure_many(picks, workers)
-    return camp.result("random")
 
 
-def tune_grid(features: ModelFeatures | None, space: list[QuantConfig],
-              evaluate: Evaluator, budget: int,
-              model_name: str = "", workers: int = 1) -> SearchResult:
-    _check_space(space, budget)
-    camp = _Campaign(model_name, features, space, evaluate, budget)
+def _grid(camp: _Campaign, rng: np.random.Generator, *, workers: int, **_) -> None:
     # budget <= len(space), so the strides are distinct
-    picks = [(k * len(space)) // budget for k in range(budget)]
+    picks = [(k * len(camp.space)) // camp.budget for k in range(camp.budget)]
     camp.measure_many(picks, workers)
-    return camp.result("grid")
 
 
 SURROGATE_HYPER = {"n_trees": 30, "max_depth": 4}
 
 
-def tune_xgb(features: ModelFeatures, space: list[QuantConfig],
-             evaluate: Evaluator, budget: int, seed: int = 0,
-             seed_db: list[TuningRecord] | None = None,
-             model_name: str = "") -> SearchResult:
-    _check_space(space, budget)
-    rng = np.random.default_rng(seed)
-    camp = _Campaign(model_name, features, space, evaluate, budget)
-    enc = np.stack([gbt.encode(features, c) for c in space])
+def _xgb(camp: _Campaign, rng: np.random.Generator, *,
+         seed_db: list[TuningRecord] | None = None, **_) -> None:
+    enc = np.stack([gbt.encode(camp.features, c) for c in camp.space])
 
     X_rows: list[np.ndarray] = []
     y_rows: list[float] = []
@@ -243,10 +227,10 @@ def tune_xgb(features: ModelFeatures, space: list[QuantConfig],
         X_rows.append(gbt.encode(rec.features, rec.config))
         y_rows.append(rec.top1)
 
-    n_cold = 0 if X_rows else max(3, math.ceil(0.05 * len(space)))
+    n_cold = 0 if X_rows else max(3, math.ceil(0.05 * len(camp.space)))
     while not camp.exhausted:
         if len(camp.trials) < n_cold:
-            i = int(rng.choice(np.flatnonzero(~camp.explored)))
+            i = camp.unexplored(rng)
         else:
             model = gbt.train(np.stack(X_rows), np.asarray(y_rows), **SURROGATE_HYPER)
             preds = gbt.predict(model, enc)
@@ -255,7 +239,6 @@ def tune_xgb(features: ModelFeatures, space: list[QuantConfig],
         top1 = camp.measure(i)
         X_rows.append(enc[i])
         y_rows.append(top1)
-    return camp.result("xgb-t" if seed_db else "xgb")
 
 
 @dataclass
@@ -332,21 +315,16 @@ def _evolve(pop: list[list[int]], fitness: list[float], params: GAParams,
     return nxt
 
 
-def tune_genetic(features: ModelFeatures | None, space: list[QuantConfig],
-                 evaluate: Evaluator, budget: int, seed: int = 0,
-                 params: GAParams | None = None,
-                 model_name: str = "") -> SearchResult:
-    _check_space(space, budget)
-    params = params or GAParams()
-    rng = np.random.default_rng(seed)
-    dims, index = _space_dims(space)
+def _genetic(camp: _Campaign, rng: np.random.Generator, *,
+             ga: GAParams | None = None, **_) -> None:
+    ga = ga or GAParams()
+    dims, index = _space_dims(camp.space)
     bits = _genome_bits(dims)
-    nbits = sum(bits)
-    camp = _Campaign(model_name, features, space, evaluate, budget)
     memo: dict[int, float] = {}
 
     def fitness_of(genome: list[int]) -> float | None:
-        """Memoized fitness; returns None when the budget ran out first."""
+        """A config's measurement, reused once made; None when the budget
+        ran out first."""
         i = _decode(genome, dims, bits, index)
         if i in memo:
             return memo[i]
@@ -355,12 +333,12 @@ def tune_genetic(features: ModelFeatures | None, space: list[QuantConfig],
         memo[i] = camp.measure(i)
         return memo[i]
 
-    if params.initial is not None:
-        pop = [list(g) for g in params.initial]
+    if ga.initial is not None:
+        pop = [list(g) for g in ga.initial]
     else:
-        pop = [list(rng.integers(0, 2, size=nbits)) for _ in range(params.population)]
+        pop = [list(rng.integers(0, 2, size=sum(bits))) for _ in range(ga.population)]
 
-    for _ in range(params.max_generations):
+    for _ in range(ga.max_generations):
         fitness = []
         for genome in pop:
             f = fitness_of(genome)
@@ -369,42 +347,50 @@ def tune_genetic(features: ModelFeatures | None, space: list[QuantConfig],
             fitness.append(f)
         if camp.exhausted or len(fitness) < len(pop):
             break
-        pop = _evolve(pop, fitness, params, rng)
+        pop = _evolve(pop, fitness, ga, rng)
     # a stalled population (e.g. zero mutation) may leave budget unused;
     # spend the remainder uniformly so the budget contract holds
     while not camp.exhausted:
-        camp.measure(int(rng.choice(np.flatnonzero(~camp.explored))))
-    return camp.result("genetic")
+        camp.measure(camp.unexplored(rng))
 
 
-STRATEGIES = ("xgb", "xgb-t", "random", "grid", "genetic")
+# name -> picker; the order is that of STRATEGIES
+_PICKERS: dict[str, Callable[..., None]] = {
+    "xgb": lambda camp, rng, **_: _xgb(camp, rng),  # cold start, whatever seed_db holds
+    "xgb-t": _xgb,
+    "random": _random,
+    "grid": _grid,
+    "genetic": _genetic,
+}
+STRATEGIES = tuple(_PICKERS)
 
 
 def run_strategy(strategy: str, features: ModelFeatures | None,
                  space: list[QuantConfig], evaluate: Evaluator, budget: int,
                  seed: int = 0, seed_db: list[TuningRecord] | None = None,
-                 model_name: str = "", workers: int = 1) -> SearchResult:
-    """Dispatch a named search strategy.
+                 model_name: str = "", workers: int = 1,
+                 ga: GAParams | None = None) -> SearchResult:
+    """Run a named search strategy as one campaign: check the budget and the
+    space, measure what the strategy picks, and report the first trial that
+    reaches the best.
 
     ``workers`` only affects strategies whose trial list is fixed up front
     (random, grid); the adaptive ones evaluate sequentially by design.
+    ``seed_db`` is read by xgb-t, which requires one, and ``ga`` by genetic.
     """
-    if strategy == "xgb":
-        return tune_xgb(features, space, evaluate, budget, seed, model_name=model_name)
-    if strategy == "xgb-t":
-        if not seed_db:
-            raise ValueError("xgb-t requires a transfer database")
-        return tune_xgb(features, space, evaluate, budget, seed,
-                        seed_db=seed_db, model_name=model_name)
-    if strategy == "random":
-        return tune_random(features, space, evaluate, budget, seed,
-                           model_name=model_name, workers=workers)
-    if strategy == "grid":
-        return tune_grid(features, space, evaluate, budget,
-                         model_name=model_name, workers=workers)
-    if strategy == "genetic":
-        return tune_genetic(features, space, evaluate, budget, seed, model_name=model_name)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in _PICKERS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "xgb-t" and not seed_db:
+        raise ValueError("xgb-t requires a transfer database")
+    _check_space(space, budget)
+    camp = _Campaign(model_name, features, space, evaluate, budget)
+    _PICKERS[strategy](camp, np.random.default_rng(seed),
+                       workers=workers, seed_db=seed_db, ga=ga)
+    best_top1 = max(r.top1 for r in camp.trials)
+    first = next(r for r in camp.trials if r.top1 == best_top1)
+    return SearchResult(strategy=strategy, best_config=first.config,
+                        best_top1=best_top1, trials_to_best=first.trial,
+                        trials=camp.trials)
 
 
 def make_accuracy_evaluator(g: Graph, d: Dataset, seed: int,

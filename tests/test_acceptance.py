@@ -24,7 +24,7 @@ from ptqtune.analysis import diversity_report, shannon_entropy
 from ptqtune.calibration import N_BINS
 from ptqtune.gbt import grad_hess, leaf_weight
 from ptqtune.schemes import params_for_range, params_power2, params_symmetric
-from ptqtune.tuner import TuningRecord, tune_grid, tune_random, tune_xgb
+from ptqtune.tuner import TuningRecord
 
 GENERIC = TargetProfile("Generic")
 
@@ -207,13 +207,13 @@ def test_criterion_07_guided_search_speedup():
     for seed in range(n_seeds):
         space, table = _table(noise_seed=1000 + seed)
         ev = table.__getitem__
-        ttb["random"].append(tune_random(feats, space, ev, budget, seed=seed)
+        ttb["random"].append(run_strategy("random", feats, space, ev, budget, seed=seed)
                              .trials_to_best)
-        ttb["grid"].append(tune_grid(feats, space, ev, budget).trials_to_best)
-        ttb["xgb"].append(tune_xgb(feats, space, ev, budget, seed=seed)
+        ttb["grid"].append(run_strategy("grid", feats, space, ev, budget).trials_to_best)
+        ttb["xgb"].append(run_strategy("xgb", feats, space, ev, budget, seed=seed)
                           .trials_to_best)
-        ttb["xgb-t"].append(tune_xgb(feats, space, ev, budget, seed=seed,
-                                     seed_db=donor_db).trials_to_best)
+        ttb["xgb-t"].append(run_strategy("xgb-t", feats, space, ev, budget, seed=seed,
+                                         seed_db=donor_db).trials_to_best)
     med = {k: statistics.median(v) for k, v in ttb.items()}
     took = time.perf_counter() - t0
     assert med["xgb"] < med["random"], med

@@ -116,6 +116,23 @@ def test_unknown_kind_rejected():
         validate(g)
 
 
+@pytest.mark.parametrize("kind, inputs, takes", [
+    ("relu", ["t0", "input"], "exactly one input"),
+    ("relu", [], "exactly one input"),
+    ("maxpool", ["t0", "t0"], "exactly one input"),
+    ("avgpool", [], "exactly one input"),
+    ("softmax", ["t0", "t0"], "exactly one input"),
+    ("add", ["t0", "t0", "t0"], "exactly two inputs"),
+    ("concat", [], "at least one input"),
+], ids=["relu-two", "relu-none", "maxpool-two", "avgpool-none", "softmax-two",
+        "add-three", "concat-none"])
+def test_each_kind_takes_its_number_of_inputs(kind, inputs, takes):
+    g = tiny_graph()
+    g.nodes[1] = Node("r0", kind, inputs, "t1", {"kernel": 1} if "pool" in kind else {})
+    with pytest.raises(GraphError, match=f"^node r0: {kind} takes {takes}$"):
+        validate(g)
+
+
 def test_duplicate_outputs_rejected():
     g = tiny_graph()
     g.nodes[1] = Node("r0", "relu", ["t0"], "t0")

@@ -187,6 +187,22 @@ def test_load_rejects_a_dangling_tensor_name_naming_the_node(tmp_path, lenet, le
         load_quantized(path)
 
 
+@pytest.mark.parametrize("inputs", [lambda data: [data, data], lambda data: []],
+                         ids=["two", "none"])
+def test_load_rejects_a_relu_without_exactly_one_input(tmp_path, lenet, lenet_cache_s2, inputs):
+    from ptqtune.container import read_container, write_container
+    qg = quantize_model(lenet, lenet_cache_s2, cfg())
+    path = str(tmp_path / "q.qtm8")
+    save_quantized(qg, path)
+    header, buffers = read_container(path)
+    del header["buffers"]
+    node = next(n for n in header["nodes"] if n["kind"] == "relu")
+    node["inputs"] = inputs(node["inputs"][0])
+    write_container(path, header, buffers)
+    with pytest.raises(ValueError, match=f"node {node['id']}: relu takes exactly one input"):
+        load_quantized(path)
+
+
 @pytest.mark.parametrize("what, match", [
     ("axis", "axis 1 is not None or 0"),
     ("scale", "scale shape"),

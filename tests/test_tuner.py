@@ -8,8 +8,7 @@ import pytest
 
 from ptqtune import (GAParams, IntegerOnlyError, QuantConfig, Scheme, TargetProfile,
                      check_integer_only, enumerate_space, load_db, quantize_model,
-                     record_db, recipe_feature_counts, run_strategy, tune_genetic,
-                     tune_grid, tune_random, tune_xgb)
+                     record_db, recipe_feature_counts, run_strategy)
 from ptqtune.gbt import FEATURE_NAMES, encode
 from ptqtune.tuner import (GENERIC, INTEGER_ONLY, PROFILES, STRATEGIES, TuningRecord,
                            _check_space)
@@ -148,9 +147,23 @@ def test_full_budget_finds_the_exhaustive_optimum(strategy):
     assert [t.trial for t in r.trials] == list(range(1, 97))
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("space, budget, match", [
+    (SPACE, 0, r"budget 0 not in \[1, 96\]"),
+    (SPACE, 97, r"budget 97 not in \[1, 96\]"),
+    (SPACE + SPACE[:1], 4, "search space contains duplicates"),
+], ids=["budget-0", "budget-97", "duplicate"])
+def test_budget_and_space_checks_guard_every_strategy(strategy, space, budget, match):
+    calls = []
+    kw = {"seed_db": donor_db()} if strategy == "xgb-t" else {}
+    with pytest.raises(ValueError, match=match):
+        run_strategy(strategy, FEATS, space, calls.append, budget, **kw)
+    assert calls == []  # checked before the first measurement
+
+
 def test_trials_to_best_is_first_hit():
     scores = iter([0.2, 0.9, 0.9, 0.1])
-    r = tune_random(FEATS, SPACE[:4], lambda c: next(scores), budget=4, seed=0)
+    r = run_strategy("random", FEATS, SPACE[:4], lambda c: next(scores), budget=4, seed=0)
     assert r.best_top1 == 0.9
     assert r.trials_to_best == 2
 
@@ -163,7 +176,7 @@ def test_failed_measurement_scores_zero_and_flags_error():
             raise RuntimeError("quantization exploded")
         return 0.5
 
-    r = tune_grid(FEATS, SPACE, ev, budget=96)
+    r = run_strategy("grid", FEATS, SPACE, ev, budget=96)
     rec = next(t for t in r.trials if t.config == bad)
     assert rec.error and rec.top1 == 0.0
     assert sum(t.error for t in r.trials) == 1
@@ -171,15 +184,15 @@ def test_failed_measurement_scores_zero_and_flags_error():
 
 def test_random_is_seed_deterministic_and_seed_sensitive():
     ev = table_evaluator()
-    a = tune_random(FEATS, SPACE, ev, budget=10, seed=3)
-    b = tune_random(FEATS, SPACE, ev, budget=10, seed=3)
-    c = tune_random(FEATS, SPACE, ev, budget=10, seed=4)
+    a = run_strategy("random", FEATS, SPACE, ev, budget=10, seed=3)
+    b = run_strategy("random", FEATS, SPACE, ev, budget=10, seed=3)
+    c = run_strategy("random", FEATS, SPACE, ev, budget=10, seed=4)
     assert [t.config for t in a.trials] == [t.config for t in b.trials]
     assert [t.config for t in a.trials] != [t.config for t in c.trials]
 
 
 def test_grid_stride_spreads_over_every_dimension_block():
-    r = tune_grid(FEATS, SPACE, table_evaluator(), budget=12)
+    r = run_strategy("grid", FEATS, SPACE, table_evaluator(), budget=12)
     picked = [t.config for t in r.trials]
     assert picked == [SPACE[(k * 96) // 12] for k in range(12)]
     assert {c.cache for c in picked} == {"S1", "S2", "S3"}
@@ -187,8 +200,8 @@ def test_grid_stride_spreads_over_every_dimension_block():
 
 def test_parallel_workers_reproduce_sequential_records():
     ev = table_evaluator()
-    seq = tune_random(FEATS, SPACE, ev, budget=16, seed=5, workers=1)
-    par = tune_random(FEATS, SPACE, ev, budget=16, seed=5, workers=4)
+    seq = run_strategy("random", FEATS, SPACE, ev, budget=16, seed=5, workers=1)
+    par = run_strategy("random", FEATS, SPACE, ev, budget=16, seed=5, workers=4)
     assert [(t.config, t.top1, t.trial) for t in seq.trials] == \
            [(t.config, t.top1, t.trial) for t in par.trials]
 
@@ -198,7 +211,7 @@ def test_parallel_workers_reproduce_sequential_records():
 def test_xgb_exploits_structure_quickly():
     ev = table_evaluator(noise_seed=1, sigma=0.01)
     best = max(ev(c) for c in SPACE)
-    r = tune_xgb(FEATS, SPACE, ev, budget=32, seed=0)
+    r = run_strategy("xgb", FEATS, SPACE, ev, budget=32, seed=0)
     assert r.best_top1 >= best - 0.02  # lands on/next to the optimum cell
 
 
@@ -214,7 +227,7 @@ def donor_db():
 def test_transfer_seeding_skips_cold_start():
     ev = table_evaluator(noise_seed=2, sigma=0.01)
     best = max(ev(c) for c in SPACE)
-    r = tune_xgb(FEATS, SPACE, ev, budget=8, seed=0, seed_db=donor_db())
+    r = run_strategy("xgb-t", FEATS, SPACE, ev, budget=8, seed=0, seed_db=donor_db())
     assert r.strategy == "xgb-t"
     assert r.best_top1 >= best - 0.02
     # no random cold start: the very first pick already sits in the
@@ -234,8 +247,8 @@ def test_xgb_t_requires_a_database():
 
 def test_ga_population_equals_budget_behaves_like_sampling():
     ev = table_evaluator()
-    r = tune_genetic(FEATS, SPACE, ev, budget=8, seed=0,
-                     params=GAParams(population=8, max_generations=1))
+    r = run_strategy("genetic", FEATS, SPACE, ev, budget=8, seed=0,
+                     ga=GAParams(population=8, max_generations=1))
     assert len(r.trials) == 8
     assert len({t.config for t in r.trials}) == 8
 
@@ -246,7 +259,7 @@ def test_ga_zero_mutation_uniform_population_stalls_but_spends_budget():
     params = GAParams(population=4, mutation_p=0.0, crossover_p=0.0,
                       initial=[list(genome)] * 4, max_generations=50)
     ev = table_evaluator()
-    r = tune_genetic(FEATS, SPACE, ev, budget=6, seed=1, params=params)
+    r = run_strategy("genetic", FEATS, SPACE, ev, budget=6, seed=1, ga=params)
     # the frozen population maps to a single configuration; the remaining
     # budget is spent on uniform fallback picks
     assert len(r.trials) == 6
@@ -255,7 +268,7 @@ def test_ga_zero_mutation_uniform_population_stalls_but_spends_budget():
 
 def test_ga_needs_full_cross_product():
     with pytest.raises(ValueError):
-        tune_genetic(FEATS, SPACE[:7], table_evaluator(), budget=3)
+        run_strategy("genetic", FEATS, SPACE[:7], table_evaluator(), budget=3)
 
 
 # --------------------------------------------------------------- database io
@@ -263,7 +276,7 @@ def test_ga_needs_full_cross_product():
 def test_db_round_trip_and_append(tmp_path):
     p = tmp_path / "db.jsonl"
     ev = table_evaluator()
-    r = tune_random(FEATS, SPACE, ev, budget=5, seed=0, model_name="m1")
+    r = run_strategy("random", FEATS, SPACE, ev, budget=5, seed=0, model_name="m1")
     record_db(str(p), r.trials, append=False)
     record_db(str(p), [TuningRecord("m1", FEATS, None, 0.99, 1.0, 0)])
     records = load_db(str(p))
@@ -285,7 +298,7 @@ def test_failed_trial_keeps_why_through_the_db(tmp_path):
 
     p = tmp_path / "db.jsonl"
     for workers in (1, 2):
-        r = tune_grid(FEATS, SPACE, ev, budget=12, model_name="m", workers=workers)
+        r = run_strategy("grid", FEATS, SPACE, ev, budget=12, model_name="m", workers=workers)
         record_db(str(p), r.trials, append=False)
         lines = p.read_text().splitlines()
         records = load_db(str(p))
