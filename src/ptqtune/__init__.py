@@ -15,7 +15,7 @@ from .fixtures import FIXTURE_RECIPES, generate_fixture, recipe_feature_counts
 from .fp32 import (AccuracyResult, avgpool, conv2d, depthwise_conv2d,
                    evaluate_top1, maxpool, observe_activations, run_fp32,
                    softmax, top1_from_scores)
-from .gbt import GBTModel, feature_importance, load_gbt, predict, save_gbt, train
+from .gbt import GBTModel, feature_importance, predict, save_gbt, train
 from .intexec import (IntegerOnlyError, OpTrace, check_integer_only,
                       evaluate_quantized, requantize, run_integer_only,
                       run_quantized)
@@ -40,8 +40,8 @@ __all__ = [
     "clipped_range", "conv2d", "depthwise_conv2d", "dequantize_array",
     "enumerate_space", "evaluate_quantized", "evaluate_top1",
     "extract_features", "feature_importance", "fuse_conv_relu",
-    "generate_fixture", "load_cache", "load_db", "load_dataset", "load_gbt",
-    "load_model", "load_quantized", "make_accuracy_evaluator", "make_dataset",
+    "generate_fixture", "load_cache", "load_db", "load_dataset", "load_model",
+    "load_quantized", "make_accuracy_evaluator", "make_dataset",
     "maxpool", "model_size", "observe_activations", "params_for_range",
     "predict", "propagate_shapes", "quantize_array", "quantize_model",
     "quantize_weights", "recipe_feature_counts", "record_db", "requantize",

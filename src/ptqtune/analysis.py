@@ -35,7 +35,8 @@ def shannon_entropy(freqs) -> float:
     if total <= 0:
         raise ValueError("empty frequency vector")
     p = f[f > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    # 0.0 - s rather than -s: a dimension all survivors agree on reads +0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 @dataclass

@@ -121,23 +121,17 @@ def save_cache(cache: CalibrationCache, path: str, meta: dict | None = None) -> 
         ranges[i] = (h.min_seen, h.max_seen)
         counts[i] = h.bin_counts
     header = {
-        "format": "qcal",
-        "version": 1,
         "model_name": cache.model_name,
         "size_class": cache.size_class,
         "image_ids": list(map(int, cache.image_ids)),
         "tensors": order,
         "n_samples": [int(cache.histograms[t].n_samples) for t in order],
     }
-    if meta:
-        header["meta"] = meta
-    write_container(path, header, [ranges, counts])
+    write_container(path, "qcal", header, [ranges, counts], meta)
 
 
 def load_cache(path: str) -> CalibrationCache:
-    header, buffers = read_container(path)
-    if header.get("format") != "qcal":
-        raise ValueError(f"{path}: not a calibration cache")
+    header, buffers = read_container(path, "qcal")
     with _malformed_header(path):
         ranges, counts = buffers
         tensors, n_samples = header["tensors"], header["n_samples"]

@@ -18,11 +18,11 @@ import time
 
 from .analysis import convergence_report, diversity_report
 from .calibration import SIZE_CLASSES, build_cache, load_cache, save_cache
-from .container import read_container
+from .container import file_format
 from .dataset import load_dataset, make_dataset, save_dataset
 from .fixtures import FIXTURE_RECIPES, generate_fixture
 from .fp32 import evaluate_top1, top1_from_scores
-from .intexec import OpTrace, evaluate_quantized, run_integer_only, run_quantized
+from .intexec import OpTrace, run_integer_only, run_quantized
 from .ir import extract_features, load_model, save_model
 from .quantize import (DIMENSIONS, QuantConfig, _plain, load_quantized, model_size,
                        quantize_model, save_quantized)
@@ -128,8 +128,7 @@ def cmd_quantize(args, arts: _Artifacts) -> None:
 
 def _load_any_model(path: str):
     """Return ('fp32', Graph) or ('int8', QuantizedGraph) based on the header."""
-    header, _ = read_container(path)
-    fmt = header.get("format")
+    fmt = file_format(path)
     if fmt == "qtm":
         return "fp32", load_model(path)
     if fmt == "qtm8":
@@ -149,14 +148,14 @@ def cmd_eval(args, arts: _Artifacts) -> None:
     else:
         report["model"] = model.graph.name
         report["config"] = model.config.to_dict()
+        if len(d.eval_images) == 0:
+            raise ValueError("empty evaluation set")
         trace = OpTrace() if args.trace else None
         if args.integer_only:
-            codes = run_integer_only(model, d.eval_images, trace=trace)
-            res = top1_from_scores(codes.astype("float32"), d.eval_labels)
+            scores = run_integer_only(model, d.eval_images, trace=trace).astype("float32")
         else:
-            if trace is not None:
-                run_quantized(model, d.eval_images[:1], trace=trace)
-            res = evaluate_quantized(model, d)
+            scores = run_quantized(model, d.eval_images, trace=trace)
+        res = top1_from_scores(scores, d.eval_labels)
         if args.trace:
             _write_text(args.trace, trace.to_csv(), arts)
             report["trace"] = args.trace
@@ -190,7 +189,7 @@ def cmd_tune(args, arts: _Artifacts) -> None:
     baseline_row = TuningRecord(model_name=g.name, features=features,
                                 config=None, top1=baseline.top1,
                                 timestamp=time.time(), trial=0)
-    record_db(db_path, [baseline_row] + result.trials)
+    record_db(db_path, [baseline_row] + result.trials, append=False)
     flags = _flags(args)
     _write_json(os.path.join(args.out, "result.json"), {
         "strategy": result.strategy,

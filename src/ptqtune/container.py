@@ -8,9 +8,12 @@ Layout (all integers ASCII-encoded in the preamble):
     <raw little-endian buffers, concatenated in header order>
 
 The JSON header is canonical (sorted keys, no whitespace) so that a given
-logical payload always serializes to the same bytes.  Buffer metadata lives
-under the reserved key ``"buffers"``: a list of ``{"dtype", "shape"}``
-entries describing each raw segment in order.
+logical payload always serializes to the same bytes.  The envelope keys are
+written and checked here and nowhere else: ``"format"`` (the file kind,
+e.g. ``"qtm"``), ``"version"`` (``VERSION``), ``"meta"`` (optional, the
+flags that produced the file) and ``"buffers"``, a list of ``{"dtype",
+"shape"}`` entries describing each raw segment in order.  The rest of the
+header is the payload of the file kind.
 """
 
 from __future__ import annotations
@@ -24,28 +27,34 @@ from typing import Any
 import numpy as np
 
 MAGIC = b"QTM1\n"
+VERSION = 1
+_ENVELOPE = ("format", "version", "meta", "buffers")
 
 
 def canonical_json(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_container(path: str, header: dict, buffers: list[np.ndarray]) -> None:
-    """Write ``header`` plus raw ``buffers`` to ``path``.
+def write_container(path: str, fmt: str, header: dict, buffers: list[np.ndarray],
+                    meta: dict | None = None) -> None:
+    """Write the payload ``header`` plus raw ``buffers`` to ``path`` as a
+    ``fmt`` container of this ``VERSION``, echoing ``meta`` when given.
 
-    ``header`` must not already contain the reserved ``"buffers"`` key; the
-    buffer table is derived from the arrays themselves.
+    ``header`` may not set an envelope key; the buffer table is derived from
+    the arrays themselves.
     """
-    if "buffers" in header:
-        raise ValueError("header may not define the reserved 'buffers' key")
+    reserved = sorted(set(_ENVELOPE).intersection(header))
+    if reserved:
+        raise ValueError(f"header may not define the reserved keys {reserved}")
     arrs = [np.ascontiguousarray(b) for b in buffers]
     table = []
     for a in arrs:
         # force little-endian on-disk representation
         a = a.astype(a.dtype.newbyteorder("<"), copy=False)
         table.append({"dtype": a.dtype.name, "shape": list(a.shape)})
-    full = dict(header)
-    full["buffers"] = table
+    full = {**header, "format": fmt, "version": VERSION, "buffers": table}
+    if meta:
+        full["meta"] = meta
     blob = canonical_json(full)
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -69,32 +78,52 @@ def _malformed_header(path: str, error: type[ValueError] = ValueError):
         raise error(f"{path}: malformed header field: {e!r}") from e
 
 
-def read_container(path: str) -> tuple[dict, list[np.ndarray]]:
-    """Read a container, returning ``(header, buffers)``.
+def _read_header(f, path: str, size: int) -> dict:
+    """The JSON header of the open container ``f`` of ``size`` bytes, leaving
+    ``f`` at the first buffer."""
+    magic = f.read(len(MAGIC))
+    if magic != MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    line = b""
+    while not line.endswith(b"\n"):
+        c = f.read(1)
+        if not c:
+            raise ValueError(f"{path}: truncated header line")
+        line += c
+    if not line.startswith(b"HDR "):
+        raise ValueError(f"{path}: malformed header line {line!r}")
+    nbytes = int(line[4:-1])
+    if not 0 <= nbytes <= size - f.tell():
+        raise ValueError(f"{path}: truncated header")
+    header = json.loads(f.read(nbytes).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    return header
 
-    The returned header still includes the ``"buffers"`` table; arrays come
-    back in native byte order with the recorded dtype and shape.  A file
-    that does not match the layout raises ValueError.
+
+def file_format(path: str):
+    """The format tag of the container at ``path``, read from its header
+    alone; a file that is not a container raises ValueError."""
+    with open(path, "rb") as f, _malformed_header(path):
+        return _read_header(f, path, os.fstat(f.fileno()).st_size).get("format")
+
+
+def read_container(path: str, fmt: str) -> tuple[dict, list[np.ndarray]]:
+    """Read a ``fmt`` container, returning ``(header, buffers)``.
+
+    The returned header is the payload plus ``"meta"`` when present, without
+    the other envelope keys; arrays come back in native byte order with the
+    recorded dtype and shape.  A file that does not match the layout, is of
+    another format or of another version than ``VERSION`` raises ValueError.
     """
     with open(path, "rb") as f, _malformed_header(path):
         size = os.fstat(f.fileno()).st_size
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        line = b""
-        while not line.endswith(b"\n"):
-            c = f.read(1)
-            if not c:
-                raise ValueError(f"{path}: truncated header line")
-            line += c
-        if not line.startswith(b"HDR "):
-            raise ValueError(f"{path}: malformed header line {line!r}")
-        nbytes = int(line[4:-1])
-        if not 0 <= nbytes <= size - f.tell():
-            raise ValueError(f"{path}: truncated header")
-        header = json.loads(f.read(nbytes).decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: header is not a JSON object")
+        header = _read_header(f, path, size)
+        if header.get("format") != fmt:
+            raise ValueError(f"{path}: format {header.get('format')!r} is not {fmt!r}")
+        version = header.get("version")
+        if type(version) is not int or version != VERSION:
+            raise ValueError(f"{path}: version {version!r} is not {VERSION}")
         buffers = []
         for entry in header.get("buffers", []):
             dt = np.dtype(entry["dtype"]).newbyteorder("<")
@@ -106,4 +135,5 @@ def read_container(path: str) -> tuple[dict, list[np.ndarray]]:
                 raise ValueError(f"{path}: truncated buffer payload")
             arr = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape)
             buffers.append(arr.astype(arr.dtype.newbyteorder("="), copy=True))
-        return header, buffers
+        payload = {k: v for k, v in header.items() if k not in ("format", "version", "buffers")}
+        return payload, buffers

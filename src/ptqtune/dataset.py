@@ -76,16 +76,11 @@ def make_dataset(n_calib: int = 300, n_eval: int = 200, seed: int = 0,
 
 
 def save_dataset(d: Dataset, path: str, meta: dict | None = None) -> None:
-    header = {"format": "qds", "version": 1, "n_calib": d.n_calib}
-    if meta:
-        header["meta"] = meta
-    write_container(path, header, [d.images, d.labels])
+    write_container(path, "qds", {"n_calib": d.n_calib}, [d.images, d.labels], meta)
 
 
 def load_dataset(path: str) -> Dataset:
-    header, buffers = read_container(path)
-    if header.get("format") != "qds":
-        raise ValueError(f"{path}: not a dataset container")
+    header, buffers = read_container(path, "qds")
     with _malformed_header(path):
         images, labels = buffers
         return Dataset(images=images, labels=labels, n_calib=int(header["n_calib"]))

@@ -277,6 +277,8 @@ def feature_importance(model: GBTModel) -> list[tuple[int, float]]:
 
 
 def save_gbt(model: GBTModel, path: str) -> None:
+    """Write ``model`` as a JSON document, so that two trained surrogates
+    can be compared byte for byte; nothing in the package reads it back."""
     doc = {
         "format": "gbt",
         "version": 1,
@@ -288,57 +290,3 @@ def save_gbt(model: GBTModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
 
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_tree(tree, n_features: int) -> None:
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, dict):
-            raise ValueError("tree node is not an object")
-        if "leaf" in node:
-            if not _is_number(node["leaf"]):
-                raise ValueError("leaf weight is not a number")
-            continue
-        if not all(k in node for k in ("feature", "threshold", "left", "right")):
-            raise ValueError("tree node is neither a leaf nor a complete split")
-        f = node["feature"]
-        if type(f) is not int or not 0 <= f < n_features:
-            raise ValueError(f"split feature {f!r} not in [0, {n_features})")
-        if not _is_number(node["threshold"]):
-            raise ValueError("split threshold is not a number")
-        stack += [node["left"], node["right"]]
-
-
-def load_gbt(path: str) -> GBTModel:
-    """Read a ``save_gbt`` document; a malformed one raises ValueError."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except RecursionError as e:
-        raise ValueError(f"{path}: nested too deeply") from e
-    if not isinstance(doc, dict) or doc.get("format") != "gbt":
-        raise ValueError(f"{path}: not a tree-model file")
-    missing = {"hyper", "n_features", "feature_gain", "trees"} - set(doc)
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    hyper, n_features, gain, trees = (doc[k] for k in ("hyper", "n_features",
-                                                         "feature_gain", "trees"))
-    if not isinstance(hyper, dict) or not all(_is_number(hyper.get(k)) for k in DEFAULT_HYPER):
-        raise ValueError(f"{path}: hyper must hold numeric {sorted(DEFAULT_HYPER)}")
-    if type(n_features) is not int or n_features < 0:
-        raise ValueError(f"{path}: bad n_features {n_features!r}")
-    if not (isinstance(gain, list) and len(gain) == n_features and all(map(_is_number, gain))):
-        raise ValueError(f"{path}: feature_gain must hold {n_features} numbers")
-    if not isinstance(trees, list):
-        raise ValueError(f"{path}: trees must be a list")
-    for tree in trees:
-        try:
-            _check_tree(tree, n_features)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from e
-    return GBTModel(trees=trees, hyper=hyper, n_features=n_features,
-                    feature_gain=np.asarray(gain, dtype=np.float64))

@@ -298,17 +298,13 @@ def _graph_from_header(header: dict, weights: dict[str, np.ndarray]) -> Graph:
 def save_model(g: Graph, path: str, meta: dict | None = None) -> None:
     validate(g)
     order = sorted(g.weights)
-    header = {"format": "qtm", "version": 1, **_graph_header(g), "weight_order": order}
-    if meta:
-        header["meta"] = meta
-    write_container(path, header, [g.weights[k] for k in order])
+    write_container(path, "qtm", {**_graph_header(g), "weight_order": order},
+                    [g.weights[k] for k in order], meta)
 
 
 def load_model(path: str) -> Graph:
     with _malformed_header(path, GraphError):
-        header, buffers = read_container(path)
-        if header.get("format") != "qtm":
-            raise GraphError(f"{path}: not a model container")
+        header, buffers = read_container(path, "qtm")
         order = header["weight_order"]
         if len(order) != len(buffers):
             raise GraphError(f"{path}: weight table/buffer count mismatch")

@@ -340,8 +340,6 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
         buffers.append(g.weights[t])
 
     header = {
-        "format": "qtm8",
-        "version": 1,
         **_graph_header(g),
         "config": qg.config.to_dict(),
         "fp32_nodes": sorted(qg.fp32_nodes),
@@ -353,9 +351,7 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
         "bias_tensors": bias_ids,
         "fp32_weight_tensors": fp32_weight_ids,
     }
-    if meta:
-        header["meta"] = meta
-    write_container(path, header, buffers)
+    write_container(path, "qtm8", header, buffers, meta)
 
 
 def _check_references(qg: QuantizedGraph) -> None:
@@ -395,9 +391,7 @@ def _check_references(qg: QuantizedGraph) -> None:
 
 
 def load_quantized(path: str) -> QuantizedGraph:
-    header, buffers = read_container(path)
-    if header.get("format") != "qtm8":
-        raise ValueError(f"{path}: not a quantized model container")
+    header, buffers = read_container(path, "qtm8")
     with _malformed_header(path):
         it = iter(buffers)
         act_scales = next(it)

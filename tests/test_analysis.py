@@ -31,6 +31,14 @@ def test_entropy_frozen_values():
     assert shannon_entropy([2, 2, 2, 2]) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_zero_entropy_is_positive_zero_in_the_report():
+    assert math.copysign(1.0, shannon_entropy([5, 0])) == 1.0
+    db = [baseline(1.0), rec(0.999, clipping="KL"), rec(0.998, clipping="KL")]
+    csv = diversity_report(db).to_csv()
+    assert "clipping,0.000000," in csv
+    assert "-0.000000" not in csv
+
+
 def test_entropy_rejects_bad_input():
     with pytest.raises(ValueError):
         shannon_entropy([0, 0])

@@ -106,9 +106,9 @@ def test_wrong_format_rejected(tmp_path, ds):
 
 
 def write_qcal(path, ranges, counts, n_samples):
-    header = {"format": "qcal", "version": 1, "model_name": "m", "size_class": "S1",
+    header = {"model_name": "m", "size_class": "S1",
               "image_ids": [0], "tensors": ["a", "b"], "n_samples": n_samples}
-    write_container(str(path), header, [ranges, counts])
+    write_container(str(path), "qcal", header, [ranges, counts])
 
 
 GOOD_RANGES = np.array([[-1.0, 2.0], [0.0, 0.0]], dtype=np.float32)

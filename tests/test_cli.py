@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from ptqtune import (Scheme, build_cache, evaluate_quantized, load_dataset,
-                     load_db, load_model, quantize_model)
+from ptqtune import (OpTrace, Scheme, build_cache, evaluate_quantized, load_dataset,
+                     load_db, load_model, load_quantized, quantize_model, run_quantized)
 from ptqtune.cli import main
+from ptqtune.container import read_container
 from ptqtune.quantize import QuantConfig
 
 
@@ -96,6 +97,30 @@ def test_integer_only_eval_and_trace(ws, capsys):
     assert float(out.split()[1]) == pytest.approx(int_top1, abs=1e-9)
 
 
+def test_simulated_eval_traces_the_one_full_run(ws, capsys):
+    model = str(ws / "lenet-ish-s1.qtm")
+    dataset = str(ws / "dataset.qds")
+    cache_p = str(ws / "lenet-trace.qcal")
+    run_ok(capsys, "calibrate", "--model", model, "--dataset", dataset,
+           "--size-class", "S1", "--seed", "0", "--out", cache_p)
+    q_p = str(ws / "lenet-trace.qtm8")
+    run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p,
+           "--cache", "S1", "--out", q_p)
+
+    trace_p = ws / "trace-sim.csv"
+    out = run_ok(capsys, "eval", "--model", q_p, "--dataset", dataset,
+                 "--trace", str(trace_p))
+    assert float(out.split()[1]) == float(run_ok(capsys, "eval", "--model", q_p,
+                                                 "--dataset", dataset).split()[1])
+    assert out.strip().endswith("on 40 images")
+    # events are per node, not per image: one image traces the same CSV
+    qg, d = load_quantized(q_p), load_dataset(dataset)
+    one = OpTrace()
+    run_quantized(qg, d.eval_images[:1], trace=one)
+    assert trace_p.read_text() == one.to_csv()
+    assert one.events
+
+
 def test_quantize_rejects_cache_size_mismatch(ws, capsys):
     q_p = ws / "never.qtm8"
     rc = main(["quantize", "--model", str(ws / "lenet-ish-s1.qtm"),
@@ -121,6 +146,75 @@ def test_tune_grid_full_budget_covers_the_space(ws, capsys):
     assert result["n_trials"] == 96
     assert result["best_top1"] == max(r.top1 for r in records[1:])
     assert 1 <= result["trials_to_best"] <= 96
+
+
+def check_campaign(out_dir, budget):
+    """One baseline row, ``budget`` distinct trials numbered 1..budget, and a
+    ``result.json`` that agrees with them."""
+    records = load_db(str(out_dir / "db.jsonl"))
+    assert [r.config is None for r in records] == [True] + [False] * budget
+    trials = records[1:]
+    assert [r.trial for r in trials] == list(range(1, budget + 1))
+    assert len({r.config for r in trials}) == budget
+    result = json.loads((out_dir / "result.json").read_text())
+    best = max(r.top1 for r in trials)
+    assert result["n_trials"] == budget
+    assert result["best_top1"] == best
+    assert result["trials_to_best"] == next(r.trial for r in trials if r.top1 == best)
+    return records, result
+
+
+def test_tune_twice_into_one_directory_rewrites_the_db(ws, tmp_path, capsys):
+    out_dir = tmp_path / "tune-twice"
+    for seed in ("1", "2"):
+        run_ok(capsys, "tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+               "--dataset", str(ws / "dataset.qds"), "--strategy", "random",
+               "--budget", "3", "--seed", seed, "--out", str(out_dir))
+    _, result = check_campaign(out_dir, 3)
+    assert json.loads((out_dir / "manifest.json").read_text())["flags"]["seed"] == 2
+    assert result["flags"]["seed"] == 2
+
+
+def test_tune_xgb_t_transfers_from_another_models_db(ws, tmp_path, capsys):
+    # campaigns outside ws, which the convergence report walks
+    donor = tmp_path / "tune-donor"
+    run_ok(capsys, "tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+           "--dataset", str(ws / "dataset.qds"), "--strategy", "grid",
+           "--budget", "8", "--out", str(donor))
+    check_campaign(donor, 8)
+    out_dir = tmp_path / "tune-xgb-t"
+    run_ok(capsys, "tune", "--model", str(ws / "resnet-toy-s1.qtm"),
+           "--dataset", str(ws / "dataset.qds"), "--strategy", "xgb-t",
+           "--budget", "4", "--seed", "3", "--transfer-db", str(donor / "db.jsonl"),
+           "--out", str(out_dir))
+    records, result = check_campaign(out_dir, 4)
+    assert {r.model_name for r in records} == {"resnet-toy-s1"}
+    assert result["strategy"] == "xgb-t"
+    assert result["flags"]["transfer_db"] == str(donor / "db.jsonl")
+
+
+def test_every_artifact_echoes_its_flags_under_meta(ws, capsys):
+    manifest = json.loads((ws / "manifest.json").read_text())
+    flags = manifest["flags"]
+    assert flags["seed"] == 1 and flags["n_eval"] == 40
+    for name in manifest["models"].values():
+        assert read_container(str(ws / name), "qtm")[0]["meta"] == flags
+    assert read_container(str(ws / "dataset.qds"), "qds")[0]["meta"] == flags
+
+    model = str(ws / "mobile-toy-s1.qtm")
+    dataset = str(ws / "dataset.qds")
+    cache_p = str(ws / "mobile-meta.qcal")
+    run_ok(capsys, "calibrate", "--model", model, "--dataset", dataset,
+           "--size-class", "S1", "--seed", "4", "--out", cache_p)
+    assert read_container(cache_p, "qcal")[0]["meta"] == {
+        "model": model, "dataset": dataset, "size_class": "S1", "seed": 4, "out": cache_p}
+
+    q_p = str(ws / "mobile-meta.qtm8")
+    run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p,
+           "--cache", "S1", "--clipping", "KL", "--profile", "generic", "--out", q_p)
+    meta = read_container(q_p, "qtm8")[0]["meta"]
+    assert meta == {"model": model, "cache_file": cache_p, "profile": "generic",
+                    "out": q_p, **QuantConfig(cache="S1", clipping="KL").to_dict()}
 
 
 def test_tune_budget_validation(ws, capsys):

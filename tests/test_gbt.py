@@ -1,5 +1,3 @@
-import copy
-import json
 import time
 
 import numpy as np
@@ -7,7 +5,7 @@ import pytest
 
 from oracles import finite_diff_grad, gbt_train_reference
 from ptqtune import (QuantConfig, Scheme, extract_features, feature_importance,
-                     load_gbt, predict, save_gbt, train)
+                     predict, save_gbt, train)
 from ptqtune.gbt import FEATURE_NAMES, N_FEATURES, _gains, encode, grad_hess, leaf_weight
 
 
@@ -173,54 +171,6 @@ def test_importance_ranks_the_only_informative_feature_first():
 def test_importance_of_untrained_model_is_empty():
     m = train(np.ones((5, 3)), np.zeros(5), n_trees=5)  # no split possible
     assert feature_importance(m) == []
-
-
-# ------------------------------------------------------------- persistence
-
-def test_round_trip_preserves_predictions(tmp_path):
-    rng = np.random.default_rng(6)
-    X = rng.uniform(size=(60, 4))
-    m = train(X, X[:, 0] - X[:, 1] ** 2, n_trees=20)
-    p = tmp_path / "m.gbt.json"
-    save_gbt(m, str(p))
-    m2 = load_gbt(str(p))
-    assert np.array_equal(predict(m, X), predict(m2, X))
-    assert m2.hyper == m.hyper
-
-
-def test_load_rejects_malformed_documents_with_value_error_only(tmp_path):
-    rng = np.random.default_rng(8)
-    X = rng.integers(0, 3, size=(40, 3)).astype(float)
-    m = train(X, X[:, 0] - X[:, 2], n_trees=3, max_depth=2)
-    p = tmp_path / "m.gbt.json"
-    save_gbt(m, str(p))
-    text = p.read_text()
-    good = json.loads(text)
-    bad_docs = [text[:n] for n in range(0, len(text), 7)]
-    for key in ("format", "hyper", "n_features", "feature_gain", "trees"):
-        bad_docs.append(json.dumps({k: v for k, v in good.items() if k != key}))
-    assert "feature" in good["trees"][0]  # the first tree splits at its root
-    for key in ("leaf", "feature", "threshold", "left", "right"):
-        doc = copy.deepcopy(good)
-        node = doc["trees"][0]
-        if key == "leaf":
-            node = node["left"]
-            while "leaf" not in node:
-                node = node["left"]
-        del node[key]
-        bad_docs.append(json.dumps(doc))
-    for edit in ({"feature": 3}, {"feature": -1}, {"feature": 1.5}, {"threshold": "x"}):
-        doc = copy.deepcopy(good)
-        doc["trees"][0].update(edit)
-        bad_docs.append(json.dumps(doc))
-    for edit in ({"feature_gain": [0.0, 1.0]}, {"n_features": "3"}, {"trees": {}},
-                 {"hyper": {"eta": 0.3}}):
-        bad_docs.append(json.dumps({**good, **edit}))
-    bad_docs += ["[1, 2]", "[" * 100_000]
-    for data in bad_docs:
-        p.write_text(data)
-        with pytest.raises(ValueError):
-            load_gbt(str(p))
 
 
 # ------------------------------------------------------------ configuration

@@ -96,14 +96,14 @@ def test_dangling_tensor_reference_errors(tmp_path):
         validate(g)
     # and via the container path: write a malformed header directly
     header = {
-        "format": "qtm", "version": 1, "name": "bad", "input_shape": [1, 6, 6],
+        "name": "bad", "input_shape": [1, 6, 6],
         "output_classes": 3,
         "nodes": [{"id": "c0", "kind": "conv2d", "inputs": ["input", "nope"],
                    "output": "t0", "attrs": {}}],
         "weight_order": [],
     }
     p = tmp_path / "bad.qtm"
-    write_container(str(p), header, [])
+    write_container(str(p), "qtm", header, [])
     with pytest.raises(GraphError):
         load_model(str(p))
 

@@ -178,11 +178,10 @@ def test_load_rejects_a_dangling_tensor_name_naming_the_node(tmp_path, lenet, le
     qg = quantize_model(lenet, lenet_cache_s2, cfg(scheme=Scheme.SymmetricPower2))
     path = str(tmp_path / "q.qtm8")
     save_quantized(qg, path)
-    header, buffers = read_container(path)
-    del header["buffers"]
+    header, buffers = read_container(path, "qtm8")
     node = header["nodes"][2]
     node["inputs"][0] = "t_missing"
-    write_container(path, header, buffers)
+    write_container(path, "qtm8", header, buffers)
     with pytest.raises(ValueError, match=f"node {node['id']}"):
         load_quantized(path)
 
@@ -194,11 +193,10 @@ def test_load_rejects_a_relu_without_exactly_one_input(tmp_path, lenet, lenet_ca
     qg = quantize_model(lenet, lenet_cache_s2, cfg())
     path = str(tmp_path / "q.qtm8")
     save_quantized(qg, path)
-    header, buffers = read_container(path)
-    del header["buffers"]
+    header, buffers = read_container(path, "qtm8")
     node = next(n for n in header["nodes"] if n["kind"] == "relu")
     node["inputs"] = inputs(node["inputs"][0])
-    write_container(path, header, buffers)
+    write_container(path, "qtm8", header, buffers)
     with pytest.raises(ValueError, match=f"node {node['id']}: relu takes exactly one input"):
         load_quantized(path)
 
@@ -217,14 +215,13 @@ def test_load_rejects_per_channel_data_that_does_not_fit(tmp_path, lenet, lenet_
     qg = quantize_model(lenet, lenet_cache_s2, cfg(granularity="Channel"))
     path = str(tmp_path / "q.qtm8")
     save_quantized(qg, path)
-    header, buffers = read_container(path)
-    del header["buffers"]
+    header, buffers = read_container(path, "qtm8")
     n_weights = len(header["weight_tensors"])
     if what == "axis":
         header["weight_tensors"][0]["axis"] = 1
     else:
         i = {"scale": 3, "zero_point": 4, "bias": 2 + 3 * n_weights}[what]
         buffers[i] = buffers[i][:-1]
-    write_container(path, header, buffers)
+    write_container(path, "qtm8", header, buffers)
     with pytest.raises(ValueError, match=match):
         load_quantized(path)
