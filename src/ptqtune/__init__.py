@@ -24,15 +24,14 @@ from .ir import (Graph, GraphError, ModelFeatures, Node, extract_features,
 from .quantize import (QuantConfig, QuantizedGraph, fuse_conv_relu, load_quantized,
                        model_size, quantize_model, quantize_weights, save_quantized)
 from .schemes import QuantParams, Scheme, dequantize_array, params_for_range, quantize_array
-from .tuner import (GAParams, SearchResult, TargetProfile, TuningRecord,
-                    enumerate_space, load_db, make_accuracy_evaluator,
-                    record_db, run_strategy)
+from .tuner import (SearchResult, TargetProfile, TuningRecord, enumerate_space, load_db,
+                    make_accuracy_evaluator, record_db, run_strategy)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyResult", "CalibrationCache", "Dataset", "FIXTURE_RECIPES",
-    "GAParams", "GBTModel", "Graph", "GraphError", "IntegerOnlyError",
+    "GBTModel", "Graph", "GraphError", "IntegerOnlyError",
     "ModelFeatures", "Node", "OpTrace", "QuantConfig", "QuantParams",
     "QuantizedGraph", "Scheme", "SearchResult", "TargetProfile",
     "TensorHistogram", "TuningRecord", "avgpool", "build_cache", "calibrate",

@@ -41,21 +41,22 @@ class CalibrationCache:
     histograms: dict[str, TensorHistogram]
 
 
-def select_images(pool: Dataset | np.ndarray, size_class: str, seed: int) -> np.ndarray:
+def select_images(pool: Dataset, size_class: str, seed: int) -> np.ndarray:
     """Deterministically sample calibration-pool indices for a size class."""
     if size_class not in SIZE_CLASSES:
         raise ValueError(f"unknown size class {size_class!r}")
     n = SIZE_CLASSES[size_class]
-    pool_n = pool.n_calib if isinstance(pool, Dataset) else len(pool)
-    if pool_n < n:
-        raise ValueError(f"pool of {pool_n} images cannot supply {size_class} ({n})")
+    if pool.n_calib < n:
+        raise ValueError(f"pool of {pool.n_calib} images cannot supply {size_class} ({n})")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(pool_n, size=n, replace=False)
+    idx = rng.choice(pool.n_calib, size=n, replace=False)
     return np.sort(idx)
 
 
-def calibrate(g: Graph, images: np.ndarray, *, model_name: str | None = None,
-              size_class: str = "", image_ids: list[int] | None = None) -> CalibrationCache:
+def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
+              image_ids: list[int] | None = None) -> CalibrationCache:
+    """Histogram every tensor of ``g`` over ``images``; the cache is named
+    ``g.name``."""
     images = np.asarray(images, dtype=np.float32)
     if images.ndim == 3:
         images = images[None]
@@ -76,7 +77,6 @@ def calibrate(g: Graph, images: np.ndarray, *, model_name: str | None = None,
     observe_activations(g, images, minmax_sink)
 
     counts = {t: np.zeros(N_BINS, dtype=np.int64) for t in order}
-    nsamp = {t: 0 for t in order}
 
     def bin_sink(tid: str, v: np.ndarray) -> None:
         # bin in float64: at float32 precision a near-constant tensor's bin
@@ -88,18 +88,17 @@ def calibrate(g: Graph, images: np.ndarray, *, model_name: str | None = None,
         else:
             c, _ = np.histogram(flat, bins=N_BINS, range=(lo, hi))
             counts[tid] += c
-        nsamp[tid] += flat.size
 
     observe_activations(g, images, bin_sink)
 
     hists = {
         t: TensorHistogram(tensor_id=t, min_seen=np.float32(mins[t]),
                            max_seen=np.float32(maxs[t]),
-                           bin_counts=counts[t], n_samples=nsamp[t])
+                           bin_counts=counts[t], n_samples=int(counts[t].sum()))
         for t in order
     }
     return CalibrationCache(
-        model_name=model_name if model_name is not None else g.name,
+        model_name=g.name,
         size_class=size_class,
         image_ids=list(image_ids) if image_ids is not None else list(range(len(images))),
         histograms=hists,
@@ -108,8 +107,7 @@ def calibrate(g: Graph, images: np.ndarray, *, model_name: str | None = None,
 
 def build_cache(g: Graph, d: Dataset, size_class: str, seed: int) -> CalibrationCache:
     idx = select_images(d, size_class, seed)
-    return calibrate(g, d.calib_images[idx], model_name=g.name,
-                     size_class=size_class, image_ids=idx.tolist())
+    return calibrate(g, d.calib_images[idx], size_class=size_class, image_ids=idx.tolist())
 
 
 def save_cache(cache: CalibrationCache, path: str, meta: dict | None = None) -> None:

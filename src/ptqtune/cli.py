@@ -148,8 +148,6 @@ def cmd_eval(args, arts: _Artifacts) -> None:
     else:
         report["model"] = model.graph.name
         report["config"] = model.config.to_dict()
-        if len(d.eval_images) == 0:
-            raise ValueError("empty evaluation set")
         trace = OpTrace() if args.trace else None
         if args.integer_only:
             scores = run_integer_only(model, d.eval_images, trace=trace).astype("float32")
@@ -189,7 +187,7 @@ def cmd_tune(args, arts: _Artifacts) -> None:
     baseline_row = TuningRecord(model_name=g.name, features=features,
                                 config=None, top1=baseline.top1,
                                 timestamp=time.time(), trial=0)
-    record_db(db_path, [baseline_row] + result.trials, append=False)
+    record_db(db_path, [baseline_row] + result.trials)
     flags = _flags(args)
     _write_json(os.path.join(args.out, "result.json"), {
         "strategy": result.strategy,

@@ -8,9 +8,10 @@ planted linear head separates the classes with a wide margin — which is
 what lets desk-scale accuracy comparisons between fp32 and int8 mean
 anything.
 
-Template construction is keyed by (n_classes, shape) only; dataset seeds
-affect labels and noise.  Fixture generators rely on this to plant
-classifier heads that agree with any dataset drawn here.
+The templates are fixed: one per class of ``N_CLASSES``, each of
+``IMAGE_SHAPE``; dataset seeds affect only labels and noise.  Fixture
+generators rely on this to plant classifier heads that agree with any
+dataset drawn here.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ N_CLASSES = 10
 IMAGE_SHAPE = (3, 32, 32)
 
 
-def class_templates(n_classes: int = N_CLASSES,
-                    shape: tuple[int, int, int] = IMAGE_SHAPE) -> np.ndarray:
-    """(n_classes, C, H, W) fp32 templates, orthogonal with unit pixel RMS."""
-    d = int(np.prod(shape))
+def class_templates() -> np.ndarray:
+    """(N_CLASSES, C, H, W) fp32 templates, orthogonal with unit pixel RMS."""
+    d = int(np.prod(IMAGE_SHAPE))
     rng = np.random.default_rng(_TEMPLATE_SEED)
-    m = rng.standard_normal((d, n_classes))
+    m = rng.standard_normal((d, N_CLASSES))
     q, _ = np.linalg.qr(m)  # columns orthonormal
     t = q.T * np.sqrt(d)    # unit RMS per pixel
-    return t.reshape((n_classes,) + shape).astype(np.float32)
+    return t.reshape((N_CLASSES,) + IMAGE_SHAPE).astype(np.float32)
 
 
 @dataclass
@@ -64,13 +64,11 @@ class Dataset:
 
 
 def make_dataset(n_calib: int = 300, n_eval: int = 200, seed: int = 0,
-                 noise: float = 0.25, n_classes: int = N_CLASSES,
-                 shape: tuple[int, int, int] = IMAGE_SHAPE) -> Dataset:
+                 noise: float = 0.25) -> Dataset:
     rng = np.random.default_rng(seed)
     n = n_calib + n_eval
-    templates = class_templates(n_classes, shape)
-    labels = rng.integers(0, n_classes, size=n)
-    images = templates[labels] + noise * rng.standard_normal((n,) + shape)
+    labels = rng.integers(0, N_CLASSES, size=n)
+    images = class_templates()[labels] + noise * rng.standard_normal((n,) + IMAGE_SHAPE)
     return Dataset(images=images.astype(np.float32),
                    labels=labels.astype(np.int64), n_calib=n_calib)
 

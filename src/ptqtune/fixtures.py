@@ -72,12 +72,13 @@ class _Builder:
         self._window(out_c, k, stride, pad)
         return self._emit("conv2d", [self.cur, w, b], {"stride": stride, "padding": pad})
 
-    def dwconv(self, k: int = 3, stride: int = 1, pad: int = 1) -> str:
+    def dwconv(self) -> str:
+        """A 3x3 depthwise conv, stride 1, padded to keep the size."""
         c = self.shape[0]
-        w = self._weight("dw", (c, 1, k, k), np.sqrt(2.0 / (k * k)))
+        w = self._weight("dw", (c, 1, 3, 3), np.sqrt(2.0 / 9))
         b = self._weight("bias", (c,), 0.01)
-        self._window(c, k, stride, pad)
-        return self._emit("depthwise_conv2d", [self.cur, w, b], {"stride": stride, "padding": pad})
+        self._window(c, 3, 1, 1)
+        return self._emit("depthwise_conv2d", [self.cur, w, b], {"stride": 1, "padding": 1})
 
     def pwconv(self, out_c: int) -> str:
         c = self.shape[0]
@@ -86,24 +87,22 @@ class _Builder:
         self.shape = (out_c,) + self.shape[1:]
         return self._emit("pointwise_conv2d", [self.cur, w, b], {"stride": 1, "padding": 0})
 
-    def fc(self, out: int = N_CLASSES) -> str:
+    def fc(self) -> str:
         d = int(np.prod(self.shape))
-        w = self._weight("fc", (out, d), np.sqrt(1.0 / d))
-        self.shape = (out,)
+        w = self._weight("fc", (N_CLASSES, d), np.sqrt(1.0 / d))
+        self.shape = (N_CLASSES,)
         return self._emit("fully_connected", [self.cur, w])
 
     def relu(self) -> str:
         return self._emit("relu", [self.cur])
 
-    def maxpool(self, k: int, stride: int | None = None) -> str:
-        s = stride or k
-        self._window(self.shape[0], k, s)
-        return self._emit("maxpool", [self.cur], {"kernel": k, "stride": s})
+    def maxpool(self, k: int) -> str:
+        self._window(self.shape[0], k, k)
+        return self._emit("maxpool", [self.cur], {"kernel": k, "stride": k})
 
-    def avgpool(self, k: int, stride: int | None = None) -> str:
-        s = stride or k
-        self._window(self.shape[0], k, s)
-        return self._emit("avgpool", [self.cur], {"kernel": k, "stride": s})
+    def avgpool(self, k: int) -> str:
+        self._window(self.shape[0], k, k)
+        return self._emit("avgpool", [self.cur], {"kernel": k, "stride": k})
 
     def add(self, other: str) -> str:
         return self._emit("add", [self.cur, other])
@@ -245,12 +244,12 @@ def _plant_head(g: Graph) -> None:
         if tid == target:
             captured[tid] = v
 
-    templates = class_templates(g.output_classes, g.input_shape)
+    templates = class_templates()
     if target == INPUT_TENSOR:
         captured[target] = templates
     else:
         run_fp32(g, templates, sink=sink)
-    feats = captured[target].reshape(g.output_classes, -1).astype(np.float64)
+    feats = captured[target].reshape(N_CLASSES, -1).astype(np.float64)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     g.weights[fc.weight_id] = (feats / norms).astype(np.float32)

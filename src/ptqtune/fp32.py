@@ -34,6 +34,8 @@ def _check_batch(g: Graph, batch: np.ndarray) -> np.ndarray:
         batch = batch[None]
     if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(g.input_shape):
         raise ValueError(f"batch shape {batch.shape} does not match input {g.input_shape}")
+    if len(batch) == 0:
+        raise ValueError("empty batch")
     return batch
 
 
@@ -159,8 +161,6 @@ def top1_from_scores(scores: np.ndarray, labels: np.ndarray) -> AccuracyResult:
 
 
 def evaluate_top1(g: Graph, d: Dataset) -> AccuracyResult:
-    if len(d.eval_images) == 0:
-        raise ValueError("empty evaluation set")
     scores = run_fp32(g, d.eval_images)
     return top1_from_scores(scores, d.eval_labels)
 

@@ -21,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -197,18 +197,22 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def validate(g: Graph) -> None:
+def check_names(g: Graph, weight_ids: Iterable[str]) -> None:
+    """Node ids are unique, and each node writes a tensor of its own: not
+    another node's, not the graph input and none of ``weight_ids``."""
     ids = [n.id for n in g.nodes]
     if len(set(ids)) != len(ids):
         raise GraphError("duplicate node ids")
     outs = [n.output for n in g.nodes]
     if len(set(outs)) != len(outs):
         raise GraphError("duplicate output tensor ids")
-    if INPUT_TENSOR in outs or set(outs) & set(g.weights):
+    if INPUT_TENSOR in outs or set(outs) & set(weight_ids):
         raise GraphError("node outputs collide with reserved/weight tensor ids")
+
+
+def validate(g: Graph) -> None:
+    check_names(g, g.weights)
     for n in g.nodes:
-        if n.kind not in NODE_KINDS:
-            raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
         if n.kind in COMPUTE_KINDS:
             for t in n.inputs[1:]:
                 if t not in g.weights:

@@ -41,7 +41,7 @@ from .calibration import SIZE_CLASSES, CalibrationCache
 from .clipping import clipped_range
 from .container import _malformed_header, read_container, write_container
 from .ir import (COMPUTE_KINDS, Graph, GraphError, INPUT_TENSOR, Node,
-                 _graph_from_header, _graph_header, propagate_shapes)
+                 _graph_from_header, _graph_header, check_names, propagate_shapes)
 from .schemes import QuantParams, Scheme, params_for_range, quantize_array, round_half_away
 
 # The configuration space: each QuantConfig field, in declaration order, and
@@ -356,14 +356,17 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
 
 def _check_references(qg: QuantizedGraph) -> None:
     """The executors find everything a node reads, in the shape they need:
-    shapes propagate through the graph (codes standing in for quantized
-    weights), a node run on codes has params for its inputs and int8/int32
-    codes for its weight and bias, a node run in float has fp32 ones, and
-    each bias and per-channel param has one entry per output channel.  So a
-    corrupt ``.qtm8`` fails at load with ValueError naming the node, instead
+    node ids and outputs are unique names (``check_names``), shapes
+    propagate through the graph (codes standing in for quantized weights)
+    to exactly one output, a node run on codes has params for its inputs
+    and int8/int32 codes for its weight and bias, a node run in float has
+    fp32 ones, and each bias and per-channel param has one entry per output
+    channel.  So a corrupt ``.qtm8`` fails at load with ValueError, instead
     of mid-run."""
     g = qg.graph
+    check_names(g, [*g.weights, *qg.weight_codes, *qg.bias_codes])
     shapes = propagate_shapes(replace(g, weights={**g.weights, **qg.weight_codes}))
+    g.output_tensor()
     for t, p in qg.weight_params.items():
         if p.axis not in (None, 0):
             raise ValueError(f"weight {t!r}: param axis {p.axis!r} is not None or 0")

@@ -13,15 +13,18 @@ history best.  A strategy is a picker that only decides what to measure:
            cold start.
   random   uniform sampling without replacement.
   grid     fixed-stride traversal of the enumeration order.
-  genetic  generational GA over binary-encoded configs (one-point
-           crossover, per-bit mutation, tournament selection, elitism);
-           decoded out-of-range dimension values are repaired by
-           clamping; a genome that decodes to a measured config reuses
-           that measurement, so only new configs consume budget.
+  genetic  generational GA over binary-encoded configs from a random
+           first population (one-point crossover, per-bit mutation,
+           tournament selection, elitism; the parameters are the module
+           constants ``_POPULATION`` .. ``_MAX_GENERATIONS``); decoded
+           out-of-range dimension values are repaired by clamping; a
+           genome that decodes to a measured config reuses that
+           measurement, so only new configs consume budget.
 
 Failed evaluations are recorded with accuracy 0.0 and the exception that
 failed them, and consume their trial.
-The tuning database is a line-oriented JSON log that round-trips exactly.
+The tuning database is a line-oriented JSON log that round-trips exactly;
+``record_db`` writes a whole campaign's log as a fresh file.
 """
 
 from __future__ import annotations
@@ -110,8 +113,9 @@ class SearchResult:
     trials: list[TuningRecord]
 
 
-def record_db(path: str, records: list[TuningRecord], append: bool = True) -> None:
-    with open(path, "a" if append else "w", encoding="utf-8") as f:
+def record_db(path: str, records: list[TuningRecord]) -> None:
+    """Write ``records`` as a fresh tuning database at ``path``."""
+    with open(path, "w", encoding="utf-8") as f:
         for r in records:
             f.write(r.to_json() + "\n")
 
@@ -199,7 +203,7 @@ class _Campaign:
 
 # A picker spends a campaign's budget.  Each takes the campaign, the
 # campaign's RNG and, by keyword, the inputs it reads (``workers``,
-# ``seed_db``, ``ga``); it ignores the others.
+# ``seed_db``); it ignores the others.
 
 def _random(camp: _Campaign, rng: np.random.Generator, *, workers: int, **_) -> None:
     picks = [int(i) for i in rng.permutation(len(camp.space))[:camp.budget]]
@@ -241,15 +245,13 @@ def _xgb(camp: _Campaign, rng: np.random.Generator, *,
         y_rows.append(top1)
 
 
-@dataclass
-class GAParams:
-    population: int = 8
-    elitism: int = 1
-    crossover_p: float = 0.8
-    mutation_p: float = 0.1
-    tournament: int = 2
-    max_generations: int = 1000
-    initial: list[list[int]] | None = None
+# the genetic strategy's parameters; module constants so tests can patch them
+_POPULATION = 8
+_ELITISM = 1
+_CROSSOVER_P = 0.8
+_MUTATION_P = 0.1
+_TOURNAMENT = 2
+_MAX_GENERATIONS = 1000
 
 
 def _space_dims(space: list[QuantConfig]) -> tuple[list[list], dict[tuple, int]]:
@@ -301,23 +303,21 @@ def _tournament(fitness: list[float], k: int, rng: np.random.Generator) -> int:
     return int(max(picks, key=lambda i: fitness[i]))
 
 
-def _evolve(pop: list[list[int]], fitness: list[float], params: GAParams,
+def _evolve(pop: list[list[int]], fitness: list[float],
             rng: np.random.Generator) -> list[list[int]]:
     order = sorted(range(len(pop)), key=lambda i: -fitness[i])
-    nxt = [list(pop[i]) for i in order[: params.elitism]]
+    nxt = [list(pop[i]) for i in order[:_ELITISM]]
     while len(nxt) < len(pop):
-        a = pop[_tournament(fitness, params.tournament, rng)]
-        b = pop[_tournament(fitness, params.tournament, rng)]
-        c1, c2 = _crossover(a, b, params.crossover_p, rng)
-        nxt.append(_mutate(c1, params.mutation_p, rng))
+        a = pop[_tournament(fitness, _TOURNAMENT, rng)]
+        b = pop[_tournament(fitness, _TOURNAMENT, rng)]
+        c1, c2 = _crossover(a, b, _CROSSOVER_P, rng)
+        nxt.append(_mutate(c1, _MUTATION_P, rng))
         if len(nxt) < len(pop):
-            nxt.append(_mutate(c2, params.mutation_p, rng))
+            nxt.append(_mutate(c2, _MUTATION_P, rng))
     return nxt
 
 
-def _genetic(camp: _Campaign, rng: np.random.Generator, *,
-             ga: GAParams | None = None, **_) -> None:
-    ga = ga or GAParams()
+def _genetic(camp: _Campaign, rng: np.random.Generator, **_) -> None:
     dims, index = _space_dims(camp.space)
     bits = _genome_bits(dims)
     memo: dict[int, float] = {}
@@ -333,12 +333,8 @@ def _genetic(camp: _Campaign, rng: np.random.Generator, *,
         memo[i] = camp.measure(i)
         return memo[i]
 
-    if ga.initial is not None:
-        pop = [list(g) for g in ga.initial]
-    else:
-        pop = [list(rng.integers(0, 2, size=sum(bits))) for _ in range(ga.population)]
-
-    for _ in range(ga.max_generations):
+    pop = [list(rng.integers(0, 2, size=sum(bits))) for _ in range(_POPULATION)]
+    for _ in range(_MAX_GENERATIONS):
         fitness = []
         for genome in pop:
             f = fitness_of(genome)
@@ -347,7 +343,7 @@ def _genetic(camp: _Campaign, rng: np.random.Generator, *,
             fitness.append(f)
         if camp.exhausted or len(fitness) < len(pop):
             break
-        pop = _evolve(pop, fitness, ga, rng)
+        pop = _evolve(pop, fitness, rng)
     # a stalled population (e.g. zero mutation) may leave budget unused;
     # spend the remainder uniformly so the budget contract holds
     while not camp.exhausted:
@@ -368,15 +364,14 @@ STRATEGIES = tuple(_PICKERS)
 def run_strategy(strategy: str, features: ModelFeatures | None,
                  space: list[QuantConfig], evaluate: Evaluator, budget: int,
                  seed: int = 0, seed_db: list[TuningRecord] | None = None,
-                 model_name: str = "", workers: int = 1,
-                 ga: GAParams | None = None) -> SearchResult:
+                 model_name: str = "", workers: int = 1) -> SearchResult:
     """Run a named search strategy as one campaign: check the budget and the
     space, measure what the strategy picks, and report the first trial that
     reaches the best.
 
     ``workers`` only affects strategies whose trial list is fixed up front
     (random, grid); the adaptive ones evaluate sequentially by design.
-    ``seed_db`` is read by xgb-t, which requires one, and ``ga`` by genetic.
+    ``seed_db`` is read by xgb-t, which requires one.
     """
     if strategy not in _PICKERS:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -385,7 +380,7 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
     _check_space(space, budget)
     camp = _Campaign(model_name, features, space, evaluate, budget)
     _PICKERS[strategy](camp, np.random.default_rng(seed),
-                       workers=workers, seed_db=seed_db, ga=ga)
+                       workers=workers, seed_db=seed_db)
     best_top1 = max(r.top1 for r in camp.trials)
     first = next(r for r in camp.trials if r.top1 == best_top1)
     return SearchResult(strategy=strategy, best_config=first.config,

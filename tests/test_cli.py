@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ptqtune import (OpTrace, Scheme, build_cache, evaluate_quantized, load_dataset,
-                     load_db, load_model, load_quantized, quantize_model, run_quantized)
+                     load_db, load_model, load_quantized, make_dataset, quantize_model,
+                     run_quantized, save_dataset, save_quantized)
 from ptqtune.cli import main
 from ptqtune.container import read_container
 from ptqtune.quantize import QuantConfig
@@ -71,6 +72,21 @@ def test_eval_fp32_model(ws, capsys):
                  "--dataset", str(ws / "dataset.qds"))
     assert out.startswith("top1 ")
     assert out.strip().endswith("on 40 images")
+
+
+def test_eval_on_an_empty_split_fails(ws, tmp_path, capsys):
+    g = load_model(str(ws / "lenet-ish-s1.qtm"))
+    cache = build_cache(g, load_dataset(str(ws / "dataset.qds")), "S1", seed=0)
+    q_p = str(tmp_path / "p2.qtm8")
+    save_quantized(quantize_model(g, cache, QuantConfig(cache="S1",
+                                                        scheme=Scheme.SymmetricPower2)), q_p)
+    empty = str(tmp_path / "empty.qds")
+    save_dataset(make_dataset(n_calib=1, n_eval=0), empty)
+    for argv in (["--model", str(ws / "lenet-ish-s1.qtm")], ["--model", q_p],
+                 ["--model", q_p, "--integer-only"]):
+        rc = main(["eval", "--dataset", empty, *argv])
+        assert rc == 1
+        assert "empty batch" in capsys.readouterr().err
 
 
 def test_integer_only_eval_and_trace(ws, capsys):
@@ -225,14 +241,17 @@ def test_tune_budget_validation(ws, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_analyze_entropy_and_convergence(ws, capsys):
+def test_analyze_entropy_and_convergence(ws, tmp_path, capsys):
+    run_ok(capsys, "tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+           "--dataset", str(ws / "dataset.qds"), "--strategy", "grid",
+           "--budget", "8", "--out", str(tmp_path / "tune-grid"))
     out = run_ok(capsys, "analyze", "entropy",
-                 "--db", str(ws / "tune-grid" / "db.jsonl"))
+                 "--db", str(tmp_path / "tune-grid" / "db.jsonl"))
     lines = out.strip().splitlines()
     assert lines[0].startswith("dimension,entropy_bits")
     assert len(lines) == 6
 
-    out = run_ok(capsys, "analyze", "convergence", "--results", str(ws))
+    out = run_ok(capsys, "analyze", "convergence", "--results", str(tmp_path))
     rows = out.strip().splitlines()
     assert rows[0].startswith("strategy,runs")
     assert any(r.startswith("grid,1,") for r in rows)

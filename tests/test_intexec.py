@@ -11,7 +11,7 @@ from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
                      build_cache, check_integer_only, clipped_range, enumerate_space,
                      evaluate_quantized, evaluate_top1, fuse_conv_relu,
                      generate_fixture, params_for_range, quantize_model, requantize,
-                     run_integer_only, run_quantized, validate)
+                     run_fp32, run_integer_only, run_quantized, validate)
 from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune import intexec
 from ptqtune.intexec import _BLOCK, _accumulate
@@ -228,7 +228,7 @@ def test_identity_model_logits_within_one_step(ds):
     # calibrate on the widest ranges seen across the whole pool instead of
     # one image so every eval value is in range
     from ptqtune.calibration import calibrate
-    cache = calibrate(g, d.calib_images, model_name=g.name, size_class="S1")
+    cache = calibrate(g, d.calib_images, size_class="S1")
     qg = quantize_model(g, cache, cfg())
     logits = run_quantized(qg, d.eval_images)
     step = max(float(qg.act_params["t"].scale), float(qg.act_params["input"].scale))
@@ -406,6 +406,15 @@ def test_integer_only_requires_power2_tensor_off(lenet, lenet_cache_s2):
     with pytest.raises(IntegerOnlyError, match=f"weight {wid}: per-channel"):
         check_integer_only(replace(channel, config=replace(channel.config,
                                                            granularity="Tensor")))
+
+
+def test_every_executor_rejects_an_empty_batch(lenet, lenet_cache_s2, ds):
+    qg = quantize_model(lenet, lenet_cache_s2, int_cfg())
+    empty = ds.eval_images[:0]
+    for run in (lambda: run_fp32(lenet, empty), lambda: run_quantized(qg, empty),
+                lambda: run_integer_only(qg, empty)):
+        with pytest.raises(ValueError, match="empty batch"):
+            run()
 
 
 def test_integer_path_is_bitwise_equal_and_float_free(lenet, resnet, mobile, ds):

@@ -201,6 +201,36 @@ def test_load_rejects_a_relu_without_exactly_one_input(tmp_path, lenet, lenet_ca
         load_quantized(path)
 
 
+def _rename(nodes):
+    nodes[3]["id"] = nodes[2]["id"]
+
+
+def _write_input(nodes):
+    nodes[-1]["output"] = "input"
+
+
+def _two_outputs(nodes):
+    nodes[2]["inputs"] = [nodes[0]["output"]]  # the relu between goes unread
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_rename, "duplicate node ids"),
+    (_write_input, "collide with reserved/weight tensor ids"),
+    (_two_outputs, "exactly one output"),
+], ids=["duplicate-id", "writes-input", "two-outputs"])
+def test_load_rejects_clashing_names_and_extra_outputs(tmp_path, lenet, lenet_cache_s2,
+                                                       tamper, match):
+    from ptqtune.container import read_container, write_container
+    qg = quantize_model(lenet, lenet_cache_s2, cfg())
+    path = str(tmp_path / "q.qtm8")
+    save_quantized(qg, path)
+    header, buffers = read_container(path, "qtm8")
+    tamper(header["nodes"])
+    write_container(path, "qtm8", header, buffers)
+    with pytest.raises(ValueError, match=match):
+        load_quantized(path)
+
+
 @pytest.mark.parametrize("what, match", [
     ("axis", "axis 1 is not None or 0"),
     ("scale", "scale shape"),

@@ -6,9 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ptqtune import (GAParams, IntegerOnlyError, QuantConfig, Scheme, TargetProfile,
+from ptqtune import (IntegerOnlyError, QuantConfig, Scheme, TargetProfile,
                      check_integer_only, enumerate_space, load_db, quantize_model,
-                     record_db, recipe_feature_counts, run_strategy)
+                     record_db, recipe_feature_counts, run_strategy, tuner)
 from ptqtune.gbt import FEATURE_NAMES, encode
 from ptqtune.tuner import (GENERIC, INTEGER_ONLY, PROFILES, STRATEGIES, TuningRecord,
                            _check_space)
@@ -245,23 +245,23 @@ def test_xgb_t_requires_a_database():
 
 # ------------------------------------------------------------------ genetic
 
-def test_ga_population_equals_budget_behaves_like_sampling():
+def test_ga_population_equals_budget_behaves_like_sampling(monkeypatch):
+    monkeypatch.setattr(tuner, "_POPULATION", 8)
+    monkeypatch.setattr(tuner, "_MAX_GENERATIONS", 1)
     ev = table_evaluator()
-    r = run_strategy("genetic", FEATS, SPACE, ev, budget=8, seed=0,
-                     ga=GAParams(population=8, max_generations=1))
+    r = run_strategy("genetic", FEATS, SPACE, ev, budget=8, seed=0)
     assert len(r.trials) == 8
     assert len({t.config for t in r.trials}) == 8
 
 
-def test_ga_zero_mutation_uniform_population_stalls_but_spends_budget():
-    dims_bits = 7  # 2+2+1+1+1 bits for (cache, scheme, clip, gran, mixed)
-    genome = [0] * dims_bits
-    params = GAParams(population=4, mutation_p=0.0, crossover_p=0.0,
-                      initial=[list(genome)] * 4, max_generations=50)
+def test_ga_zero_mutation_uniform_population_stalls_but_spends_budget(monkeypatch):
+    for name, value in [("_POPULATION", 4), ("_MUTATION_P", 0.0), ("_CROSSOVER_P", 0.0),
+                        ("_MAX_GENERATIONS", 50)]:
+        monkeypatch.setattr(tuner, name, value)
     ev = table_evaluator()
-    r = run_strategy("genetic", FEATS, SPACE, ev, budget=6, seed=1, ga=params)
-    # the frozen population maps to a single configuration; the remaining
-    # budget is spent on uniform fallback picks
+    r = run_strategy("genetic", FEATS, SPACE, ev, budget=6, seed=1)
+    # the frozen population measures at most 4 configurations; the
+    # remaining budget is spent on uniform fallback picks
     assert len(r.trials) == 6
     assert len({t.config for t in r.trials}) == 6
 
@@ -277,8 +277,7 @@ def test_db_round_trip_and_append(tmp_path):
     p = tmp_path / "db.jsonl"
     ev = table_evaluator()
     r = run_strategy("random", FEATS, SPACE, ev, budget=5, seed=0, model_name="m1")
-    record_db(str(p), r.trials, append=False)
-    record_db(str(p), [TuningRecord("m1", FEATS, None, 0.99, 1.0, 0)])
+    record_db(str(p), r.trials + [TuningRecord("m1", FEATS, None, 0.99, 1.0, 0)])
     records = load_db(str(p))
     assert len(records) == 6
     assert records[-1].config is None  # baseline row
@@ -299,7 +298,7 @@ def test_failed_trial_keeps_why_through_the_db(tmp_path):
     p = tmp_path / "db.jsonl"
     for workers in (1, 2):
         r = run_strategy("grid", FEATS, SPACE, ev, budget=12, model_name="m", workers=workers)
-        record_db(str(p), r.trials, append=False)
+        record_db(str(p), r.trials)
         lines = p.read_text().splitlines()
         records = load_db(str(p))
         for line, rec in zip(lines, records):
