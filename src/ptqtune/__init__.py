@@ -21,8 +21,8 @@ from .intexec import (IntegerOnlyError, OpTrace, check_integer_only,
                       run_quantized)
 from .ir import (Graph, GraphError, ModelFeatures, Node, extract_features,
                  load_model, propagate_shapes, save_model, validate)
-from .quantize import (QuantConfig, QuantizedGraph, fuse_conv_relu, load_quantized,
-                       model_size, quantize_model, quantize_weights, save_quantized)
+from .quantize import (QuantConfig, QuantizedGraph, load_quantized, model_size,
+                       quantize_model, quantize_weights, save_quantized)
 from .schemes import QuantParams, Scheme, dequantize_array, params_for_range, quantize_array
 from .tuner import (SearchResult, TargetProfile, TuningRecord, enumerate_space, load_db,
                     make_accuracy_evaluator, record_db, run_strategy)
@@ -38,9 +38,9 @@ __all__ = [
     "check_integer_only", "class_templates", "clip_range_kl", "clip_range_max",
     "clipped_range", "conv2d", "depthwise_conv2d", "dequantize_array",
     "enumerate_space", "evaluate_quantized", "evaluate_top1",
-    "extract_features", "feature_importance", "fuse_conv_relu",
-    "generate_fixture", "load_cache", "load_db", "load_dataset", "load_model",
-    "load_quantized", "make_accuracy_evaluator", "make_dataset",
+    "extract_features", "feature_importance", "generate_fixture",
+    "load_cache", "load_db", "load_dataset", "load_model", "load_quantized",
+    "make_accuracy_evaluator", "make_dataset",
     "maxpool", "model_size", "observe_activations", "params_for_range",
     "predict", "propagate_shapes", "quantize_array", "quantize_model",
     "quantize_weights", "recipe_feature_counts", "record_db", "requantize",

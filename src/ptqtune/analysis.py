@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantize
-from .tuner import SearchResult, TuningRecord
+from .tuner import TuningRecord
 
 # the dimensions a Generic search varies
 DIMENSIONS: dict[str, tuple] = {name: values for name, values in quantize.DIMENSIONS.items()
@@ -84,19 +84,20 @@ def diversity_report(db: list[TuningRecord], threshold_pts: float = 1.0) -> Dive
                            n_samples=len(survivors), entropy=entropy)
 
 
-def convergence_report(results: list[SearchResult]) -> str:
+def convergence_report(results: list[dict]) -> str:
     """CSV: per strategy, median trials-to-best, mean best accuracy, and
-    convergence speedup relative to the random baseline."""
-    by_strategy: dict[str, list[SearchResult]] = {}
+    convergence speedup relative to the random baseline, over ``result.json``
+    rows (their ``strategy``, ``trials_to_best`` and ``best_top1``)."""
+    by_strategy: dict[str, list[dict]] = {}
     for r in results:
-        by_strategy.setdefault(r.strategy, []).append(r)
-    med = {s: float(np.median([r.trials_to_best for r in rs]))
+        by_strategy.setdefault(r["strategy"], []).append(r)
+    med = {s: float(np.median([int(r["trials_to_best"]) for r in rs]))
            for s, rs in by_strategy.items()}
     base = med.get("random")
     out = io.StringIO()
     out.write("strategy,runs,median_trials_to_best,mean_best_top1,speedup_vs_random\n")
     for s, rs in by_strategy.items():
-        mean_best = float(np.mean([r.best_top1 for r in rs]))
+        mean_best = float(np.mean([float(r["best_top1"]) for r in rs]))
         speedup = "" if base is None or med[s] == 0 else f"{base / med[s]:.3f}"
         out.write(f"{s},{len(rs)},{med[s]:.1f},{mean_best:.6f},{speedup}\n")
     return out.getvalue()

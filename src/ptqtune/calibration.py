@@ -13,7 +13,7 @@ import numpy as np
 
 from .container import _malformed_header, read_container, write_container
 from .dataset import Dataset
-from .fp32 import observe_activations
+from .fp32 import _check_batch, observe_activations
 from .ir import Graph
 
 N_BINS = 2048
@@ -26,8 +26,11 @@ class TensorHistogram:
     min_seen: float
     max_seen: float
     bin_counts: np.ndarray  # int64[N_BINS]
-    n_samples: int
     _range_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.bin_counts.sum())
 
     def bin_edges(self) -> np.ndarray:
         return np.linspace(float(self.min_seen), float(self.max_seen), N_BINS + 1)
@@ -57,9 +60,7 @@ def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
               image_ids: list[int] | None = None) -> CalibrationCache:
     """Histogram every tensor of ``g`` over ``images``; the cache is named
     ``g.name``."""
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim == 3:
-        images = images[None]
+    images = _check_batch(g, images)
 
     mins: dict[str, float] = {}
     maxs: dict[str, float] = {}
@@ -93,8 +94,7 @@ def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
 
     hists = {
         t: TensorHistogram(tensor_id=t, min_seen=np.float32(mins[t]),
-                           max_seen=np.float32(maxs[t]),
-                           bin_counts=counts[t], n_samples=int(counts[t].sum()))
+                           max_seen=np.float32(maxs[t]), bin_counts=counts[t])
         for t in order
     }
     return CalibrationCache(
@@ -143,14 +143,13 @@ def load_cache(path: str) -> CalibrationCache:
         if ranges.shape != (n, 2) or not np.isfinite(ranges).all() \
                 or (ranges[:, 0] > ranges[:, 1]).any():
             raise ValueError(f"{path}: ranges must be {n} finite (lo, hi) pairs with lo <= hi")
-        if len(n_samples) != n:
-            raise ValueError(f"{path}: {len(n_samples)} sample counts for {n} tensors")
+        if n_samples != counts.sum(axis=1).tolist():
+            raise ValueError(f"{path}: n_samples must equal each tensor's bin count sum")
         hists = {}
         for i, t in enumerate(tensors):
             hists[t] = TensorHistogram(
                 tensor_id=t, min_seen=ranges[i, 0], max_seen=ranges[i, 1],
-                bin_counts=counts[i].copy(), n_samples=int(n_samples[i]),
-            )
+                bin_counts=counts[i].copy())
         return CalibrationCache(model_name=header["model_name"],
                                 size_class=header["size_class"],
                                 image_ids=list(header["image_ids"]),

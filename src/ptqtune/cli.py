@@ -26,9 +26,8 @@ from .intexec import OpTrace, run_integer_only, run_quantized
 from .ir import extract_features, load_model, save_model
 from .quantize import (DIMENSIONS, QuantConfig, _plain, load_quantized, model_size,
                        quantize_model, save_quantized)
-from .tuner import (PROFILES, STRATEGIES, SearchResult, TuningRecord,
-                    enumerate_space, load_db, make_accuracy_evaluator,
-                    record_db, run_strategy)
+from .tuner import (PROFILES, STRATEGIES, TuningRecord, enumerate_space, load_db,
+                    make_accuracy_evaluator, record_db, run_strategy)
 
 
 class _Artifacts:
@@ -221,11 +220,7 @@ def cmd_analyze(args, arts: _Artifacts) -> None:
                 rows.append(json.load(f))
     if not rows:
         raise ValueError(f"no result.json files under {args.results}")
-    results = [SearchResult(strategy=r["strategy"], best_config=None,
-                            best_top1=float(r["best_top1"]),
-                            trials_to_best=int(r["trials_to_best"]), trials=[])
-               for r in rows]
-    _emit(convergence_report(results), args.out, arts)
+    _emit(convergence_report(rows), args.out, arts)
 
 
 def build_parser() -> argparse.ArgumentParser:

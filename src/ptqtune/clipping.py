@@ -176,8 +176,6 @@ def clip_range_kl(h: TensorHistogram) -> tuple[float, float]:
     if lo == hi:
         return lo, hi
     counts = np.asarray(h.bin_counts, dtype=np.float64)
-    if counts.sum() <= 0:
-        return lo, hi
     widths, starts = _window_starts(h, _LEVELS)
     approx, bound = _approx_kl(h.bin_counts, widths, starts, _LEVELS)
     cum = np.cumsum(counts)

@@ -171,8 +171,6 @@ def observe_activations(g: Graph, images: np.ndarray, sink: ObserverSink) -> Non
     Images run one at a time so the stream an observer sees is independent
     of batching; order per image is input first, then node order.
     """
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim == 3:
-        images = images[None]
+    images = _check_batch(g, images)
     for i in range(images.shape[0]):
         run_fp32(g, images[i : i + 1], sink=sink)

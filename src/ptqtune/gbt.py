@@ -62,10 +62,13 @@ def _feature_name(name: str, value) -> str:
     return f"{name}={_plain(value)}"
 
 
+# the numeric columns: these ModelFeatures counts, then these activation kinds
+_COUNTS = ("n_nodes", "n_layers", "n_conv", "n_depthwise", "n_pointwise", "n_skip")
+_ACTIVATIONS = ("relu", "softmax")
+
 FEATURE_NAMES: tuple[str, ...] = tuple(
     [_feature_name(name, v) for name, values in DIMENSIONS.items() for v in values]
-    + ["n_nodes", "n_layers", "n_conv", "n_depthwise", "n_pointwise",
-       "n_skip", "n_relu", "n_softmax"]
+    + list(_COUNTS) + [f"n_{kind}" for kind in _ACTIVATIONS]
 )
 N_FEATURES = len(FEATURE_NAMES)  # 15 one-hot + 8 numeric = 23
 
@@ -73,10 +76,8 @@ N_FEATURES = len(FEATURE_NAMES)  # 15 one-hot + 8 numeric = 23
 def encode(e: ModelFeatures, s: QuantConfig) -> np.ndarray:
     cols = [1.0 if getattr(s, name) == v else 0.0
             for name, values in DIMENSIONS.items() for v in values]
-    cols += [float(e.n_nodes), float(e.n_layers), float(e.n_conv),
-             float(e.n_depthwise), float(e.n_pointwise), float(e.n_skip),
-             float(e.activation_kinds.get("relu", 0)),
-             float(e.activation_kinds.get("softmax", 0))]
+    cols += [float(getattr(e, name)) for name in _COUNTS]
+    cols += [float(e.activation_kinds.get(kind, 0)) for kind in _ACTIVATIONS]
     return np.asarray(cols, dtype=np.float64)
 
 

@@ -11,11 +11,15 @@ Parameter placement rules:
   * order-preserving unit ops (relu, maxpool, avgpool, softmax) adopt their
     input tensor's params — they never introduce a new scale, which is what
     makes conv+relu fusion bit-exact;
-  * when an arithmetic node's output feeds exactly one relu, its params are
-    derived from the relu *output* histogram (post-activation range).  The
-    producer's negative values then saturate at the code for 0.0, which is
-    exactly what the following relu would do, and nonnegative schemes such
-    as SymmetricUint8 get their full 256-level branch;
+  * when a weighted layer's or an add's output feeds exactly one relu
+    (``Graph.sole_relu``), its params are derived from the relu *output*
+    histogram (post-activation range).  The producer's negative values then
+    saturate at the code for 0.0, which is exactly what the following relu
+    would do, and nonnegative schemes such as SymmetricUint8 get their full
+    256-level branch;
+  * with fusion, the same pass emits such a weighted layer with
+    ``fused_relu`` and the relu's output tensor and drops the relu, so the
+    numerics do not change; ``fused`` is true exactly when a pair merged;
   * weights are never KL-clipped — their exact min/max is known;
   * bias quantizes to int32 at scale in_scale * weight_scale, zero point 0;
   * mixed=FirstLastFp32 keeps the first and last weighted layers in fp32:
@@ -23,12 +27,12 @@ Parameter placement rules:
     output stay unquantized, and the first layer's output becomes the
     quantize boundary.
 
-model_size() implements the byte accounting used by the size reports: per
-weight tensor, element bytes (1 int8 / 4 fp32) times element count, plus an
-8-byte (scale, zero-point) slot per parameter group — the slot count follows
-the configured granularity for every weighted layer, mixed or not, so
-precision changes move the total by exactly 3 bytes per weight element —
-plus 4 bytes per bias element.
+model_size() sums the bytes of each weighted layer's stored arrays: int8
+weight codes (1 B per element) or fp32 weights (4 B), int32 or fp32 biases
+(4 B), plus an 8-byte (scale, zero-point) slot per parameter group — the
+slot count follows the configured granularity for every weighted layer,
+mixed or not, so precision changes move the total by exactly 3 bytes per
+weight element.
 """
 
 from __future__ import annotations
@@ -165,40 +169,6 @@ def _act_params(cache: CalibrationCache, tensor_id: str,
     return params_for_range(cfg.scheme, lo, hi)
 
 
-def _narrowed_source(g: Graph, node: Node) -> str:
-    """Histogram tensor to calibrate node's output from (post-relu if fused range applies)."""
-    relu = g.sole_relu(node.output)
-    return node.output if relu is None else relu.output
-
-
-def fuse_conv_relu(qg: QuantizedGraph) -> QuantizedGraph:
-    """Merge conv/fc -> relu pairs; numerics are unchanged by construction:
-    the producer's params come from its sole relu's output
-    (``_narrowed_source``) and the relu adopts them, so both share one
-    QuantParams."""
-    g = qg.graph
-    # producer node id -> its sole relu consumer
-    fuse_map = {n.id: relu for n in g.compute_nodes()
-                if (relu := g.sole_relu(n.output)) is not None}
-    if not fuse_map:
-        return qg
-    drop_ids = {relu.id for relu in fuse_map.values()}
-    fused_nodes: list[Node] = []
-    for n in g.nodes:
-        relu = fuse_map.get(n.id)
-        if n.id not in drop_ids:
-            fused_nodes.append(Node(
-                id=n.id, kind=n.kind, inputs=list(n.inputs),
-                output=n.output if relu is None else relu.output,
-                attrs=dict(n.attrs) if relu is None else {**n.attrs, "fused_relu": True}))
-    new_graph = Graph(name=g.name, nodes=fused_nodes, weights=g.weights,
-                      input_shape=g.input_shape, output_classes=g.output_classes)
-    live = {INPUT_TENSOR} | {n.output for n in fused_nodes} \
-        | {t for n in fused_nodes for t in n.data_inputs}
-    act_params = {t: p for t, p in qg.act_params.items() if t in live}
-    return replace(qg, graph=new_graph, act_params=act_params, fused=True)
-
-
 def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                    profile=None) -> QuantizedGraph:
     if profile is not None and not profile.contains(cfg):
@@ -218,18 +188,28 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
     weight_codes: dict[str, np.ndarray] = {}
     weight_params: dict[str, QuantParams] = {}
     bias_codes: dict[str, np.ndarray] = {}
+    nodes: list[Node] = []
+    folded: set[str] = set()  # ids of relus fused into their producer
 
     # a tensor carries int8 codes iff it has act_params; the rest stay fp32
     if cfg.mixed == "Off":
         act_params[INPUT_TENSOR] = _act_params(cache, INPUT_TENSOR, cfg)
 
     for node in g.nodes:
+        if node.id in folded:
+            continue
+        relu = g.sole_relu(node.output) if node.kind in (*COMPUTE_KINDS, "add") else None
+        # calibrate from the post-relu range when a sole relu follows
+        src = node.output if relu is None else relu.output
+        if cfg.fusion and relu is not None and node.kind in COMPUTE_KINDS:
+            folded.add(relu.id)
+            node = replace(node, output=relu.output, attrs={**node.attrs, "fused_relu": True})
+        nodes.append(node)
         in_codes = [t in act_params for t in node.data_inputs]
         if node.kind in COMPUTE_KINDS:
             if node.id in fp32_nodes:
                 # output is the quantize boundary unless this is the last layer
                 if node.id != last_id:
-                    src = _narrowed_source(g, node)
                     act_params[node.output] = _act_params(cache, src, cfg)
                 continue
             if not all(in_codes):
@@ -244,50 +224,34 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                 b = np.asarray(g.weights[node.bias_id], dtype=np.float64)
                 bq = round_half_away(b / s_b)
                 bias_codes[node.bias_id] = np.clip(bq, INT32_MIN, INT32_MAX).astype(np.int32)
-            src = _narrowed_source(g, node)
             act_params[node.output] = _act_params(cache, src, cfg)
         elif node.kind in ("add", "concat"):
             if all(in_codes):
-                if node.kind == "add":
-                    src = _narrowed_source(g, node)
-                else:
-                    src = node.output
                 act_params[node.output] = _act_params(cache, src, cfg)
             elif any(in_codes):
                 raise GraphError(f"node {node.id}: mixed int8/fp32 operands")
         else:  # relu / maxpool / avgpool / softmax: adopt
-            src = node.data_inputs[0]
-            if src in act_params:
-                act_params[node.output] = act_params[src]
+            if node.data_inputs[0] in act_params:
+                act_params[node.output] = act_params[node.data_inputs[0]]
 
-    qg = QuantizedGraph(graph=g, config=cfg, act_params=act_params,
-                        weight_codes=weight_codes, weight_params=weight_params,
-                        bias_codes=bias_codes, fp32_nodes=fp32_nodes)
-    return fuse_conv_relu(qg) if cfg.fusion else qg
+    return QuantizedGraph(graph=replace(g, nodes=nodes) if folded else g, config=cfg,
+                          act_params=act_params, weight_codes=weight_codes,
+                          weight_params=weight_params, bias_codes=bias_codes,
+                          fp32_nodes=fp32_nodes, fused=bool(folded))
 
 
 def model_size(qg: QuantizedGraph) -> int:
-    """Bytes to store all weights: codes/fp32 payload + 8 B per param group
-    (per configured granularity, for every weighted layer) + 4 B per bias."""
-    total = 0
+    """Bytes to store all weights: the stored weight and bias arrays (codes
+    where quantized, fp32 values otherwise) + 8 B per param group (per
+    configured granularity, for every weighted layer)."""
+    stored = {**qg.graph.weights, **qg.weight_codes, **qg.bias_codes}
     per_channel = qg.config.granularity == "Channel"
+    total = 0
     for node in qg.graph.compute_nodes():
-        w_id = node.weight_id
-        if w_id in qg.weight_codes:
-            w_elems = qg.weight_codes[w_id].size
-            out_ch = qg.weight_codes[w_id].shape[0]
-            total += w_elems  # 1 byte per int8 code
-        else:
-            w = qg.graph.weights[w_id]
-            w_elems = w.size
-            out_ch = w.shape[0]
-            total += 4 * w_elems
-        total += 8 * (out_ch if per_channel else 1)
+        w = stored[node.weight_id]
+        total += w.nbytes + 8 * (w.shape[0] if per_channel else 1)
         if node.bias_id is not None:
-            if node.bias_id in qg.bias_codes:
-                total += 4 * qg.bias_codes[node.bias_id].size
-            else:
-                total += 4 * qg.graph.weights[node.bias_id].size
+            total += stored[node.bias_id].nbytes
     return total
 
 

@@ -3,7 +3,8 @@
 int8 is the only code width: every range below, and the KL sweep's 128
 levels in ``clipping``, derive from ``QMIN`` and ``QMAX``.
 
-Four families over signed int8 codes in [QMIN, QMAX] = [-128, 127]:
+Four families over signed int8 codes in [QMIN, QMAX] = [-128, 127], all
+in ``params_for_range``, which checks the range once:
 
   Asymmetric       scale=(max-min)/255,  zero_point=-ROUND(min/scale)-128
   Symmetric        scale=max_abs/127,    zero_point=0
@@ -18,7 +19,8 @@ ROUND is round-half-away-from-zero, applied identically in every scheme.
 Asymmetric ranges are first extended to include 0.0 so the real zero is
 always exactly representable and the zero point stays in [-128, 127].
 Degenerate ranges (max_abs = 0, or min = max = 0) get scale 1.0 so the
-constant maps to the scheme's zero code.  Scales are stored as fp32; the
+constant maps to the scheme's zero code; the three symmetric schemes share
+that rule and their max_abs scale.  Scales are stored as fp32; the
 power-of-two scale is derived from the *stored* fp32 symmetric scale, which
 pins the audit property scale_p2/scale_sym in [1, 2) exactly.
 """
@@ -53,12 +55,6 @@ class QuantParams:
     zero_point: np.ndarray | int
     axis: int | None = None
 
-    def scale_vec(self) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.scale, dtype=np.float32))
-
-    def zp_vec(self) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.zero_point, dtype=np.int64))
-
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
     """Round halves away from zero (the ROUND used by all schemes)."""
@@ -83,63 +79,38 @@ def ceil_log2(x: float) -> int:
     return e - 1 if m == 0.5 else e
 
 
-def _check_finite(*vals: float) -> None:
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite range value {v}")
-
-
-def params_asymmetric(vmin: float, vmax: float) -> QuantParams:
-    _check_finite(vmin, vmax)
-    if vmin > vmax:
-        raise ValueError(f"min {vmin} > max {vmax}")
-    vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)  # keep 0.0 representable
-    if vmin == vmax:  # only possible when both are 0
-        return QuantParams(scale=np.float32(1.0), zero_point=0)
-    scale = (vmax - vmin) / (QMAX - QMIN)
-    # zero point from the full-precision scale: a centered range like
-    # (-1, 1) must land min/scale on an exact half so ROUND settles it,
-    # which the fp32-rounded scale would miss by one ulp
-    zp = int(-round_half_away(vmin / scale)) + QMIN
-    return QuantParams(scale=np.float32(scale), zero_point=zp)
-
-
-def params_symmetric(max_abs: float) -> QuantParams:
-    _check_finite(max_abs)
-    if max_abs == 0.0:
-        return QuantParams(scale=np.float32(1.0), zero_point=0)
-    scale = np.float32(abs(max_abs) / QMAX)
-    return QuantParams(scale=scale, zero_point=0)
-
-
-def params_symmetric_uint8(vmin: float, max_abs: float) -> QuantParams:
-    _check_finite(vmin, max_abs)
-    if vmin < 0.0:
-        return params_symmetric(max_abs)
-    if max_abs == 0.0:
-        return QuantParams(scale=np.float32(1.0), zero_point=QMIN)
-    scale = np.float32(abs(max_abs) / (QMAX - QMIN))
-    return QuantParams(scale=scale, zero_point=QMIN)
-
-
-def params_power2(max_abs: float) -> QuantParams:
-    base = params_symmetric(max_abs)
-    k = ceil_log2(float(base.scale))
-    return QuantParams(scale=np.float32(2.0**k), zero_point=0)
+_SYMMETRIC = (Scheme.Symmetric, Scheme.SymmetricUint8, Scheme.SymmetricPower2)
 
 
 def params_for_range(scheme: Scheme, vmin: float, vmax: float) -> QuantParams:
-    """Dispatch on scheme given an observed/clipped (min, max) range."""
-    max_abs = max(abs(float(vmin)), abs(float(vmax)))
+    """(scale, zero_point) of ``scheme`` for an observed or clipped
+    (min, max) range: every scheme's rule, written once."""
+    vmin, vmax = float(vmin), float(vmax)
+    if not (math.isfinite(vmin) and math.isfinite(vmax)):
+        raise ValueError(f"non-finite range ({vmin}, {vmax})")
     if scheme == Scheme.Asymmetric:
-        return params_asymmetric(vmin, vmax)
-    if scheme == Scheme.Symmetric:
-        return params_symmetric(max_abs)
-    if scheme == Scheme.SymmetricUint8:
-        return params_symmetric_uint8(vmin, max_abs)
+        if vmin > vmax:
+            raise ValueError(f"min {vmin} > max {vmax}")
+        vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)  # keep 0.0 representable
+        if vmin == vmax:  # only possible when both are 0
+            return QuantParams(scale=np.float32(1.0), zero_point=0)
+        scale = (vmax - vmin) / (QMAX - QMIN)
+        # zero point from the full-precision scale: a centered range like
+        # (-1, 1) must land min/scale on an exact half so ROUND settles it,
+        # which the fp32-rounded scale would miss by one ulp
+        zp = int(-round_half_away(vmin / scale)) + QMIN
+        return QuantParams(scale=np.float32(scale), zero_point=zp)
+    if scheme not in _SYMMETRIC:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    max_abs = max(abs(vmin), abs(vmax))
+    unsigned = scheme == Scheme.SymmetricUint8 and vmin >= 0.0
+    zp = QMIN if unsigned else 0
+    if max_abs == 0.0:
+        return QuantParams(scale=np.float32(1.0), zero_point=zp)
+    scale = np.float32(max_abs / ((QMAX - QMIN) if unsigned else QMAX))
     if scheme == Scheme.SymmetricPower2:
-        return params_power2(max_abs)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        scale = np.float32(2.0 ** ceil_log2(float(scale)))
+    return QuantParams(scale=scale, zero_point=zp)
 
 
 def _broadcast(p: QuantParams, ndim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from ptqtune import (OpTrace, QuantConfig, Scheme, TargetProfile,
 from ptqtune.analysis import diversity_report, shannon_entropy
 from ptqtune.calibration import N_BINS
 from ptqtune.gbt import grad_hess, leaf_weight
-from ptqtune.schemes import params_for_range, params_power2, params_symmetric
+from ptqtune.schemes import params_for_range
 from ptqtune.tuner import TuningRecord
 
 GENERIC = TargetProfile("Generic")
@@ -49,7 +49,7 @@ def test_criterion_01_scheme_round_trip_within_half_step():
             p = params_for_range(scheme, float(a), float(b))
             v = rng.uniform(a, b, size=n_values)
             err = np.abs(dequantize_array(quantize_array(v, p), p) - v)
-            smax = float(np.max(p.scale_vec()))
+            smax = float(np.max(np.atleast_1d(p.scale)))
             assert err.max() <= smax / 2 + 1e-6, (scheme, a, b, err.max())
             # real zero is always exactly representable ...
             z = quantize_array(np.array([0.0]), p)
@@ -73,8 +73,8 @@ def test_criterion_02_power_of_two_scales():
         np.nextafter([1.0, 2.0, 4.0], 0.0),
     ])
     for ma in max_abs_values:
-        s2 = float(params_power2(float(ma)).scale)
-        ss = float(params_symmetric(float(ma)).scale)
+        s2 = float(params_for_range(Scheme.SymmetricPower2, 0.0, float(ma)).scale)
+        ss = float(params_for_range(Scheme.Symmetric, 0.0, float(ma)).scale)
         k = math.log2(s2)
         assert k == round(k), f"log2({s2}) not integral"
         assert 1.0 <= s2 / ss < 2.0, f"ratio {s2 / ss} outside [1, 2)"
@@ -120,8 +120,7 @@ def test_criterion_04_kl_equals_brute_force_sweep():
         lo, hi = float(vals.min()), float(vals.max())
         counts, _ = np.histogram(vals, bins=N_BINS, range=(lo, hi))
         h = TensorHistogram(tensor_id=f"h{idx}", min_seen=lo, max_seen=hi,
-                            bin_counts=counts.astype(np.int64),
-                            n_samples=vals.size)
+                            bin_counts=counts.astype(np.int64))
         got = clip_range_kl(h)
         _, _, blo, bhi = kl_sweep_brute(counts, lo, hi)
         assert got == (blo, bhi), f"histogram {idx}: {got} != {(blo, bhi)}"

@@ -6,7 +6,7 @@ import pytest
 from ptqtune import QuantConfig, Scheme, recipe_feature_counts
 from ptqtune.analysis import (DIMENSIONS, DiversityReport, convergence_report,
                               diversity_report, shannon_entropy)
-from ptqtune.tuner import SearchResult, TuningRecord
+from ptqtune.tuner import TuningRecord
 
 FEATS = recipe_feature_counts("lenet-ish")
 
@@ -125,8 +125,7 @@ def test_csv_shape():
 
 def test_convergence_report_speedup_vs_random():
     def res(strategy, ttb):
-        return SearchResult(strategy=strategy, best_config=QuantConfig(),
-                            best_top1=0.9, trials_to_best=ttb, trials=[])
+        return {"strategy": strategy, "best_top1": 0.9, "trials_to_best": ttb}
 
     csv = convergence_report([res("random", 30), res("random", 40),
                               res("xgb", 5), res("xgb", 15)])

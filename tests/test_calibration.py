@@ -60,6 +60,11 @@ def test_constant_tensor_collapses_to_single_bin(ds):
     assert (h.bin_counts[1:] == 0).all()
 
 
+def test_calibrate_rejects_zero_images(lenet, ds):
+    with pytest.raises(ValueError, match="empty batch"):
+        calibrate(lenet, ds.calib_images[:0])
+
+
 def test_superset_of_images_widens_ranges_monotonically(lenet, ds):
     few = calibrate(lenet, ds.calib_images[:4])
     more = calibrate(lenet, ds.calib_images[:16])
@@ -129,6 +134,8 @@ GOOD_COUNTS = np.zeros((2, N_BINS), dtype=np.int64)
     (np.array([[2.0, -1.0], [0.0, 0.0]], dtype=np.float32), GOOD_COUNTS, [0, 0]),  # lo > hi
     (GOOD_RANGES, GOOD_COUNTS, [0]),
     (GOOD_RANGES, GOOD_COUNTS, [0, 0, 0]),
+    (GOOD_RANGES, np.where(np.arange(N_BINS) == 3, 5, GOOD_COUNTS), [0, 0]),  # 5 counts
+    (GOOD_RANGES, GOOD_COUNTS, [7, 0]),                               # no counts
 ])
 def test_load_cache_rejects_malformed_buffers(tmp_path, ranges, counts, n_samples):
     p = tmp_path / "bad.qcal"

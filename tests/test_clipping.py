@@ -24,15 +24,14 @@ def hist_from_values(values, tid="t"):
     else:
         counts, _ = np.histogram(values, bins=N_BINS, range=(lo, hi))
     return TensorHistogram(tensor_id=tid, min_seen=lo, max_seen=hi,
-                           bin_counts=counts.astype(np.int64),
-                           n_samples=values.size)
+                           bin_counts=counts.astype(np.int64))
 
 
 def hist_from_counts(counts, lo, hi, tid="t"):
     counts = np.asarray(counts, dtype=np.int64)
     assert counts.shape == (N_BINS,)
     return TensorHistogram(tensor_id=tid, min_seen=float(lo), max_seen=float(hi),
-                           bin_counts=counts, n_samples=int(counts.sum()))
+                           bin_counts=counts)
 
 
 def test_max_mode_returns_observed_range():

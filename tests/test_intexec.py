@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from oracles import conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
                      build_cache, check_integer_only, clipped_range, enumerate_space,
-                     evaluate_quantized, evaluate_top1, fuse_conv_relu,
-                     generate_fixture, params_for_range, quantize_model, requantize,
-                     run_fp32, run_integer_only, run_quantized, validate)
+                     evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
+                     quantize_model, requantize, run_fp32, run_integer_only, run_quantized,
+                     validate)
 from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune import intexec
 from ptqtune.intexec import _BLOCK, _accumulate
@@ -305,7 +305,7 @@ def test_sink_sees_every_node_output_under_mixed_precision(fusion, lenet, lenet_
 
 def test_fusion_drops_one_node_per_relu_and_keeps_logits(lenet, lenet_cache_s2, ds):
     qg = quantize_model(lenet, lenet_cache_s2, cfg())
-    fused = fuse_conv_relu(qg)
+    fused = quantize_model(lenet, lenet_cache_s2, cfg(fusion=True))
     n_relu = sum(n.kind == "relu" for n in lenet.nodes)
     assert len(fused.graph.nodes) == len(lenet.nodes) - n_relu
     assert fused.fused
@@ -319,8 +319,8 @@ def test_fusion_without_relu_is_identity(ds):
     from ptqtune import generate_fixture
     g = generate_fixture("conv+maxpool+fc", seed=3)
     cache = build_cache(g, ds, "S1", seed=0)
-    qg = quantize_model(g, cache, cfg())
-    assert fuse_conv_relu(qg) is qg
+    qg = quantize_model(g, cache, cfg(fusion=True))
+    assert qg.graph is g and not qg.fused
 
 
 def paired_relu_graph(shared: str) -> Graph:

@@ -44,8 +44,8 @@ def test_channel_granularity_yields_one_param_pair_per_output_channel():
     w = np.random.default_rng(0).standard_normal((16, 4, 3, 3)).astype(np.float32)
     _, p = quantize_weights(w, Scheme.Asymmetric, "Channel")
     assert p.axis == 0
-    assert p.scale_vec().shape == (16,)
-    assert p.zp_vec().shape == (16,)
+    assert np.atleast_1d(p.scale).shape == (16,)
+    assert np.atleast_1d(p.zero_point).shape == (16,)
 
 
 def test_all_zero_weights_quantize_to_zero_codes():
@@ -109,7 +109,7 @@ def test_power2_config_makes_every_scale_a_power_of_two(lenet, lenet_cache_s2):
                         cfg(scheme=Scheme.SymmetricPower2, granularity="Channel"))
     everything = list(qg.act_params.values()) + list(qg.weight_params.values())
     for p in everything:
-        for s in p.scale_vec():
+        for s in np.atleast_1d(p.scale):
             k = math.log2(float(s))
             assert k == int(k), f"scale {s} not a power of two"
 
@@ -130,12 +130,14 @@ def test_round_trip_preserves_everything(tmp_path, lenet, lenet_cache_s2):
     assert q2.fp32_nodes == qg.fp32_nodes
     assert set(q2.act_params) == set(qg.act_params)
     for t in qg.act_params:
-        assert np.array_equal(q2.act_params[t].scale_vec(), qg.act_params[t].scale_vec())
-        assert np.array_equal(q2.act_params[t].zp_vec(), qg.act_params[t].zp_vec())
+        assert np.array_equal(np.atleast_1d(q2.act_params[t].scale),
+                              np.atleast_1d(qg.act_params[t].scale))
+        assert np.array_equal(np.atleast_1d(q2.act_params[t].zero_point),
+                              np.atleast_1d(qg.act_params[t].zero_point))
     for w in qg.weight_codes:
         assert np.array_equal(q2.weight_codes[w], qg.weight_codes[w])
-        assert np.array_equal(q2.weight_params[w].scale_vec(),
-                              qg.weight_params[w].scale_vec())
+        assert np.array_equal(np.atleast_1d(q2.weight_params[w].scale),
+                              np.atleast_1d(qg.weight_params[w].scale))
     for b in qg.bias_codes:
         assert np.array_equal(q2.bias_codes[b], qg.bias_codes[b])
     # untouched fp32 tensors ride along byte-exact

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import round_half_away as rha_oracle
 from ptqtune import QuantParams, Scheme, dequantize_array, params_for_range, quantize_array
-from ptqtune.schemes import (QMAX, QMIN, ceil_log2, params_asymmetric,
-                             params_power2, params_symmetric,
-                             params_symmetric_uint8, round_half_away)
+from ptqtune.schemes import QMAX, QMIN, ceil_log2, round_half_away
 
 
 def q1(v, p):
@@ -54,7 +52,7 @@ def test_ceil_log2_exact_on_powers():
 # --------------------------------------------------------------- asymmetric
 
 def test_asymmetric_nonnegative_range():
-    p = params_asymmetric(0.0, 25.5)
+    p = params_for_range(Scheme.Asymmetric, 0.0, 25.5)
     assert float(p.scale) == np.float32(0.1)
     assert p.zero_point == -128
     assert q1(0.0, p) == -128
@@ -62,7 +60,7 @@ def test_asymmetric_nonnegative_range():
 
 
 def test_asymmetric_centered_range():
-    p = params_asymmetric(-1.0, 1.0)
+    p = params_for_range(Scheme.Asymmetric, -1.0, 1.0)
     assert float(p.scale) == np.float32(2.0 / 255.0)
     assert p.zero_point == 0
     assert q1(0.0, p) == 0
@@ -70,7 +68,7 @@ def test_asymmetric_centered_range():
 
 def test_asymmetric_extends_range_to_zero():
     # a strictly-positive range still represents 0.0 exactly
-    p = params_asymmetric(5.0, 25.5)
+    p = params_for_range(Scheme.Asymmetric, 5.0, 25.5)
     assert p.zero_point == -128
     assert dq1(-128, p) == 0.0
     assert -128 <= p.zero_point <= 127
@@ -78,23 +76,23 @@ def test_asymmetric_extends_range_to_zero():
 
 def test_asymmetric_zero_always_exact():
     for lo, hi in [(-7.3, 2.1), (0.0, 3.0), (-3.0, 0.0), (1.0, 9.0), (-9.0, -1.0)]:
-        p = params_asymmetric(lo, hi)
+        p = params_for_range(Scheme.Asymmetric, lo, hi)
         assert dq1(q1(0.0, p), p) == 0.0
 
 
 def test_asymmetric_degenerate_and_invalid():
-    p = params_asymmetric(0.0, 0.0)
+    p = params_for_range(Scheme.Asymmetric, 0.0, 0.0)
     assert float(p.scale) == 1.0 and p.zero_point == 0
     with pytest.raises(ValueError):
-        params_asymmetric(1.0, -1.0)
+        params_for_range(Scheme.Asymmetric, 1.0, -1.0)
     with pytest.raises(ValueError):
-        params_asymmetric(float("nan"), 1.0)
+        params_for_range(Scheme.Asymmetric, float("nan"), 1.0)
 
 
 # ---------------------------------------------------------------- symmetric
 
 def test_symmetric_basic():
-    p = params_symmetric(12.7)
+    p = params_for_range(Scheme.Symmetric, 0.0, 12.7)
     assert float(p.scale) == np.float32(0.1)
     assert p.zero_point == 0
     assert q1(1.0, p) == 10
@@ -111,7 +109,7 @@ def test_symmetric_skewed_range_wastes_negative_codes():
 
 
 def test_symmetric_degenerate():
-    p = params_symmetric(0.0)
+    p = params_for_range(Scheme.Symmetric, 0.0, 0.0)
     assert float(p.scale) == 1.0
     assert q1(0.0, p) == 0
 
@@ -119,7 +117,7 @@ def test_symmetric_degenerate():
 # ----------------------------------------------------------- symmetric-uint8
 
 def test_uint8_nonnegative_uses_full_grid():
-    p = params_symmetric_uint8(0.5, 25.5)
+    p = params_for_range(Scheme.SymmetricUint8, 0.5, 25.5)
     assert p.zero_point == -128
     assert float(p.scale) == np.float32(0.1)
     assert q1(0.0, p) == -128
@@ -127,7 +125,7 @@ def test_uint8_nonnegative_uses_full_grid():
 
 
 def test_uint8_falls_back_to_symmetric_when_negative():
-    p = params_symmetric_uint8(-3.0, 3.0)
+    p = params_for_range(Scheme.SymmetricUint8, -3.0, 3.0)
     assert p.zero_point == 0
     assert float(p.scale) == np.float32(3.0 / 127.0)
 
@@ -146,17 +144,17 @@ def test_uint8_beats_symmetric_on_nonnegative_ranges():
 # ---------------------------------------------------------------- power-of-2
 
 def test_power2_rounds_scale_up_to_power_of_two():
-    p = params_power2(127.0)  # symmetric scale exactly 1.0
+    p = params_for_range(Scheme.SymmetricPower2, 0.0, 127.0)  # symmetric scale exactly 1.0
     assert float(p.scale) == 1.0
-    p = params_power2(100.0)  # symmetric scale ~0.787 -> 1.0
+    p = params_for_range(Scheme.SymmetricPower2, 0.0, 100.0)  # symmetric scale ~0.787 -> 1.0
     assert float(p.scale) == 1.0
 
 
 def test_power2_ratio_in_unit_octave():
     rng = np.random.default_rng(0)
     for max_abs in rng.uniform(1e-4, 1e4, size=200):
-        s2 = float(params_power2(max_abs).scale)
-        ss = float(params_symmetric(max_abs).scale)
+        s2 = float(params_for_range(Scheme.SymmetricPower2, 0.0, max_abs).scale)
+        ss = float(params_for_range(Scheme.Symmetric, 0.0, max_abs).scale)
         k = math.log2(s2)
         assert k == int(k)
         assert 1.0 <= s2 / ss < 2.0
@@ -171,7 +169,7 @@ def test_round_trip_error_within_half_step(scheme):
     x = rng.uniform(lo, hi, size=4096)
     p = params_for_range(scheme, lo, hi)
     err = np.abs(dequantize_array(quantize_array(x, p), p) - x)
-    smax = float(np.max(p.scale_vec()))
+    smax = float(np.max(np.atleast_1d(p.scale)))
     assert err.max() <= smax / 2 + 1e-6
 
 
@@ -191,6 +189,14 @@ def test_per_channel_params_broadcast_on_axis0():
     back = dequantize_array(codes, p)
     assert np.abs(back[0] - w[0]).max() <= (1 / 127) / 2 + 1e-6
     assert np.abs(back[1] - w[1]).max() <= (100 / 127) / 2 + 1e-6
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_non_finite_range_rejected_by_every_scheme(scheme):
+    # max(1.0, nan) is 1.0, so a max_abs taken before the check hides the nan
+    for lo, hi in [(1.0, float("nan")), (float("-inf"), 1.0)]:
+        with pytest.raises(ValueError, match="non-finite"):
+            params_for_range(scheme, lo, hi)
 
 
 def test_unknown_scheme_rejected():
