@@ -4,7 +4,9 @@ Three presets cover the block vocabulary: "lenet-ish" (plain conv/pool
 stack), "resnet-toy" (residual add), "mobile-toy" (depthwise + pointwise).
 A tiny recipe grammar builds sequential models from strings like
 "3xconv+fc" (tokens joined by '+', optional "<n>x" repeat; kinds: conv,
-dwconv, pwconv, fc, relu, maxpool, avgpool, softmax).
+dwconv, pwconv, fc, relu, maxpool, avgpool, softmax).  The builder sizes each
+layer from ``propagate_shapes`` of the graph so far, so a recipe that does
+not fit (a conv or pool after fc) raises the ``GraphError`` naming its node.
 
 Feature-extraction tests need ground truth that does not come from the
 graph itself, so each recipe's block counts are also available from
@@ -28,8 +30,7 @@ import numpy as np
 
 from .dataset import IMAGE_SHAPE, N_CLASSES, class_templates
 from .fp32 import run_fp32
-from .ir import (Graph, GraphError, INPUT_TENSOR, ModelFeatures, Node, out_size,
-                 propagate_shapes, validate)
+from .ir import Graph, GraphError, INPUT_TENSOR, ModelFeatures, Node, propagate_shapes, validate
 
 
 class _Builder:
@@ -37,11 +38,15 @@ class _Builder:
         self.rng = np.random.default_rng(seed)
         self.nodes: list[Node] = []
         self.weights: dict[str, np.ndarray] = {}
-        self.shape: tuple[int, ...] = IMAGE_SHAPE
         self.cur = INPUT_TENSOR
         self.name = name
         self.n = 0
         self.next_channels = 8
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the current tensor, as ``propagate_shapes`` finds it."""
+        return propagate_shapes(self.graph())[self.cur]
 
     def _tid(self, kind: str) -> tuple[str, str]:
         nid = f"{kind[:4]}{self.n}"
@@ -60,16 +65,10 @@ class _Builder:
         self.weights[wid] = (std * self.rng.standard_normal(shape)).astype(np.float32)
         return wid
 
-    def _window(self, c: int, k: int, stride: int, pad: int = 0) -> None:
-        """The shape after a k x k window at ``stride``, with ``c`` channels."""
-        h, w = self.shape[1:]
-        self.shape = (c, out_size(h, k, stride, pad), out_size(w, k, stride, pad))
-
     def conv(self, out_c: int, k: int, stride: int = 1, pad: int = 0) -> str:
         c = self.shape[0]
         w = self._weight("conv", (out_c, c, k, k), np.sqrt(2.0 / (c * k * k)))
         b = self._weight("bias", (out_c,), 0.01)
-        self._window(out_c, k, stride, pad)
         return self._emit("conv2d", [self.cur, w, b], {"stride": stride, "padding": pad})
 
     def dwconv(self) -> str:
@@ -77,31 +76,26 @@ class _Builder:
         c = self.shape[0]
         w = self._weight("dw", (c, 1, 3, 3), np.sqrt(2.0 / 9))
         b = self._weight("bias", (c,), 0.01)
-        self._window(c, 3, 1, 1)
         return self._emit("depthwise_conv2d", [self.cur, w, b], {"stride": 1, "padding": 1})
 
     def pwconv(self, out_c: int) -> str:
         c = self.shape[0]
         w = self._weight("pw", (out_c, c, 1, 1), np.sqrt(2.0 / c))
         b = self._weight("bias", (out_c,), 0.01)
-        self.shape = (out_c,) + self.shape[1:]
         return self._emit("pointwise_conv2d", [self.cur, w, b], {"stride": 1, "padding": 0})
 
     def fc(self) -> str:
         d = int(np.prod(self.shape))
         w = self._weight("fc", (N_CLASSES, d), np.sqrt(1.0 / d))
-        self.shape = (N_CLASSES,)
         return self._emit("fully_connected", [self.cur, w])
 
     def relu(self) -> str:
         return self._emit("relu", [self.cur])
 
     def maxpool(self, k: int) -> str:
-        self._window(self.shape[0], k, k)
         return self._emit("maxpool", [self.cur], {"kernel": k, "stride": k})
 
     def avgpool(self, k: int) -> str:
-        self._window(self.shape[0], k, k)
         return self._emit("avgpool", [self.cur], {"kernel": k, "stride": k})
 
     def add(self, other: str) -> str:
@@ -193,8 +187,6 @@ def _parse_tokens(recipe: str) -> list[str]:
 
 def _build_grammar(b: _Builder, tokens: list[str]) -> None:
     for tok in tokens:
-        if len(b.shape) != 3 and tok not in ("fc", "relu", "softmax"):
-            raise GraphError(f"recipe token {tok!r} needs a CHW input, got shape {b.shape}")
         if tok == "conv":
             b.conv(b.next_channels, 3, pad=1)
             b.next_channels = min(b.next_channels * 2, 64)
@@ -264,5 +256,4 @@ def generate_fixture(recipe: str, seed: int) -> Graph:
     g = b.graph()
     validate(g)
     _plant_head(g)
-    propagate_shapes(g)
     return g

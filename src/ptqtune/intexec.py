@@ -285,13 +285,13 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
     x = xs[0]
     if node.kind in COMPUTE_KINDS:
         wp = qg.weight_params[node.weight_id]
-        w = qg.weight_codes[node.weight_id]
+        w = qg.graph.weights[node.weight_id]
         w = w - _broadcast(wp, w.ndim)[1]  # int8 - float64 zero point
         acc = _accumulate(node, x, int(params[0].zero_point), w)
         trace.add(node.id, "int_mul", "int_add")
         b = None
         if node.bias_id is not None:
-            b = qg.bias_codes[node.bias_id].astype(np.float64)
+            b = qg.graph.weights[node.bias_id].astype(np.float64)
             b = _per_channel(b, acc.ndim) if acc.ndim == 4 else b
             trace.add(node.id, "int_add")
         sw = np.asarray(wp.scale, dtype=np.float64)

@@ -140,12 +140,13 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
             if t not in shapes:
                 raise GraphError(f"node {n.id}: input {t!r} not defined before use")
         x = shapes[n.data_inputs[0]]
+        if n.kind in COMPUTE_KINDS:
+            w = g.weights.get(n.weight_id)
+            if w is None:
+                raise GraphError(f"node {n.id}: missing weight tensor")
         if n.kind in CONV_KINDS:
             if len(x) != 3:
                 raise GraphError(f"node {n.id}: {n.kind} needs a CHW input, got {x}")
-            w = g.weights.get(n.weight_id or "")
-            if w is None:
-                raise GraphError(f"node {n.id}: missing weight tensor")
             if w.ndim != 4:
                 raise GraphError(f"node {n.id}: conv weight must be 4-d, got {w.shape}")
             stride, pad = conv_args(n)
@@ -164,8 +165,7 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
             oh, ow = _conv_out_hw(x[1], x[2], kh, kw, stride, pad)
             shapes[n.output] = (o, oh, ow)
         elif n.kind == "fully_connected":
-            w = g.weights.get(n.weight_id or "")
-            if w is None or w.ndim != 2:
+            if w.ndim != 2:
                 raise GraphError(f"node {n.id}: fully_connected weight must be 2-d")
             flat = int(np.prod(x))
             if w.shape[1] != flat:
@@ -194,12 +194,22 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
             if len(hw) != 1:
                 raise GraphError(f"node {n.id}: concat spatial mismatch {hw}")
             shapes[n.output] = (sum(p[0] for p in parts),) + parts[0][1:]
+        if n.bias_id is not None:
+            b = g.weights.get(n.bias_id)
+            if b is None:
+                raise GraphError(f"node {n.id}: missing bias tensor")
+            n_out = shapes[n.output][0]
+            if b.shape != (n_out,):
+                raise GraphError(f"node {n.id}: bias shape {b.shape} is not ({n_out},), "
+                                 "one per output channel")
     return shapes
 
 
 def check_names(g: Graph, weight_ids: Iterable[str]) -> None:
-    """Node ids are unique, and each node writes a tensor of its own: not
-    another node's, not the graph input and none of ``weight_ids``."""
+    """Node ids are unique, each node writes a tensor of its own (not
+    another node's, not the graph input and none of ``weight_ids``), and
+    each weight or bias has one reader: a bias is quantized at its layer's
+    input scale, so two layers cannot share one."""
     ids = [n.id for n in g.nodes]
     if len(set(ids)) != len(ids):
         raise GraphError("duplicate node ids")
@@ -208,27 +218,18 @@ def check_names(g: Graph, weight_ids: Iterable[str]) -> None:
         raise GraphError("duplicate output tensor ids")
     if INPUT_TENSOR in outs or set(outs) & set(weight_ids):
         raise GraphError("node outputs collide with reserved/weight tensor ids")
+    params = [t for n in g.compute_nodes() for t in n.inputs[1:]]
+    if len(set(params)) != len(params):
+        shared = sorted({t for t in params if params.count(t) > 1})
+        raise GraphError(f"weight/bias tensors {shared} are read more than once")
 
 
 def validate(g: Graph) -> None:
     check_names(g, g.weights)
-    for n in g.nodes:
-        if n.kind in COMPUTE_KINDS:
-            for t in n.inputs[1:]:
-                if t not in g.weights:
-                    raise GraphError(f"node {n.id}: {t!r} is not a weight tensor")
-            b = g.weights.get(n.bias_id or "")
-            if b is not None and b.ndim != 1:
-                raise GraphError(f"node {n.id}: bias must be 1-d")
     for wid, w in g.weights.items():
         if w.dtype != np.float32:
             raise GraphError(f"weight {wid!r} must be float32, got {w.dtype}")
-    shapes = propagate_shapes(g)
-    for n in g.nodes:
-        if n.kind in COMPUTE_KINDS and n.bias_id is not None:
-            b = g.weights[n.bias_id]
-            if b.shape[0] != shapes[n.output][0]:
-                raise GraphError(f"node {n.id}: bias length {b.shape[0]} != out channels")
+    propagate_shapes(g)
     g.output_tensor()
 
 

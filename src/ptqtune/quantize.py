@@ -1,8 +1,9 @@
 """Quantized-model construction.
 
 quantize_model() turns (Graph, CalibrationCache, QuantConfig) into a
-QuantizedGraph: int8 weight codes, int32 bias codes, and per-tensor
-activation params.
+QuantizedGraph: a graph whose one weights table holds int8 weight codes and
+int32 bias codes for the layers run on codes (float32 values for the rest),
+the weight params, and per-tensor activation params.
 
 Parameter placement rules:
 
@@ -46,7 +47,8 @@ from .clipping import clipped_range
 from .container import _malformed_header, read_container, write_container
 from .ir import (COMPUTE_KINDS, Graph, GraphError, INPUT_TENSOR, Node,
                  _graph_from_header, _graph_header, check_names, propagate_shapes)
-from .schemes import QuantParams, Scheme, params_for_range, quantize_array, round_half_away
+from .schemes import (QMAX, QMIN, QuantParams, Scheme, params_for_range, quantize_array,
+                      round_half_away)
 
 # The configuration space: each QuantConfig field, in declaration order, and
 # the values it takes, in enumeration order (``tuner.enumerate_space``) and
@@ -128,12 +130,13 @@ PROFILES = {"generic": GENERIC, "integer-only": INTEGER_ONLY}
 
 @dataclass
 class QuantizedGraph:
+    # graph.weights holds exactly what each node reads: int8 weight codes and
+    # int32 bias codes for a layer run on codes, float32 values for a layer
+    # kept in float
     graph: Graph
     config: QuantConfig
     act_params: dict[str, QuantParams]
-    weight_codes: dict[str, np.ndarray]       # int8, keyed by weight tensor id
-    weight_params: dict[str, QuantParams]
-    bias_codes: dict[str, np.ndarray]         # int32, keyed by bias tensor id
+    weight_params: dict[str, QuantParams]     # keyed by weight tensor id
     fp32_nodes: set[str] = field(default_factory=set)
     fused: bool = False
 
@@ -185,9 +188,8 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
     last_id = compute[-1].id
 
     act_params: dict[str, QuantParams] = {}
-    weight_codes: dict[str, np.ndarray] = {}
     weight_params: dict[str, QuantParams] = {}
-    bias_codes: dict[str, np.ndarray] = {}
+    weights = dict(g.weights)  # codes replace the entries of layers run on codes
     nodes: list[Node] = []
     folded: set[str] = set()  # ids of relus fused into their producer
 
@@ -216,14 +218,14 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                 raise GraphError(f"node {node.id}: quantized layer fed by fp32 tensor")
             w = g.weights[node.weight_id]
             codes, wp = quantize_weights(w, cfg.scheme, cfg.granularity)
-            weight_codes[node.weight_id] = codes
+            weights[node.weight_id] = codes
             weight_params[node.weight_id] = wp
             if node.bias_id is not None:
                 s_in = float(act_params[node.data_inputs[0]].scale)
                 s_b = s_in * np.asarray(wp.scale, dtype=np.float64)
                 b = np.asarray(g.weights[node.bias_id], dtype=np.float64)
                 bq = round_half_away(b / s_b)
-                bias_codes[node.bias_id] = np.clip(bq, INT32_MIN, INT32_MAX).astype(np.int32)
+                weights[node.bias_id] = np.clip(bq, INT32_MIN, INT32_MAX).astype(np.int32)
             act_params[node.output] = _act_params(cache, src, cfg)
         elif node.kind in ("add", "concat"):
             if all(in_codes):
@@ -234,9 +236,8 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
             if node.data_inputs[0] in act_params:
                 act_params[node.output] = act_params[node.data_inputs[0]]
 
-    return QuantizedGraph(graph=replace(g, nodes=nodes) if folded else g, config=cfg,
-                          act_params=act_params, weight_codes=weight_codes,
-                          weight_params=weight_params, bias_codes=bias_codes,
+    return QuantizedGraph(graph=replace(g, nodes=nodes, weights=weights), config=cfg,
+                          act_params=act_params, weight_params=weight_params,
                           fp32_nodes=fp32_nodes, fused=bool(folded))
 
 
@@ -244,7 +245,7 @@ def model_size(qg: QuantizedGraph) -> int:
     """Bytes to store all weights: the stored weight and bias arrays (codes
     where quantized, fp32 values otherwise) + 8 B per param group (per
     configured granularity, for every weighted layer)."""
-    stored = {**qg.graph.weights, **qg.weight_codes, **qg.bias_codes}
+    stored = qg.graph.weights
     per_channel = qg.config.granularity == "Channel"
     total = 0
     for node in qg.graph.compute_nodes():
@@ -272,9 +273,10 @@ def _params_from_buffers(scale: np.ndarray, zp: np.ndarray,
 
 def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> None:
     g = qg.graph
-    wq_ids = sorted(qg.weight_codes)
-    bias_ids = sorted(qg.bias_codes)
-    fp32_weight_ids = sorted(set(g.weights) - set(qg.weight_codes) - set(qg.bias_codes))
+    wq_ids = sorted(qg.weight_params)
+    bias_ids = sorted(n.bias_id for n in g.compute_nodes()
+                      if n.bias_id is not None and qg.on_codes(n))
+    fp32_weight_ids = sorted(set(g.weights) - set(wq_ids) - set(bias_ids))
     act_ids = sorted(qg.act_params)
     # adopted params are shared objects; record sharing so load restores it
     shared: dict[int, str] = {}
@@ -296,12 +298,9 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
     for t in wq_ids:
         p = qg.weight_params[t]
         s, z = _params_to_buffers(p)
-        buffers += [qg.weight_codes[t], s, z]
+        buffers += [g.weights[t], s, z]
         wp_meta.append({"id": t, "axis": p.axis})
-    for t in bias_ids:
-        buffers.append(qg.bias_codes[t])
-    for t in fp32_weight_ids:
-        buffers.append(g.weights[t])
+    buffers += [g.weights[t] for t in bias_ids + fp32_weight_ids]
 
     header = {
         **_graph_header(g),
@@ -319,21 +318,32 @@ def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> N
 
 
 def _check_references(qg: QuantizedGraph) -> None:
-    """The executors find everything a node reads, in the shape they need:
-    node ids and outputs are unique names (``check_names``), shapes
-    propagate through the graph (codes standing in for quantized weights)
-    to exactly one output, a node run on codes has params for its inputs
-    and int8/int32 codes for its weight and bias, a node run in float has
-    fp32 ones, and each bias and per-channel param has one entry per output
-    channel.  So a corrupt ``.qtm8`` fails at load with ValueError, instead
-    of mid-run."""
+    """The executors find everything a node reads, in the form they need.
+    The graph passes the ``ir`` rules: ``check_names``, then
+    ``propagate_shapes`` (which checks each weight and bias) to exactly one
+    output.  Each param has a finite scale > 0, a zero point in [QMIN, QMAX]
+    and, per channel, one entry per output channel.  A node run on codes has
+    params for its inputs and weight and reads int8 weight and int32 bias
+    codes; a node kept in float reads float32.  So a corrupt ``.qtm8`` fails
+    at load with ValueError, instead of mid-run."""
     g = qg.graph
-    check_names(g, [*g.weights, *qg.weight_codes, *qg.bias_codes])
-    shapes = propagate_shapes(replace(g, weights={**g.weights, **qg.weight_codes}))
+    check_names(g, g.weights)
+    propagate_shapes(g)
     g.output_tensor()
-    for t, p in qg.weight_params.items():
-        if p.axis not in (None, 0):
-            raise ValueError(f"weight {t!r}: param axis {p.axis!r} is not None or 0")
+    for what, params in (("activation", qg.act_params), ("weight", qg.weight_params)):
+        for t, p in params.items():
+            if p.axis not in (None, 0):
+                raise ValueError(f"{what} {t!r}: param axis {p.axis!r} is not None or 0")
+            scale, zp = np.atleast_1d(p.scale), np.atleast_1d(p.zero_point)
+            n = g.weights[t].shape[0] if p.axis == 0 else 1
+            for name, values in (("scale", scale), ("zero_point", zp)):
+                if values.shape != (n,):
+                    raise ValueError(f"{what} {t!r}: {name} shape {values.shape} "
+                                     f"is not ({n},), one per output channel")
+            if not (np.isfinite(scale) & (scale > 0)).all():
+                raise ValueError(f"{what} {t!r}: scale {scale} is not finite and > 0")
+            if ((zp < QMIN) | (zp > QMAX)).any():
+                raise ValueError(f"{what} {t!r}: zero point {zp} is outside [{QMIN}, {QMAX}]")
     for node in g.nodes:
         on_codes = qg.on_codes(node)
         for t in node.data_inputs if on_codes else ():
@@ -341,20 +351,13 @@ def _check_references(qg: QuantizedGraph) -> None:
                 raise ValueError(f"node {node.id}: activation {t!r} has no act_params")
         if node.kind not in COMPUTE_KINDS:
             continue
-        w_table = qg.weight_codes if on_codes else g.weights
-        b_table = qg.bias_codes if on_codes else g.weights
-        for t, table in ((node.weight_id, w_table), (node.bias_id, b_table)):
-            if t is not None and t not in table:
-                raise ValueError(f"node {node.id}: {t!r} has no "
-                                 f"{'codes' if on_codes else 'fp32 values'}")
-        n_out = shapes[node.output][0]
-        per_channel = {"bias": b_table[node.bias_id]} if node.bias_id is not None else {}
-        if on_codes and (p := qg.weight_params[node.weight_id]).axis == 0:
-            per_channel.update(scale=p.scale, zero_point=p.zero_point)
-        for what, values in per_channel.items():
-            if np.shape(values) != (n_out,):
-                raise ValueError(f"node {node.id}: {what} shape {np.shape(values)} "
-                                 f"is not ({n_out},), one per output channel")
+        if on_codes and node.weight_id not in qg.weight_params:
+            raise ValueError(f"node {node.id}: weight {node.weight_id!r} has no params")
+        dtypes = (np.int8, np.int32) if on_codes else (np.float32, np.float32)
+        for t, dtype in zip((node.weight_id, node.bias_id), dtypes):
+            if t is not None and g.weights[t].dtype != dtype:
+                raise ValueError(f"node {node.id}: {t!r} is {g.weights[t].dtype}, "
+                                 f"not {np.dtype(dtype)}")
 
 
 def load_quantized(path: str) -> QuantizedGraph:
@@ -369,21 +372,22 @@ def load_quantized(path: str) -> QuantizedGraph:
         }
         act_params = {t: uniq_params[src]
                       for t, src in zip(header["act_tensors"], header["act_sources"])}
-        weight_codes, weight_params = {}, {}
-        for meta in header["weight_tensors"]:
-            codes, s, z = next(it), next(it), next(it)
-            weight_codes[meta["id"]] = codes
-            weight_params[meta["id"]] = _params_from_buffers(s, z, meta["axis"])
-        bias_codes = {t: next(it) for t in header["bias_tensors"]}
-        # quantized weight tensors have no fp32 payload; the executor reads codes
-        weights = {t: next(it) for t in header["fp32_weight_tensors"]}
+        w_meta = header["weight_tensors"]
+        listed = ([m["id"] for m in w_meta] + header["bias_tensors"]
+                  + header["fp32_weight_tensors"])
+        if len(set(listed)) != len(listed):
+            raise ValueError(f"{path}: a tensor is listed twice across weight_tensors, "
+                             "bias_tensors and fp32_weight_tensors")
+        weights, weight_params = {}, {}  # one table, in payload order
+        for meta in w_meta:
+            weights[meta["id"]] = next(it)
+            weight_params[meta["id"]] = _params_from_buffers(next(it), next(it), meta["axis"])
+        weights.update((t, next(it)) for t in listed[len(w_meta):])
         qg = QuantizedGraph(
             graph=_graph_from_header(header, weights),
             config=QuantConfig.from_dict(header["config"]),
             act_params=act_params,
-            weight_codes=weight_codes,
             weight_params=weight_params,
-            bias_codes=bias_codes,
             fp32_nodes=set(header["fp32_nodes"]),
             fused=bool(header["fused"]),
         )

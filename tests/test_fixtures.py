@@ -57,3 +57,9 @@ def test_invalid_recipe_token_rejected():
         generate_fixture("conv+blorp", seed=0)
     with pytest.raises(GraphError):
         recipe_feature_counts("")
+
+
+@pytest.mark.parametrize("recipe", ["fc+conv", "fc+maxpool", "fc+dwconv"])
+def test_recipe_that_needs_chw_after_fc_rejected(recipe):
+    with pytest.raises(GraphError, match="needs a CHW input"):
+        generate_fixture(recipe, seed=0)

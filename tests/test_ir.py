@@ -152,3 +152,46 @@ def test_add_shape_mismatch_rejected():
     g.nodes.append(Node("a0", "add", ["t0", "t3"], "t4"))
     with pytest.raises(GraphError):
         propagate_shapes(g)
+
+
+def _bias_2d(g):
+    g.weights["b0"] = np.zeros((2, 1), dtype=np.float32)
+
+
+def _bias_wrong_length(g):
+    g.weights["b0"] = np.zeros(3, dtype=np.float32)
+
+
+def _bias_missing(g):
+    del g.weights["b0"]
+
+
+def _weight_is_a_node_output(g):
+    g.nodes[2].inputs[1] = "t0"
+
+
+@pytest.mark.parametrize("tamper, node", [
+    (_bias_2d, "c0"), (_bias_wrong_length, "c0"), (_bias_missing, "c0"),
+    (_weight_is_a_node_output, "c1"),
+], ids=["bias-2d", "bias-length", "bias-missing", "weight-is-output"])
+def test_weight_and_bias_that_do_not_fit_are_rejected_naming_the_node(tamper, node):
+    g = tiny_graph()
+    tamper(g)
+    with pytest.raises(GraphError, match=f"^node {node}: "):
+        validate(g)
+
+
+def test_a_bias_read_by_two_layers_is_rejected(tmp_path):
+    # each layer's bias is quantized at its own input scale, so one array
+    # cannot serve two layers
+    from ptqtune.ir import _graph_header
+    g = tiny_graph()
+    g.nodes[2].inputs.append("b0")
+    with pytest.raises(GraphError, match=r"\['b0'\] are read more than once"):
+        validate(g)
+    order = sorted(g.weights)
+    p = tmp_path / "shared.qtm"
+    write_container(str(p), "qtm", {**_graph_header(g), "weight_order": order},
+                    [g.weights[k] for k in order])
+    with pytest.raises(GraphError, match=r"\['b0'\] are read more than once"):
+        load_model(str(p))

@@ -61,10 +61,10 @@ def test_all_zero_weights_quantize_to_zero_codes():
 def test_quantized_graph_covers_all_tensors(lenet, lenet_cache_s2):
     qg = quantize_model(lenet, lenet_cache_s2, cfg())
     for node in lenet.compute_nodes():
-        assert node.weight_id in qg.weight_codes
-        assert qg.weight_codes[node.weight_id].dtype == np.int8
+        assert node.weight_id in qg.weight_params
+        assert qg.graph.weights[node.weight_id].dtype == np.int8
         if node.bias_id:
-            assert qg.bias_codes[node.bias_id].dtype == np.int32
+            assert qg.graph.weights[node.bias_id].dtype == np.int32
     assert "input" in qg.act_params
     for node in lenet.nodes:
         assert node.output in qg.act_params
@@ -86,7 +86,7 @@ def test_bias_quantized_at_input_times_weight_scale(lenet, lenet_cache_s2):
     s_in = float(qg.act_params["input"].scale)
     s_w = float(qg.weight_params[conv.weight_id].scale)
     b = lenet.weights[conv.bias_id]
-    bq = qg.bias_codes[conv.bias_id]
+    bq = qg.graph.weights[conv.bias_id]
     assert np.abs(bq * (s_in * s_w) - b).max() <= (s_in * s_w) / 2 + 1e-9
 
 
@@ -99,9 +99,9 @@ def test_first_last_fp32_marks_exactly_first_and_last_weighted_layer(ds):
     assert qg.fp32_nodes == {compute[0].id, compute[-1].id}
     assert len(compute) == 5
     for n in compute[1:-1]:
-        assert n.weight_id in qg.weight_codes
-    assert compute[0].weight_id not in qg.weight_codes
-    assert compute[-1].weight_id not in qg.weight_codes
+        assert qg.graph.weights[n.weight_id].dtype == np.int8
+    assert qg.graph.weights[compute[0].weight_id].dtype == np.float32
+    assert qg.graph.weights[compute[-1].weight_id].dtype == np.float32
 
 
 def test_power2_config_makes_every_scale_a_power_of_two(lenet, lenet_cache_s2):
@@ -134,12 +134,13 @@ def test_round_trip_preserves_everything(tmp_path, lenet, lenet_cache_s2):
                               np.atleast_1d(qg.act_params[t].scale))
         assert np.array_equal(np.atleast_1d(q2.act_params[t].zero_point),
                               np.atleast_1d(qg.act_params[t].zero_point))
-    for w in qg.weight_codes:
-        assert np.array_equal(q2.weight_codes[w], qg.weight_codes[w])
+    assert set(q2.graph.weights) == set(qg.graph.weights)
+    for t, a in qg.graph.weights.items():
+        assert q2.graph.weights[t].dtype == a.dtype
+        assert np.array_equal(q2.graph.weights[t], a)
+    for w in qg.weight_params:
         assert np.array_equal(np.atleast_1d(q2.weight_params[w].scale),
                               np.atleast_1d(qg.weight_params[w].scale))
-    for b in qg.bias_codes:
-        assert np.array_equal(q2.bias_codes[b], qg.bias_codes[b])
     # untouched fp32 tensors ride along byte-exact
     for n in (lenet.compute_nodes()[0], lenet.compute_nodes()[-1]):
         assert q2.graph.weights[n.weight_id].tobytes() == \
@@ -256,4 +257,85 @@ def test_load_rejects_per_channel_data_that_does_not_fit(tmp_path, lenet, lenet_
         buffers[i] = buffers[i][:-1]
     write_container(path, "qtm8", header, buffers)
     with pytest.raises(ValueError, match=match):
+        load_quantized(path)
+
+
+def _tampered(tmp_path, qg, tamper):
+    """Save ``qg``, let ``tamper(header, buffers)`` edit the file's header
+    and buffers in place, and return the rewritten path."""
+    from ptqtune.container import read_container, write_container
+    path = str(tmp_path / "q.qtm8")
+    save_quantized(qg, path)
+    header, buffers = read_container(path, "qtm8")
+    buffers = [b.copy() for b in buffers]
+    tamper(header, buffers)
+    write_container(path, "qtm8", header, buffers)
+    return path
+
+
+def test_load_rejects_a_bias_read_by_two_layers(tmp_path, resnet, resnet_cache_s2):
+    # the first two convs both write 8 channels; the second now also reads
+    # the first one's bias, which is coded at the first one's input scale
+    qg = quantize_model(resnet, resnet_cache_s2, cfg())
+    c0, c1 = resnet.compute_nodes()[:2]
+
+    def share(header, buffers):
+        next(n for n in header["nodes"] if n["id"] == c1.id)["inputs"][2] = c0.bias_id
+
+    with pytest.raises(ValueError, match=f"'{c0.bias_id}'.* are read more than once"):
+        load_quantized(_tampered(tmp_path, qg, share))
+
+
+def _set(i, value):
+    def tamper(header, buffers):
+        buffers[i][0] = value
+    return tamper
+
+
+def _list_twice(header, buffers):
+    header["fp32_weight_tensors"].append(header["bias_tensors"][0])
+    buffers.append(np.zeros(1, dtype=np.float32))
+
+
+# buffers 0 and 1 are the act scales and zero points, 2-4 the first weight's
+# codes, scales and zero points
+@pytest.mark.parametrize("tamper, match", [
+    (_set(0, 0.0), r"activation .*: scale \[0\.\] is not finite and > 0"),
+    (_set(0, np.nan), r"activation .*: scale \[nan\] is not finite and > 0"),
+    (_set(1, 1000), r"activation .*: zero point \[1000\] is outside \[-128, 127\]"),
+    (_set(3, -0.5), r"weight .*: scale \[-0\.5\] is not finite and > 0"),
+    (_set(4, -129), r"weight .*: zero point \[-129\] is outside \[-128, 127\]"),
+    (_list_twice, "listed twice"),
+], ids=["act-scale-zero", "act-scale-nan", "act-zero-point", "weight-scale-negative",
+        "weight-zero-point", "listed-twice"])
+def test_load_rejects_params_no_executor_can_use(tmp_path, lenet, lenet_cache_s2,
+                                                 tamper, match):
+    qg = quantize_model(lenet, lenet_cache_s2, cfg())
+    with pytest.raises(ValueError, match=match):
+        load_quantized(_tampered(tmp_path, qg, tamper))
+
+
+@pytest.mark.parametrize("what, mixed, dtype", [
+    ("weight", "Off", np.int16),
+    ("bias", "Off", np.int8),
+    ("fp32", "FirstLastFp32", np.float64),
+], ids=["int16-weight-codes", "int8-bias", "float64-fp32-weight"])
+def test_load_rejects_arrays_of_the_wrong_dtype_naming_the_node(tmp_path, lenet, lenet_cache_s2,
+                                                                what, mixed, dtype):
+    # payload: act scales and zero points, (codes, scales, zero points) per
+    # quantized weight, the int32 biases, then the float32 weights
+    qg = quantize_model(lenet, lenet_cache_s2, cfg(mixed=mixed))
+    named = {}
+
+    def retype(header, buffers):
+        w_ids, b_ids = [m["id"] for m in header["weight_tensors"]], header["bias_tensors"]
+        i, ids = {"weight": (2, w_ids),
+                  "bias": (2 + 3 * len(w_ids), b_ids),
+                  "fp32": (2 + 3 * len(w_ids) + len(b_ids), header["fp32_weight_tensors"]),
+                  }[what]
+        buffers[i] = buffers[i].astype(dtype) * (100 if what == "weight" else 1)
+        named["node"] = next(n["id"] for n in header["nodes"] if ids[0] in n["inputs"][1:])
+
+    path = _tampered(tmp_path, qg, retype)
+    with pytest.raises(ValueError, match=f"node {named['node']}: .* is {np.dtype(dtype)}"):
         load_quantized(path)
