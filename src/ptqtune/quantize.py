@@ -174,6 +174,7 @@ def _act_params(cache: CalibrationCache, tensor_id: str,
 
 def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                    profile=None) -> QuantizedGraph:
+    check_names(g, g.weights)  # one code array per bias needs one reader per bias
     if profile is not None and not profile.contains(cfg):
         raise ValueError(f"config {cfg} not allowed by profile {profile.name}")
     if cache.model_name != g.name:
@@ -383,13 +384,18 @@ def load_quantized(path: str) -> QuantizedGraph:
             weights[meta["id"]] = next(it)
             weight_params[meta["id"]] = _params_from_buffers(next(it), next(it), meta["axis"])
         weights.update((t, next(it)) for t in listed[len(w_meta):])
-        qg = QuantizedGraph(
-            graph=_graph_from_header(header, weights),
-            config=QuantConfig.from_dict(header["config"]),
-            act_params=act_params,
-            weight_params=weight_params,
-            fp32_nodes=set(header["fp32_nodes"]),
-            fused=bool(header["fused"]),
-        )
+        g = _graph_from_header(header, weights)
+        # both flags restate the graph; a file whose header disagrees is corrupt
+        fp32_nodes = {n.id for n in g.compute_nodes() if n.weight_id not in weight_params}
+        if set(header["fp32_nodes"]) != fp32_nodes:
+            raise ValueError(f"{path}: fp32_nodes {header['fp32_nodes']!r} are not the "
+                             f"weighted layers without weight params {sorted(fp32_nodes)}")
+        fused = any(n.attrs.get("fused_relu", False) for n in g.nodes)
+        if header["fused"] is not fused:
+            raise ValueError(f"{path}: fused is {header['fused']!r}, but "
+                             f"{'a' if fused else 'no'} node carries fused_relu")
+        qg = QuantizedGraph(graph=g, config=QuantConfig.from_dict(header["config"]),
+                            act_params=act_params, weight_params=weight_params,
+                            fp32_nodes=fp32_nodes, fused=fused)
         _check_references(qg)
     return qg

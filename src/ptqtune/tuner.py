@@ -4,6 +4,10 @@
 evaluate at most ``budget`` *distinct* configurations from an enumerated
 space, record every measurement, return the first trial reaching the
 history best.  A strategy is a picker that only decides what to measure:
+a generator that yields lists of space indices.  ``run_strategy`` measures
+each list into the campaign, the one record every picker reads results
+from, before resuming the picker, and spends any budget left at the end
+on uniform picks.
 
   xgb      model-guided loop: pick the unexplored config the boosted-tree
            cost model ranks highest, measure it, append to the database,
@@ -32,9 +36,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -146,7 +152,8 @@ def _check_space(space: list[QuantConfig], budget: int) -> None:
 
 
 class _Campaign:
-    """Shared measurement bookkeeping: no revisits, failures recorded as 0."""
+    """The one record of a search: what was measured, in which order, and
+    what each config scored.  No revisits; failures are recorded as 0."""
 
     def __init__(self, model_name: str, features: ModelFeatures | None,
                  space: list[QuantConfig], evaluate: Evaluator, budget: int):
@@ -156,6 +163,8 @@ class _Campaign:
         self.evaluate = evaluate
         self.budget = budget
         self.explored = np.zeros(len(space), dtype=bool)
+        self.top1 = np.zeros(len(space))  # per config, read once explored
+        self.picks: list[int] = []  # space indices in trial order
         self.trials: list[TuningRecord] = []
 
     @property
@@ -173,76 +182,58 @@ class _Campaign:
         except Exception as e:
             return 0.0, f"{type(e).__name__}: {e}"
 
-    def record(self, i: int, top1: float, error_msg: str | None) -> None:
-        assert not self.explored[i], "strategy revisited a configuration"
-        self.explored[i] = True
-        self.trials.append(TuningRecord(
-            model_name=self.model_name, features=self.features,
-            config=self.space[i], top1=top1, timestamp=time.time(),
-            trial=len(self.trials) + 1, error=error_msg is not None,
-            error_msg=error_msg))
-
-    def measure(self, i: int) -> float:
-        top1, error_msg = self._safe_eval(i)
-        self.record(i, top1, error_msg)
-        return top1
-
-    def measure_many(self, picks: list[int], workers: int = 1) -> None:
-        """Measure a pre-decided pick list; records stay in pick order."""
-        if workers <= 1:
-            for i in picks:
-                self.measure(i)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(self._safe_eval, picks))
-        for i, (top1, error_msg) in zip(picks, outcomes):
-            self.record(i, top1, error_msg)
+    def measure(self, picks: list[int], workers: int = 1) -> None:
+        """Evaluate ``picks``, ``workers`` at a time, and record each result
+        as it arrives, in pick order.  A single worker (or pick) runs on the
+        calling thread."""
+        parallel = min(workers, len(picks)) > 1
+        with ThreadPoolExecutor(workers) if parallel else nullcontext() as pool:
+            outcomes = pool.map(self._safe_eval, picks) if pool else map(self._safe_eval, picks)
+            for i, (top1, error_msg) in zip(picks, outcomes):
+                assert not self.explored[i], "strategy revisited a configuration"
+                self.explored[i] = True
+                self.top1[i] = top1
+                self.picks.append(i)
+                self.trials.append(TuningRecord(
+                    model_name=self.model_name, features=self.features,
+                    config=self.space[i], top1=top1, timestamp=time.time(),
+                    trial=len(self.trials) + 1, error=error_msg is not None,
+                    error_msg=error_msg))
 
 
-# A picker spends a campaign's budget.  Each takes the campaign, the
-# campaign's RNG and, by keyword, the inputs it reads (``workers``,
-# ``seed_db``); it ignores the others.
+# A picker takes the campaign, the campaign's RNG and the transfer database
+# (read by xgb-t alone) and yields lists of space indices to measure.
 
-def _random(camp: _Campaign, rng: np.random.Generator, *, workers: int, **_) -> None:
-    picks = [int(i) for i in rng.permutation(len(camp.space))[:camp.budget]]
-    camp.measure_many(picks, workers)
+def _random(camp: _Campaign, rng: np.random.Generator,
+            seed_db: list[TuningRecord] | None) -> Iterator[list[int]]:
+    yield [int(i) for i in rng.permutation(len(camp.space))[:camp.budget]]
 
 
-def _grid(camp: _Campaign, rng: np.random.Generator, *, workers: int, **_) -> None:
+def _grid(camp: _Campaign, rng: np.random.Generator,
+          seed_db: list[TuningRecord] | None) -> Iterator[list[int]]:
     # budget <= len(space), so the strides are distinct
-    picks = [(k * len(camp.space)) // camp.budget for k in range(camp.budget)]
-    camp.measure_many(picks, workers)
+    yield [(k * len(camp.space)) // camp.budget for k in range(camp.budget)]
 
 
 SURROGATE_HYPER = {"n_trees": 30, "max_depth": 4}
 
 
-def _xgb(camp: _Campaign, rng: np.random.Generator, *,
-         seed_db: list[TuningRecord] | None = None, **_) -> None:
+def _xgb(camp: _Campaign, rng: np.random.Generator,
+         seed_db: list[TuningRecord] | None) -> Iterator[list[int]]:
     enc = np.stack([gbt.encode(camp.features, c) for c in camp.space])
+    seed = [r for r in seed_db or [] if r.config is not None]
+    X_seed = np.array([gbt.encode(r.features, r.config) for r in seed]).reshape(-1, enc.shape[1])
+    y_seed = np.array([r.top1 for r in seed])
 
-    X_rows: list[np.ndarray] = []
-    y_rows: list[float] = []
-    for rec in seed_db or []:
-        if rec.config is None:
-            continue
-        X_rows.append(gbt.encode(rec.features, rec.config))
-        y_rows.append(rec.top1)
-
-    n_cold = 0 if X_rows else max(3, math.ceil(0.05 * len(camp.space)))
+    n_cold = 0 if seed else max(3, math.ceil(0.05 * len(camp.space)))
     while not camp.exhausted:
         if len(camp.trials) < n_cold:
-            i = camp.unexplored(rng)
-        else:
-            model = gbt.train(np.stack(X_rows), np.asarray(y_rows), **SURROGATE_HYPER)
-            preds = gbt.predict(model, enc)
-            preds = np.where(camp.explored, -np.inf, preds)
-            i = int(np.argmax(preds))  # ties -> enumeration order
-        top1 = camp.measure(i)
-        X_rows.append(enc[i])
-        y_rows.append(top1)
+            yield [camp.unexplored(rng)]
+            continue
+        model = gbt.train(np.concatenate([X_seed, enc[camp.picks]]),
+                          np.concatenate([y_seed, camp.top1[camp.picks]]), **SURROGATE_HYPER)
+        preds = np.where(camp.explored, -np.inf, gbt.predict(model, enc))
+        yield [int(np.argmax(preds))]  # ties -> enumeration order
 
 
 # the genetic strategy's parameters; module constants so tests can patch them
@@ -317,42 +308,28 @@ def _evolve(pop: list[list[int]], fitness: list[float],
     return nxt
 
 
-def _genetic(camp: _Campaign, rng: np.random.Generator, **_) -> None:
+def _genetic(camp: _Campaign, rng: np.random.Generator,
+             seed_db: list[TuningRecord] | None) -> Iterator[list[int]]:
     dims, index = _space_dims(camp.space)
     bits = _genome_bits(dims)
-    memo: dict[int, float] = {}
-
-    def fitness_of(genome: list[int]) -> float | None:
-        """A config's measurement, reused once made; None when the budget
-        ran out first."""
-        i = _decode(genome, dims, bits, index)
-        if i in memo:
-            return memo[i]
-        if camp.exhausted:
-            return None
-        memo[i] = camp.measure(i)
-        return memo[i]
-
     pop = [list(rng.integers(0, 2, size=sum(bits))) for _ in range(_POPULATION)]
     for _ in range(_MAX_GENERATIONS):
         fitness = []
         for genome in pop:
-            f = fitness_of(genome)
-            if f is None:
-                break
-            fitness.append(f)
-        if camp.exhausted or len(fitness) < len(pop):
-            break
+            i = _decode(genome, dims, bits, index)
+            if not camp.explored[i]:  # a measured config reuses its result
+                if camp.exhausted:
+                    return
+                yield [i]
+            fitness.append(camp.top1[i])
+        if camp.exhausted:
+            return
         pop = _evolve(pop, fitness, rng)
-    # a stalled population (e.g. zero mutation) may leave budget unused;
-    # spend the remainder uniformly so the budget contract holds
-    while not camp.exhausted:
-        camp.measure(camp.unexplored(rng))
 
 
 # name -> picker; the order is that of STRATEGIES
-_PICKERS: dict[str, Callable[..., None]] = {
-    "xgb": lambda camp, rng, **_: _xgb(camp, rng),  # cold start, whatever seed_db holds
+_PICKERS: dict[str, Callable[..., Iterator[list[int]]]] = {
+    "xgb": lambda camp, rng, seed_db: _xgb(camp, rng, None),  # cold start, whatever seed_db holds
     "xgb-t": _xgb,
     "random": _random,
     "grid": _grid,
@@ -369,9 +346,11 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
     space, measure what the strategy picks, and report the first trial that
     reaches the best.
 
-    ``workers`` only affects strategies whose trial list is fixed up front
-    (random, grid); the adaptive ones evaluate sequentially by design.
-    ``seed_db`` is read by xgb-t, which requires one.
+    Each list of picks is evaluated ``workers`` at a time.  random and grid
+    pick their whole budget in one list; xgb, xgb-t and genetic pick one
+    config per list, so only the first two run trials in parallel.  Budget
+    a picker leaves unspent (a stalled genetic population) goes to uniform
+    picks.  ``seed_db`` is read by xgb-t, which requires one.
     """
     if strategy not in _PICKERS:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -379,8 +358,11 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
         raise ValueError("xgb-t requires a transfer database")
     _check_space(space, budget)
     camp = _Campaign(model_name, features, space, evaluate, budget)
-    _PICKERS[strategy](camp, np.random.default_rng(seed),
-                       workers=workers, seed_db=seed_db)
+    rng = np.random.default_rng(seed)
+    for picks in _PICKERS[strategy](camp, rng, seed_db):
+        camp.measure(picks, workers)
+    while not camp.exhausted:
+        camp.measure([camp.unexplored(rng)], workers)
     best_top1 = max(r.top1 for r in camp.trials)
     first = next(r for r in camp.trials if r.top1 == best_top1)
     return SearchResult(strategy=strategy, best_config=first.config,

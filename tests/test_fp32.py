@@ -58,6 +58,22 @@ def test_maxpool_matches_scalar_oracle_and_window_reduction(k, stride):
     assert maxpool(x_nhwc, k, stride).strides == window_max(x_nhwc, k, stride).strides
 
 
+def _memory_order(a):
+    """Axes from the slowest-varying to the fastest in memory."""
+    return tuple(int(i) for i in np.argsort(a.strides)[::-1])
+
+
+def test_maxpool_returns_its_input_memory_order():
+    # conv2d returns an NHWC-ordered view and avgpool sums in memory order,
+    # so a maxpool between them that reordered memory would move fp32 bits
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+    y = conv2d(x, rng.standard_normal((4, 3, 3, 3)).astype(np.float32), None, 1, 1)
+    assert _memory_order(x) == (0, 1, 2, 3) and _memory_order(y) == (0, 2, 3, 1)
+    for a in (x, y):
+        assert _memory_order(maxpool(a, 2, 2)) == _memory_order(a)
+
+
 def test_softmax_rows_are_distributions():
     x = RNG.standard_normal((5, 10)).astype(np.float32)
     s = softmax(x)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ptqtune import (GraphError, QuantConfig, Scheme, dequantize_array,
-                     generate_fixture, load_quantized, model_size,
+from ptqtune import (Graph, GraphError, Node, QuantConfig, Scheme, calibrate,
+                     dequantize_array, generate_fixture, load_quantized, model_size,
                      quantize_model, quantize_weights, save_quantized)
 
 
@@ -339,3 +339,66 @@ def test_load_rejects_arrays_of_the_wrong_dtype_naming_the_node(tmp_path, lenet,
     path = _tampered(tmp_path, qg, retype)
     with pytest.raises(ValueError, match=f"node {named['node']}: .* is {np.dtype(dtype)}"):
         load_quantized(path)
+
+
+def _hand_graph(nodes, **weights):
+    """A graph on a (1, 6, 6) input built in memory, never validated, and
+    its calibration cache."""
+    rng = np.random.default_rng(0)
+    g = Graph("hand", nodes, {k: rng.standard_normal(shape).astype(np.float32)
+                              for k, shape in weights.items()},
+              input_shape=(1, 6, 6), output_classes=3)
+    return g, calibrate(g, rng.standard_normal((4, 1, 6, 6)).astype(np.float32))
+
+
+def test_quantize_model_rejects_a_bias_read_by_two_layers():
+    # one int32 code array cannot hold b0 at both layers' input scales
+    g, cache = _hand_graph([
+        Node("c0", "conv2d", ["input", "w0", "b0"], "t0"),
+        Node("r0", "relu", ["t0"], "t1"),
+        Node("c1", "conv2d", ["t1", "w1", "b0"], "t2"),
+        Node("fc", "fully_connected", ["t2", "wfc"], "t3"),
+    ], w0=(2, 1, 3, 3), b0=(2,), w1=(2, 2, 3, 3), wfc=(3, 8))
+    with pytest.raises(GraphError, match=r"\['b0'\] are read more than once"):
+        quantize_model(g, cache, cfg())
+
+
+@pytest.mark.parametrize("nodes, weights, match", [
+    ([Node("c0", "conv2d", ["input", "w0", "b0"], "t0"),
+      Node("c1", "conv2d", ["input", "w1"], "t1"),
+      Node("a", "add", ["t0", "t1"], "t2"),
+      Node("fc", "fully_connected", ["t2", "wfc"], "t3")],
+     dict(w0=(2, 1, 3, 3), b0=(2,), w1=(2, 1, 3, 3), wfc=(3, 32)),
+     "^node c1: quantized layer fed by fp32 tensor$"),
+    ([Node("c0", "conv2d", ["input", "w0"], "t0"),
+      Node("m", "maxpool", ["input"], "t1", {"kernel": 3, "stride": 1}),
+      Node("a", "add", ["t0", "t1"], "t2"),
+      Node("fc", "fully_connected", ["t2", "wfc"], "t3")],
+     dict(w0=(1, 1, 3, 3), wfc=(3, 16)),
+     "^node a: mixed int8/fp32 operands$"),
+], ids=["conv-reads-the-fp32-input", "add-of-int8-and-fp32"])
+def test_first_last_fp32_rejects_an_int8_node_on_fp32_tensors(nodes, weights, match):
+    # the input stays fp32 under FirstLastFp32; only the first layer's
+    # output is quantized
+    g, cache = _hand_graph(nodes, **weights)
+    quantize_model(g, cache, cfg())  # the graph itself is fine
+    with pytest.raises(GraphError, match=match):
+        quantize_model(g, cache, cfg(mixed="FirstLastFp32"))
+
+
+def _header(key, value):
+    def tamper(header, buffers):
+        header[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_header("fused", True), "fused is True, but no node carries fused_relu"),
+    (_header("fp32_nodes", ["relu1"]), r"fp32_nodes \['relu1'\] are not the weighted "
+                                       r"layers without weight params \[\]"),
+], ids=["fused", "fp32-nodes"])
+def test_load_rejects_flags_the_graph_contradicts(tmp_path, lenet, lenet_cache_s2,
+                                                  tamper, match):
+    qg = quantize_model(lenet, lenet_cache_s2, cfg())
+    with pytest.raises(ValueError, match=match):
+        load_quantized(_tampered(tmp_path, qg, tamper))

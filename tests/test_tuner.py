@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -198,12 +199,32 @@ def test_grid_stride_spreads_over_every_dimension_block():
     assert {c.cache for c in picked} == {"S1", "S2", "S3"}
 
 
-def test_parallel_workers_reproduce_sequential_records():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_parallel_workers_reproduce_sequential_records(strategy):
     ev = table_evaluator()
-    seq = run_strategy("random", FEATS, SPACE, ev, budget=16, seed=5, workers=1)
-    par = run_strategy("random", FEATS, SPACE, ev, budget=16, seed=5, workers=4)
-    assert [(t.config, t.top1, t.trial) for t in seq.trials] == \
-           [(t.config, t.top1, t.trial) for t in par.trials]
+    kw = {"seed_db": donor_db()} if strategy == "xgb-t" else {}
+    seq = run_strategy(strategy, FEATS, SPACE, ev, budget=16, seed=5, workers=1, **kw)
+    for workers in (2, 4):
+        par = run_strategy(strategy, FEATS, SPACE, ev, budget=16, seed=5, workers=workers, **kw)
+        assert [(t.config, t.top1, t.trial) for t in seq.trials] == \
+               [(t.config, t.top1, t.trial) for t in par.trials]
+
+
+def test_parallel_records_are_stamped_as_each_result_arrives():
+    # the last grid picks take longest, so the first records arrive well
+    # before the batch ends
+    slow = set(SPACE[(k * 96) // 8] for k in (6, 7))
+    ended = {}
+
+    def ev(cfg):
+        time.sleep(0.3 if cfg in slow else 0.01)
+        ended[cfg] = time.time()
+        return 0.5
+
+    r = run_strategy("grid", FEATS, SPACE, ev, budget=8, workers=2)
+    assert r.trials[0].timestamp < max(ended.values())
+    for t in r.trials:
+        assert t.timestamp >= ended[t.config]
 
 
 # ---------------------------------------------------------------- surrogate
