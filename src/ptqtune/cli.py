@@ -105,17 +105,11 @@ def cmd_calibrate(args, arts: _Artifacts) -> None:
           f"({args.size_class}={SIZE_CLASSES[args.size_class]} images) -> {args.out}")
 
 
-def _config_from_args(args) -> QuantConfig:
-    return QuantConfig(**{name: getattr(args, name) for name in DIMENSIONS})
-
-
 def cmd_quantize(args, arts: _Artifacts) -> None:
     g = load_model(args.model)
     cache = load_cache(args.cache_file)
-    cfg = _config_from_args(args)
-    if cfg.cache != cache.size_class:
-        raise ValueError(f"--cache {cfg.cache} does not match cache file "
-                         f"size class {cache.size_class}")
+    cfg = QuantConfig(cache=cache.size_class,
+                      **{name: getattr(args, name) for name in DIMENSIONS if name != "cache"})
     profile = PROFILES[args.profile] if args.profile else None
     qg = quantize_model(g, cache, cfg, profile=profile)
     arts.note(args.out)
@@ -251,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     qz.add_argument("--cache-file", required=True)
     defaults = QuantConfig().to_dict()
     for name, values in DIMENSIONS.items():  # one flag per dimension
+        if name == "cache":  # the size class stored in --cache-file
+            continue
         if isinstance(defaults[name], bool):
             qz.add_argument(f"--{name}", action="store_true")
         else:

@@ -6,15 +6,18 @@ dequantize and boundary quantize) or the code step on int8 codes.
 
   run_quantized     — int32 accumulation with float-multiplier requantization
                       (the usual int8 simulation).
-  run_integer_only  — multiplication, addition and bit-shifts only; requires
-                      SymmetricPower2 + Tensor granularity + mixed Off, and
-                      power-of-two avgpool areas.  Returns raw output codes.
+  run_integer_only  — the same arithmetic on an eligible graph
+                      (``check_integer_only``), traced as integer mul, add
+                      and shift.  Returns raw output codes.
 
-The two differ only in how an accumulator is rescaled (``_rescale``: float
-multiplier or shift) and in ``add``.  Both round half up, so for power-of-two
-scales they agree bit-for-bit:
-(acc + (1 << (s-1))) >> s  ==  floor(ldexp(acc, -s) + 0.5)
-                           ==  floor(acc * 2**-s + 0.5).
+``integer_only`` only picks the trace labels.  An eligible graph has
+power-of-two scales and avgpool areas, so every requantize multiplier and
+``add`` ratio is an exact 2**k, and multiplying by it then rounding half up
+gives what an integer shift gives (Jacob et al.'s dyadic multipliers):
+(acc + (1 << (s-1))) >> s  ==  floor(acc * 2**-s + 0.5).  The ``add`` sum is
+2**(kmin - ko) times the zero-shifted codes (|v| <= 255) aligned by a left
+shift of |ka - kb|, so it is exact while that is at most 45 (255 * 2**45 <
+2**53).
 
 Codes are carried as float32 integers, from input quantization to the int8
 cast of the graph output; every code, and every zero-shifted code or weight
@@ -32,12 +35,9 @@ value needs more significand bits than its dtype has.
     fixture grammar builds, a fully_connected over 64x32x32 inputs, sums
     2**16 taps below 2**32, far under 2**53.
   * float64 stays where a float32 result could round: the bias add and
-    int32 saturation (int32 values), the requantize multiply, the simulated
-    ``add`` (codes times scale ratios) and the avgpool sums.  Requantize and
-    ``add`` run in place on ``_blocks`` of the batch.  A shift is
-    ``np.ldexp``, exact on integers below 2**53.  The integer-only ``add``
-    aligns zero-shifted codes by a left shift of |log2 sa - log2 sb|, exact
-    while the shift is at most 45, since 255 * 2**45 < 2**53.
+    int32 saturation (int32 values), the requantize multiply, ``add``
+    (codes times scale ratios) and the avgpool sums.  Requantize and
+    ``add`` run in place on ``_blocks`` of the batch.
 
 Exactness makes summation order free on codes, and layout with it: an
 exact integer sum has one value however it is formed.  So the code step
@@ -76,7 +76,7 @@ from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _windows, m
                    top1_from_scores)
 from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, out_size, pool_args
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
-from .schemes import QMAX, QMIN, _broadcast, ceil_log2, dequantize_array, quantize_array
+from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 
 # float_kernel marks a layer whose matrix/conv arithmetic runs in fp32
 # (the precision map); float_mul/float_add are elementwise float steps
@@ -112,34 +112,22 @@ class OpTrace:
         return "\n".join(lines) + "\n"
 
 
-def requantize(acc: np.ndarray | int, multiplier: float | np.ndarray | None = None,
-               shift: int | None = None, zero_point: int = 0) -> np.ndarray:
-    """int32 accumulator -> int8 codes as float64, via float multiplier or
-    shift (right for ``shift > 0``, left for ``shift < 0``), rounding half up."""
-    if (multiplier is None) == (shift is None):
-        raise ValueError("pass exactly one of multiplier/shift")
-    return _requantize(np.array(acc, dtype=np.float64), multiplier, shift, zero_point)
+def requantize(acc: np.ndarray | int, multiplier: float | np.ndarray,
+               zero_point: int = 0) -> np.ndarray:
+    """int32 accumulator -> int8 codes as float64, via a float multiplier,
+    rounding half up.  A multiplier 2**-s gives the codes of a shift by s."""
+    return _requantize(np.array(acc, dtype=np.float64), multiplier, zero_point)
 
 
-def _requantize(acc: np.ndarray, multiplier, shift, zero_point: int,
+def _requantize(acc: np.ndarray, multiplier, zero_point: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """``requantize`` in place on the float64 accumulator ``acc``; the codes
     land in ``out`` (default ``acc``)."""
-    if multiplier is not None:
-        np.multiply(acc, multiplier, out=acc)
-    else:
-        np.ldexp(acc, -shift, out=acc)
+    np.multiply(acc, multiplier, out=acc)
     acc += 0.5
     np.floor(acc, out=acc)
     acc += zero_point
     return np.clip(acc, QMIN, QMAX, out=acc if out is None else out)
-
-
-def _exact_log2(scale: float) -> int:
-    k = ceil_log2(scale)
-    if 2.0**k != scale:
-        raise IntegerOnlyError(f"scale {scale} is not a power of two")
-    return k
 
 
 def _per_channel(vec: np.ndarray, ndim: int) -> np.ndarray:
@@ -150,6 +138,8 @@ def _per_channel(vec: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def check_integer_only(qg: QuantizedGraph) -> None:
+    """Raise ``IntegerOnlyError`` unless every requantize step of ``qg`` is
+    an exact power-of-two multiplier, before any node runs."""
     if not INTEGER_ONLY.contains(qg.config):
         pins = INTEGER_ONLY.pins
         want = ", ".join(f"{name}={_plain(v)}" for name, v in pins.items())
@@ -161,6 +151,11 @@ def check_integer_only(qg: QuantizedGraph) -> None:
     for wid, wp in qg.weight_params.items():
         if wp.axis is not None:
             raise IntegerOnlyError(f"weight {wid}: per-channel params in an integer-only graph")
+    scales = [(f"tensor {t}", p.scale) for t, p in qg.act_params.items()]
+    scales += [(f"weight {wid}", wp.scale) for wid, wp in qg.weight_params.items()]
+    for what, scale in scales:
+        if math.frexp(float(scale))[0] != 0.5:
+            raise IntegerOnlyError(f"{what}: scale {float(scale)} is not a power of two")
     for node in qg.graph.nodes:
         if node.kind == "avgpool":
             area = pool_args(node)[0] ** 2
@@ -172,24 +167,25 @@ def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
              zero_point: int, integer_only: bool, trace: OpTrace, node_id: str,
              bias: np.ndarray | None = None) -> np.ndarray:
     """Integer accumulator at ``src_scale``, plus ``bias`` codes and
-    saturated to int32 -> float32 int8 codes at ``dst_scale``: a shift
-    (power-of-two scales only) under integer_only, else a float multiplier.
+    saturated to int32 -> float32 int8 codes at ``dst_scale``, through the
+    multiplier ``src_scale / dst_scale``.  ``integer_only`` only labels the
+    trace: the multiplier of an eligible graph is a 2**k, recorded as a
+    shift, while the codes still travel as float32.
 
     Runs in float64 on ``_blocks`` of the batch, whose temporaries stay in
     cache."""
     if integer_only:
         trace.add(node_id, "int_add", "shift", "clamp")
-        multiplier, shift = None, _exact_log2(float(dst_scale)) - _exact_log2(float(src_scale))
     else:
         trace.add(node_id, "int_add", "float_mul", "round", "clamp")
-        multiplier, shift = src_scale / dst_scale, None
+    multiplier = src_scale / dst_scale
     out = np.empty_like(acc, dtype=np.float32)
     for sl in _blocks(len(acc), math.prod(acc.shape[1:])):
         a = acc[sl].astype(np.float64)
         if bias is not None:
             a += bias
         np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
-        _requantize(a, multiplier, shift, zero_point, out[sl])
+        _requantize(a, multiplier, zero_point, out[sl])
     return out
 
 
@@ -322,27 +318,18 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         pa, pb = params
         out = np.empty_like(x)
         if integer_only:
-            ka = _exact_log2(float(pa.scale))
-            kb = _exact_log2(float(pb.scale))
-            kmin = min(ka, kb)
-            shift = _exact_log2(float(out_p.scale)) - kmin
             trace.add(node.id, "int_add", "shift", "int_add", "shift", "int_add", "shift", "clamp")
         else:
-            so = float(out_p.scale)
-            ra, rb = float(pa.scale) / so, float(pb.scale) / so
             trace.add(node.id, "int_add", "float_mul", "int_add", "float_mul",
                       "float_add", "round", "int_add", "clamp")
+        so = float(out_p.scale)
+        ra, rb = float(pa.scale) / so, float(pb.scale) / so
         for sl in _blocks(len(x), math.prod(x.shape[1:])):
             xa = np.subtract(x[sl], int(pa.zero_point), dtype=np.float64)
             xb = np.subtract(xs[1][sl], int(pb.zero_point), dtype=np.float64)
-            if integer_only:
-                np.ldexp(xa, ka - kmin, out=xa)
-                xa += np.ldexp(xb, kb - kmin, out=xb)
-                _requantize(xa, None, shift, zo, out[sl])
-            else:
-                xa *= ra
-                xa += np.multiply(xb, rb, out=xb)
-                _requantize(xa, 1.0, None, zo, out[sl])  # already at the output scale
+            xa *= ra
+            xa += np.multiply(xb, rb, out=xb)
+            _requantize(xa, 1.0, zo, out[sl])  # already at the output scale
     elif node.kind == "concat":
         out = np.concatenate([
             _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo,
@@ -422,7 +409,9 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
 
 def run_integer_only(qg: QuantizedGraph, batch: np.ndarray,
                      trace: OpTrace | None = None) -> np.ndarray:
-    """Strict integer path (mul/add/shift only); returns int8 output codes."""
+    """Integer-only path: ``check_integer_only``, then the code step of
+    ``run_quantized``; returns int8 output codes.  "mul/add/shift only"
+    describes its trace, since the codes travel as float32."""
     check_integer_only(qg)
     out = _execute(qg, batch, trace, integer_only=True)
     return out.astype(np.int8)

@@ -260,3 +260,14 @@ def requantize_int64(acc, multiplier=None, shift=None, zero_point=0):
     else:
         scaled = acc << (-shift)
     return np.clip(scaled + zero_point, -128, 127).astype(np.int8)
+
+
+def add_int64(xa, za, ka, xb, zb, kb, zo, ko):
+    """int8 add in int64: codes ``xa`` (zero point ``za``, scale 2**ka) plus
+    ``xb`` (``zb``, 2**kb) -> codes at (``zo``, 2**ko).  Each zero-shifted
+    input is aligned by ``<<`` to the smaller exponent, the two are summed,
+    and the sum is requantized by a shift to the output exponent."""
+    kmin = min(ka, kb)
+    acc = ((np.asarray(xa, dtype=np.int64) - za) << (ka - kmin)) \
+        + ((np.asarray(xb, dtype=np.int64) - zb) << (kb - kmin))
+    return requantize_int64(acc, shift=ko - kmin, zero_point=zo)

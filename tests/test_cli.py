@@ -52,7 +52,7 @@ def test_calibrate_then_quantize_then_eval_matches_in_process(ws, capsys):
 
     q_p = str(ws / "lenet.qtm8")
     out = run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p,
-                 "--cache", "S2", "--scheme", "Asymmetric", "--out", q_p)
+                 "--scheme", "Asymmetric", "--out", q_p)
     report = json.loads(out.strip().splitlines()[-1])
     assert report["config"]["scheme"] == "Asymmetric"
 
@@ -97,7 +97,7 @@ def test_integer_only_eval_and_trace(ws, capsys):
            "--size-class", "S1", "--seed", "0", "--out", cache_p)
     q_p = str(ws / "lenet-p2.qtm8")
     run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p,
-           "--cache", "S1", "--scheme", "SymmetricPower2",
+           "--scheme", "SymmetricPower2",
            "--profile", "integer-only", "--out", q_p)
 
     trace_p = ws / "trace.csv"
@@ -120,8 +120,7 @@ def test_simulated_eval_traces_the_one_full_run(ws, capsys):
     run_ok(capsys, "calibrate", "--model", model, "--dataset", dataset,
            "--size-class", "S1", "--seed", "0", "--out", cache_p)
     q_p = str(ws / "lenet-trace.qtm8")
-    run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p,
-           "--cache", "S1", "--out", q_p)
+    run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p, "--out", q_p)
 
     trace_p = ws / "trace-sim.csv"
     out = run_ok(capsys, "eval", "--model", q_p, "--dataset", dataset,
@@ -137,15 +136,21 @@ def test_simulated_eval_traces_the_one_full_run(ws, capsys):
     assert one.events
 
 
-def test_quantize_rejects_cache_size_mismatch(ws, capsys):
-    q_p = ws / "never.qtm8"
-    rc = main(["quantize", "--model", str(ws / "lenet-ish-s1.qtm"),
-               "--cache-file", str(ws / "lenet.qcal"),  # S2 cache
-               "--cache", "S3", "--out", str(q_p)])
+def test_quantize_takes_the_size_class_from_the_cache_file(ws, capsys):
+    model, cache_p, q_p = (str(ws / f) for f in ("lenet-ish-s1.qtm", "s2.qcal", "s2.qtm8"))
+    run_ok(capsys, "calibrate", "--model", model, "--dataset", str(ws / "dataset.qds"),
+           "--size-class", "S2", "--seed", "0", "--out", cache_p)
+    out = run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p, "--out", q_p)
+    assert json.loads(out.strip().splitlines()[-1])["config"]["cache"] == "S2"
+    assert load_quantized(q_p).config.cache == "S2"
+
+    never = ws / "never.qtm8"
+    rc = main(["quantize", "--model", model, "--cache-file", cache_p,
+               "--profile", "integer-only", "--scheme", "Asymmetric", "--out", str(never)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "error:" in err
-    assert not q_p.exists()  # failed commands leave no artifacts
+    assert "error:" in err and "not allowed by profile IntegerOnly" in err
+    assert not never.exists()  # failed commands leave no artifacts
 
 
 def test_tune_grid_full_budget_covers_the_space(ws, capsys):
@@ -227,10 +232,12 @@ def test_every_artifact_echoes_its_flags_under_meta(ws, capsys):
 
     q_p = str(ws / "mobile-meta.qtm8")
     run_ok(capsys, "quantize", "--model", model, "--cache-file", cache_p,
-           "--cache", "S1", "--clipping", "KL", "--profile", "generic", "--out", q_p)
+           "--clipping", "KL", "--profile", "generic", "--out", q_p)
     meta = read_container(q_p, "qtm8")[0]["meta"]
+    flags = QuantConfig(cache="S1", clipping="KL").to_dict()
+    del flags["cache"]  # taken from the cache file, not a flag
     assert meta == {"model": model, "cache_file": cache_p, "profile": "generic",
-                    "out": q_p, **QuantConfig(cache="S1", clipping="KL").to_dict()}
+                    "out": q_p, **flags}
 
 
 def test_tune_budget_validation(ws, capsys):

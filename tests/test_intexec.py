@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up
-from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, Scheme,
+from oracles import add_int64, conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up
+from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantParams, Scheme,
                      build_cache, check_integer_only, clipped_range, enumerate_space,
                      evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
                      quantize_model, requantize, run_fp32, run_integer_only, run_quantized,
@@ -16,6 +16,8 @@ from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune import intexec
 from ptqtune.intexec import _BLOCK, _accumulate
 from ptqtune.ir import INPUT_TENSOR, Graph, Node
+from ptqtune.quantize import QuantizedGraph
+from ptqtune.schemes import QMAX, QMIN
 from ptqtune.tuner import INTEGER_ONLY
 
 
@@ -29,20 +31,19 @@ def cfg(**kw):
 # --------------------------------------------------------------- requantize
 
 def test_requantize_shift_examples():
-    assert int(requantize(256, shift=4)) == 16
-    assert int(requantize(300000, shift=4)) == 127  # saturates
-    assert int(requantize(-300000, shift=4)) == -128
-    assert int(requantize(24, shift=4)) == 2   # 1.5 rounds half-up to 2
-    assert int(requantize(-24, shift=4)) == -1  # -1.5 rounds half-up to -1
+    assert int(requantize(256, 2.0**-4)) == 16
+    assert int(requantize(300000, 2.0**-4)) == 127  # saturates
+    assert int(requantize(-300000, 2.0**-4)) == -128
+    assert int(requantize(24, 2.0**-4)) == 2   # 1.5 rounds half-up to 2
+    assert int(requantize(-24, 2.0**-4)) == -1  # -1.5 rounds half-up to -1
 
 
 def test_requantize_multiplier_matches_shift_bitwise():
     rng = np.random.default_rng(8)
     acc = rng.integers(-(2**30), 2**30, size=4000)
     for s in (0, 1, 4, 9, 17):
-        a = requantize(acc, shift=s, zero_point=3)
-        b = requantize(acc, multiplier=2.0**-s, zero_point=3)
-        assert np.array_equal(a, b)
+        a = requantize(acc, 2.0**-s, zero_point=3)
+        assert np.array_equal(a, requantize_int64(acc, shift=s, zero_point=3))
         want = np.array([min(max(round_half_up(int(v) * 2.0**-s) + 3, -128), 127)
                          for v in acc])
         assert np.array_equal(a.astype(np.int64), want)
@@ -52,16 +53,52 @@ def test_requantize_multiplier_matches_shift_bitwise():
     for s in range(-3, 32):
         for zp in (-128, 0, 127):
             want = requantize_int64(acc, shift=s, zero_point=zp)
-            assert np.array_equal(requantize(acc, shift=s, zero_point=zp), want), (s, zp)
-            assert np.array_equal(requantize(acc, multiplier=2.0**-s, zero_point=zp),
-                                  want), (s, zp)
+            assert np.array_equal(requantize(acc, 2.0**-s, zero_point=zp), want), (s, zp)
 
 
-def test_requantize_needs_exactly_one_of_multiplier_shift():
-    with pytest.raises(ValueError):
-        requantize(1)
-    with pytest.raises(ValueError):
-        requantize(1, multiplier=0.5, shift=1)
+def test_rescale_matches_int64_shift_with_bias_and_int32_saturation():
+    # (n, 7) accumulators over three batch blocks, the last one ragged, with
+    # sums that pass both int32 ends once the bias is added
+    rng = np.random.default_rng(4)
+    acc = rng.integers(-(2**33), 2**33, size=(20000, 7)).astype(np.float64)
+    acc[:, 0] = 2**31 - 1
+    acc[:, 1] = -(2**31)
+    bias = np.array([1, -1, 2**31 - 1, -(2**31), 0, 12345, -54321], dtype=np.int64)
+    saturated = np.clip(acc.astype(np.int64) + bias, -(2**31), 2**31 - 1)
+    for s in (-2, 0, 1, 7, 16, 31):
+        for zp in (-128, 0, 127):
+            want = requantize_int64(saturated, shift=s, zero_point=zp)
+            for integer_only in (False, True):
+                got = intexec._rescale(acc, 2.0**-9, 2.0**(s - 9), zp, integer_only, OpTrace(),
+                                       "n", bias=bias.astype(np.float64))
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want), (s, zp, integer_only)
+
+
+_EXTREMES = np.array([QMIN, QMIN + 1, -1, 0, 1, QMAX - 1, QMAX], dtype=np.float32)
+
+
+@pytest.mark.parametrize("integer_only", [False, True])
+def test_add_step_matches_int64_alignment_up_to_45_bits(integer_only):
+    # every pair of extreme codes, for input exponents 0..45 apart either
+    # way, zero points at both ends, and output exponents below, between
+    # and above the inputs'
+    xa, xb = (v.reshape(1, -1) for v in np.meshgrid(_EXTREMES, _EXTREMES))
+    node = Node("a", "add", ["ta", "tb"], "to")
+    for d in range(46):
+        for ka, kb in ((-10, -10 - d), (-10 - d, -10)):
+            kmin, kmax = min(ka, kb), max(ka, kb)
+            for ko in (kmin - 1, kmin, kmax, kmax + 1, kmax + 9):
+                for za, zb, zo in ((0, 0, 0), (QMIN, QMAX, 0), (QMAX, 0, QMIN)):
+                    qg = QuantizedGraph(
+                        Graph("add", [node], {}, (1, 1, xa.shape[1]), xa.shape[1]),
+                        int_cfg(), {"ta": QuantParams(2.0**ka, za), "tb": QuantParams(2.0**kb, zb),
+                                    "to": QuantParams(2.0**ko, zo)}, {})
+                    trace = OpTrace()
+                    got = intexec._code_node(qg, node, [xa, xb], trace, integer_only)
+                    want = add_int64(xa, za, ka, xb, zb, kb, zo, ko)
+                    assert np.array_equal(got, want), (ka, kb, ko, za, zb, zo)
+                    assert (trace.float_ops() == 0) == integer_only
 
 
 # ------------------------------------------ float32 accumulation bound
@@ -406,6 +443,24 @@ def test_integer_only_requires_power2_tensor_off(lenet, lenet_cache_s2):
     with pytest.raises(IntegerOnlyError, match=f"weight {wid}: per-channel"):
         check_integer_only(replace(channel, config=replace(channel.config,
                                                            granularity="Tensor")))
+
+
+def test_integer_only_rejects_a_scale_that_is_not_a_power_of_two(lenet, lenet_cache_s2, ds):
+    # an Asymmetric graph relabelled SymmetricPower2 passes the config pins;
+    # its scales fail, before any node runs
+    asym = quantize_model(lenet, lenet_cache_s2, cfg())
+    relabelled = replace(asym, config=int_cfg())
+    with pytest.raises(IntegerOnlyError, match=rf"^tensor {INPUT_TENSOR}: scale \S+ is not "
+                       r"a power of two$"):
+        check_integer_only(relabelled)
+    with mock.patch.object(intexec, "_code_node", side_effect=AssertionError("node ran")):
+        with pytest.raises(IntegerOnlyError, match=f"^tensor {INPUT_TENSOR}: "):
+            run_integer_only(relabelled, ds.eval_images[:4])
+    qg = quantize_model(lenet, lenet_cache_s2, int_cfg())
+    wid = lenet.compute_nodes()[-1].weight_id
+    with pytest.raises(IntegerOnlyError, match=rf"^weight {wid}: scale 0.3 is not a power of two$"):
+        check_integer_only(replace(qg, weight_params={**qg.weight_params,
+                                                      wid: QuantParams(0.3, 0)}))
 
 
 def test_every_executor_rejects_an_empty_batch(lenet, lenet_cache_s2, ds):

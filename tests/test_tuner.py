@@ -102,7 +102,8 @@ def test_spaces_and_encoding_are_pinned():
 
 
 def test_check_integer_only_rejects_what_the_profile_rejects(lenet, lenet_cache_s2):
-    qg = quantize_model(lenet, lenet_cache_s2, QuantConfig(cache="S2"))
+    qg = quantize_model(lenet, lenet_cache_s2,
+                        QuantConfig(cache="S2", scheme=Scheme.SymmetricPower2))
     combos = list(product(CACHES, SCHEMES, CLIPPINGS, GRANULARITIES, MIXED, FUSION))
     assert len(combos) == 192
     for v in combos:
