@@ -26,8 +26,8 @@ from .intexec import OpTrace, run_integer_only, run_quantized
 from .ir import extract_features, load_model, save_model
 from .quantize import (DIMENSIONS, QuantConfig, _plain, load_quantized, model_size,
                        quantize_model, save_quantized)
-from .tuner import (PROFILES, STRATEGIES, TuningRecord, enumerate_space, load_db,
-                    make_accuracy_evaluator, record_db, run_strategy)
+from .tuner import (PROFILES, STRATEGIES, TuningRecord, _check_request, enumerate_space,
+                    load_db, make_accuracy_evaluator, record_db, run_strategy)
 
 
 class _Artifacts:
@@ -163,10 +163,8 @@ def cmd_tune(args, arts: _Artifacts) -> None:
     d = load_dataset(args.dataset)
     profile = PROFILES[args.profile]
     space = enumerate_space(profile)
-    if not 1 <= args.budget <= len(space):
-        raise ValueError(f"--budget must be in [1, {len(space)}] for "
-                         f"profile {profile.name}")
     seed_db = load_db(args.transfer_db) if args.transfer_db else None
+    _check_request(args.strategy, space, args.budget, seed_db)  # before calibrating
     features = extract_features(g)
     evaluate = make_accuracy_evaluator(g, d, seed=args.seed, profile=profile)
     baseline = evaluate_top1(g, d)

@@ -10,7 +10,7 @@ dequantize and boundary quantize) or the code step on int8 codes.
                       (``check_integer_only``), traced as integer mul, add
                       and shift.  Returns raw output codes.
 
-``integer_only`` only picks the trace labels.  An eligible graph has
+Its trace names each requantize multiplier a shift.  An eligible graph has
 power-of-two scales and avgpool areas, so every requantize multiplier and
 ``add`` ratio is an exact 2**k, and multiplying by it then rounding half up
 gives what an integer shift gives (Jacob et al.'s dyadic multipliers):
@@ -61,7 +61,9 @@ so ``run_fp32``, calibration and the fp32 layers of mixed-precision graphs
 keep the ``fp32`` kernels.
 
 The OpTrace records the *semantic* operation categories of the quantized
-program, which is what the integer-only audit asserts over.
+program, which is what the integer-only audit asserts over.  The walk
+only computes; ``_events`` derives each node's categories from the graph
+once a run has finished, so a run that raises leaves the trace as it was.
 """
 
 from __future__ import annotations
@@ -164,20 +166,13 @@ def check_integer_only(qg: QuantizedGraph) -> None:
 
 
 def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
-             zero_point: int, integer_only: bool, trace: OpTrace, node_id: str,
-             bias: np.ndarray | None = None) -> np.ndarray:
+             zero_point: int, bias: np.ndarray | None = None) -> np.ndarray:
     """Integer accumulator at ``src_scale``, plus ``bias`` codes and
     saturated to int32 -> float32 int8 codes at ``dst_scale``, through the
-    multiplier ``src_scale / dst_scale``.  ``integer_only`` only labels the
-    trace: the multiplier of an eligible graph is a 2**k, recorded as a
-    shift, while the codes still travel as float32.
+    multiplier ``src_scale / dst_scale``.
 
     Runs in float64 on ``_blocks`` of the batch, whose temporaries stay in
     cache."""
-    if integer_only:
-        trace.add(node_id, "int_add", "shift", "clamp")
-    else:
-        trace.add(node_id, "int_add", "float_mul", "round", "clamp")
     multiplier = src_scale / dst_scale
     out = np.empty_like(acc, dtype=np.float32)
     for sl in _blocks(len(acc), math.prod(acc.shape[1:])):
@@ -272,8 +267,7 @@ def _depthwise_taps(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int
     return out
 
 
-def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
-               trace: OpTrace, integer_only: bool) -> np.ndarray:
+def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarray:
     """One node on int8 codes carried in float32; returns float32 codes."""
     params = [qg.act_params[t] for t in node.data_inputs]
     out_p = qg.act_params[node.output]
@@ -284,23 +278,18 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         w = qg.graph.weights[node.weight_id]
         w = w - _broadcast(wp, w.ndim)[1]  # int8 - float64 zero point
         acc = _accumulate(node, x, int(params[0].zero_point), w)
-        trace.add(node.id, "int_mul", "int_add")
         b = None
         if node.bias_id is not None:
             b = qg.graph.weights[node.bias_id].astype(np.float64)
             b = _per_channel(b, acc.ndim) if acc.ndim == 4 else b
-            trace.add(node.id, "int_add")
         sw = np.asarray(wp.scale, dtype=np.float64)
         if wp.axis is not None and acc.ndim == 4:
             sw = _per_channel(sw, acc.ndim)
-        out = _rescale(acc, float(params[0].scale) * sw, float(out_p.scale), zo,
-                       integer_only, trace, node.id, bias=b)
+        out = _rescale(acc, float(params[0].scale) * sw, float(out_p.scale), zo, bias=b)
         if node.attrs.get("fused_relu", False):
             np.maximum(out, zo, out=out)
-            trace.add(node.id, "clamp")
     elif node.kind == "relu":
         out = np.maximum(x, zo)
-        trace.add(node.id, "clamp")
     elif node.kind == "maxpool":
         out = maxpool(x, *pool_args(node))
     elif node.kind == "avgpool":
@@ -309,7 +298,7 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         for _, _, tap in _taps(x, k, k, s):
             total = tap.astype(np.float64) if total is None else np.add(total, tap, out=total)
         total -= zo * k * k
-        out = _rescale(total, 1.0, float(k * k), zo, integer_only, trace, node.id)
+        out = _rescale(total, 1.0, float(k * k), zo)
     elif node.kind == "add":
         # align both inputs to a common scale WITHOUT clamping, sum in the
         # wide accumulator, then round/clamp once -- clamping the addends
@@ -317,11 +306,6 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
         # range is relu-narrowed
         pa, pb = params
         out = np.empty_like(x)
-        if integer_only:
-            trace.add(node.id, "int_add", "shift", "int_add", "shift", "int_add", "shift", "clamp")
-        else:
-            trace.add(node.id, "int_add", "float_mul", "int_add", "float_mul",
-                      "float_add", "round", "int_add", "clamp")
         so = float(out_p.scale)
         ra, rb = float(pa.scale) / so, float(pb.scale) / so
         for sl in _blocks(len(x), math.prod(x.shape[1:])):
@@ -332,8 +316,7 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
             _requantize(xa, 1.0, zo, out[sl])  # already at the output scale
     elif node.kind == "concat":
         out = np.concatenate([
-            _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo,
-                     integer_only, trace, node.id)
+            _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo)
             for xi, p in zip(xs, params)], axis=1)
     elif node.kind == "softmax":
         out = x  # monotone map: identity on codes
@@ -342,37 +325,20 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray],
     return out
 
 
-def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
-                trace: OpTrace) -> np.ndarray:
+def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
     """The fp32 step for a quantized graph: dequantize code inputs (only a
     FirstLastFp32 layer has them), run fp32, quantize a code output (the
     FirstLastFp32 boundary)."""
-    xs = []
-    for t in node.data_inputs:
-        if t in qg.act_params:
-            xs.append(dequantize_array(env[t], qg.act_params[t]))
-            trace.add(node.id, "int_add", "float_mul")
-        else:
-            xs.append(env[t])
+    xs = [dequantize_array(env[t], qg.act_params[t]) if t in qg.act_params else env[t]
+          for t in node.data_inputs]
     out = _float_node(node, xs, qg.graph.weights)
-    if node.kind in COMPUTE_KINDS:
-        trace.add(node.id, "float_kernel")
-        if node.attrs.get("fused_relu", False):
-            trace.add(node.id, "clamp")
-    elif node.kind == "add":
-        trace.add(node.id, "float_add")
-    elif node.kind == "softmax":
-        trace.add(node.id, "float_add", "float_mul")
     if node.output in qg.act_params:
         out = quantize_array(out, qg.act_params[node.output]).astype(np.float32)
-        trace.add(node.id, "float_mul", "round", "int_add", "clamp")
     return out
 
 
-def _execute(qg: QuantizedGraph, batch: np.ndarray, trace: OpTrace | None,
-             integer_only: bool, sink=None) -> np.ndarray:
+def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None) -> np.ndarray:
     g = qg.graph
-    trace = OpTrace() if trace is None else trace
     env: dict[str, np.ndarray] = {INPUT_TENSOR: _check_batch(g, batch)}
     if INPUT_TENSOR in qg.act_params:
         # host-side input quantization (not part of the traced graph program)
@@ -380,13 +346,36 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, trace: OpTrace | None,
                                            qg.act_params[INPUT_TENSOR]).astype(np.float32)
     for node in g.nodes:
         if qg.on_codes(node):
-            out = _code_node(qg, node, [env[t] for t in node.data_inputs], trace, integer_only)
+            out = _code_node(qg, node, [env[t] for t in node.data_inputs])
         else:
-            out = _float_step(qg, node, env, trace)
+            out = _float_step(qg, node, env)
         env[node.output] = out
         if sink is not None:
             sink(node.output, out)
     return env[g.output_tensor()]
+
+
+def _events(qg: QuantizedGraph, node: Node, integer_only: bool) -> list[str]:
+    """The operation categories one run of ``node`` adds to the trace, in
+    the order its step performs them.  ``integer_only`` only labels each
+    requantize multiplier, an exact 2**k on an eligible graph, as a shift."""
+    fused = ["clamp"] if node.attrs.get("fused_relu", False) else []
+    if not qg.on_codes(node):
+        dequantize = ["int_add", "float_mul"] * sum(t in qg.act_params for t in node.data_inputs)
+        step = (["float_kernel", *fused] if node.kind in COMPUTE_KINDS else
+                {"add": ["float_add"], "softmax": ["float_add", "float_mul"]}.get(node.kind, []))
+        boundary = ["float_mul", "round", "int_add", "clamp"] if node.output in qg.act_params else []
+        return dequantize + step + boundary
+    rescale = (["int_add", "shift", "clamp"] if integer_only
+               else ["int_add", "float_mul", "round", "clamp"])
+    if node.kind in COMPUTE_KINDS:
+        bias = ["int_add"] if node.bias_id is not None else []
+        return ["int_mul", "int_add", *bias, *rescale, *fused]
+    if node.kind == "add":  # align each input, sum, requantize once
+        return (["int_add", "shift"] * 3 + ["clamp"] if integer_only
+                else ["int_add", "float_mul"] * 2 + ["float_add", "round", "int_add", "clamp"])
+    return {"relu": ["clamp"], "avgpool": rescale,
+            "concat": rescale * len(node.data_inputs)}.get(node.kind, [])  # maxpool, softmax: none
 
 
 def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
@@ -397,7 +386,10 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
     ``sink(tensor_id, values)`` observes every node output (int8 codes
     carried as float32 for quantized tensors; fp32 for tensors kept in
     float)."""
-    out = _execute(qg, batch, trace, integer_only=False, sink=sink)
+    out = _execute(qg, batch, sink)
+    if trace is not None:  # filled only once the walk has finished
+        for node in qg.graph.nodes:
+            trace.add(node.id, *_events(qg, node, integer_only=False))
     t = qg.graph.output_tensor()
     if t in qg.act_params:
         codes = out.astype(np.int8)
@@ -409,11 +401,15 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
 
 def run_integer_only(qg: QuantizedGraph, batch: np.ndarray,
                      trace: OpTrace | None = None) -> np.ndarray:
-    """Integer-only path: ``check_integer_only``, then the code step of
-    ``run_quantized``; returns int8 output codes.  "mul/add/shift only"
-    describes its trace, since the codes travel as float32."""
+    """Integer-only path: ``check_integer_only``, then the walk of
+    ``run_quantized``; returns int8 output codes.  Only the trace differs:
+    it names each requantize multiplier a shift, so "mul/add/shift only"
+    describes the trace, since the codes travel as float32."""
     check_integer_only(qg)
-    out = _execute(qg, batch, trace, integer_only=True)
+    out = _execute(qg, batch)
+    if trace is not None:  # filled only once the walk has finished
+        for node in qg.graph.nodes:
+            trace.add(node.id, *_events(qg, node, integer_only=True))
     return out.astype(np.int8)
 
 

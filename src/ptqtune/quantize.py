@@ -38,7 +38,7 @@ weight element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,13 +137,22 @@ class QuantizedGraph:
     config: QuantConfig
     act_params: dict[str, QuantParams]
     weight_params: dict[str, QuantParams]     # keyed by weight tensor id
-    fp32_nodes: set[str] = field(default_factory=set)
-    fused: bool = False
+
+    @property
+    def fp32_nodes(self) -> set[str]:
+        """The weighted layers kept in fp32: their weight has no params."""
+        return {n.id for n in self.graph.compute_nodes() if n.weight_id not in self.weight_params}
+
+    @property
+    def fused(self) -> bool:
+        """Whether some node carries ``fused_relu``."""
+        return any(n.attrs.get("fused_relu", False) for n in self.graph.nodes)
 
     def on_codes(self, node: Node) -> bool:
         """Whether ``node`` runs on int8 codes: its output carries codes and
-        it is not a mixed-precision fp32 layer."""
-        return node.output in self.act_params and node.id not in self.fp32_nodes
+        it is not a mixed-precision fp32 layer, whose weight has no params."""
+        return node.output in self.act_params and (
+            node.kind not in COMPUTE_KINDS or node.weight_id in self.weight_params)
 
 
 def quantize_weights(w: np.ndarray, scheme: Scheme,
@@ -238,8 +247,7 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                 act_params[node.output] = act_params[node.data_inputs[0]]
 
     return QuantizedGraph(graph=replace(g, nodes=nodes, weights=weights), config=cfg,
-                          act_params=act_params, weight_params=weight_params,
-                          fp32_nodes=fp32_nodes, fused=bool(folded))
+                          act_params=act_params, weight_params=weight_params)
 
 
 def model_size(qg: QuantizedGraph) -> int:
@@ -352,8 +360,6 @@ def _check_references(qg: QuantizedGraph) -> None:
                 raise ValueError(f"node {node.id}: activation {t!r} has no act_params")
         if node.kind not in COMPUTE_KINDS:
             continue
-        if on_codes and node.weight_id not in qg.weight_params:
-            raise ValueError(f"node {node.id}: weight {node.weight_id!r} has no params")
         dtypes = (np.int8, np.int32) if on_codes else (np.float32, np.float32)
         for t, dtype in zip((node.weight_id, node.bias_id), dtypes):
             if t is not None and g.weights[t].dtype != dtype:
@@ -384,18 +390,15 @@ def load_quantized(path: str) -> QuantizedGraph:
             weights[meta["id"]] = next(it)
             weight_params[meta["id"]] = _params_from_buffers(next(it), next(it), meta["axis"])
         weights.update((t, next(it)) for t in listed[len(w_meta):])
-        g = _graph_from_header(header, weights)
+        qg = QuantizedGraph(graph=_graph_from_header(header, weights),
+                            config=QuantConfig.from_dict(header["config"]),
+                            act_params=act_params, weight_params=weight_params)
         # both flags restate the graph; a file whose header disagrees is corrupt
-        fp32_nodes = {n.id for n in g.compute_nodes() if n.weight_id not in weight_params}
-        if set(header["fp32_nodes"]) != fp32_nodes:
+        if set(header["fp32_nodes"]) != qg.fp32_nodes:
             raise ValueError(f"{path}: fp32_nodes {header['fp32_nodes']!r} are not the "
-                             f"weighted layers without weight params {sorted(fp32_nodes)}")
-        fused = any(n.attrs.get("fused_relu", False) for n in g.nodes)
-        if header["fused"] is not fused:
+                             f"weighted layers without weight params {sorted(qg.fp32_nodes)}")
+        if header["fused"] is not qg.fused:
             raise ValueError(f"{path}: fused is {header['fused']!r}, but "
-                             f"{'a' if fused else 'no'} node carries fused_relu")
-        qg = QuantizedGraph(graph=g, config=QuantConfig.from_dict(header["config"]),
-                            act_params=act_params, weight_params=weight_params,
-                            fp32_nodes=fp32_nodes, fused=fused)
+                             f"{'a' if qg.fused else 'no'} node carries fused_relu")
         _check_references(qg)
     return qg

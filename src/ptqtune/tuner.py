@@ -142,7 +142,13 @@ def load_db(path: str) -> list[TuningRecord]:
     return out
 
 
-def _check_space(space: list[QuantConfig], budget: int) -> None:
+def _check_request(strategy: str, space: list[QuantConfig], budget: int,
+                   seed_db: list[TuningRecord] | None) -> None:
+    """Reject a campaign request before anything is calibrated or measured."""
+    if strategy not in _PICKERS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "xgb-t" and not seed_db:
+        raise ValueError("xgb-t requires a transfer database")
     if not space:
         raise ValueError("empty search space")
     if not 1 <= budget <= len(space):
@@ -352,11 +358,7 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
     a picker leaves unspent (a stalled genetic population) goes to uniform
     picks.  ``seed_db`` is read by xgb-t, which requires one.
     """
-    if strategy not in _PICKERS:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "xgb-t" and not seed_db:
-        raise ValueError("xgb-t requires a transfer database")
-    _check_space(space, budget)
+    _check_request(strategy, space, budget, seed_db)
     camp = _Campaign(model_name, features, space, evaluate, budget)
     rng = np.random.default_rng(seed)
     for picks in _PICKERS[strategy](camp, rng, seed_db):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,6 +239,17 @@ def test_every_artifact_echoes_its_flags_under_meta(ws, capsys):
     del flags["cache"]  # taken from the cache file, not a flag
     assert meta == {"model": model, "cache_file": cache_p, "profile": "generic",
                     "out": q_p, **flags}
+
+
+def test_tune_checks_the_request_before_calibrating(ws, tmp_path, capsys):
+    with mock.patch("ptqtune.cli.make_accuracy_evaluator",
+                    side_effect=AssertionError("calibrated")):
+        rc = main(["tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+                   "--dataset", str(ws / "dataset.qds"), "--strategy", "xgb-t",
+                   "--budget", "4", "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: xgb-t requires a transfer database\n"
+    assert not (tmp_path / "never").exists()
 
 
 def test_tune_budget_validation(ws, capsys):

@@ -68,11 +68,9 @@ def test_rescale_matches_int64_shift_with_bias_and_int32_saturation():
     for s in (-2, 0, 1, 7, 16, 31):
         for zp in (-128, 0, 127):
             want = requantize_int64(saturated, shift=s, zero_point=zp)
-            for integer_only in (False, True):
-                got = intexec._rescale(acc, 2.0**-9, 2.0**(s - 9), zp, integer_only, OpTrace(),
-                                       "n", bias=bias.astype(np.float64))
-                assert got.dtype == np.float32
-                assert np.array_equal(got, want), (s, zp, integer_only)
+            got = intexec._rescale(acc, 2.0**-9, 2.0**(s - 9), zp, bias=bias.astype(np.float64))
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want), (s, zp)
 
 
 _EXTREMES = np.array([QMIN, QMIN + 1, -1, 0, 1, QMAX - 1, QMAX], dtype=np.float32)
@@ -82,7 +80,8 @@ _EXTREMES = np.array([QMIN, QMIN + 1, -1, 0, 1, QMAX - 1, QMAX], dtype=np.float3
 def test_add_step_matches_int64_alignment_up_to_45_bits(integer_only):
     # every pair of extreme codes, for input exponents 0..45 apart either
     # way, zero points at both ends, and output exponents below, between
-    # and above the inputs'
+    # and above the inputs'; both label sets run the same arithmetic, and
+    # only the simulation's labels count float operations
     xa, xb = (v.reshape(1, -1) for v in np.meshgrid(_EXTREMES, _EXTREMES))
     node = Node("a", "add", ["ta", "tb"], "to")
     for d in range(46):
@@ -94,10 +93,11 @@ def test_add_step_matches_int64_alignment_up_to_45_bits(integer_only):
                         Graph("add", [node], {}, (1, 1, xa.shape[1]), xa.shape[1]),
                         int_cfg(), {"ta": QuantParams(2.0**ka, za), "tb": QuantParams(2.0**kb, zb),
                                     "to": QuantParams(2.0**ko, zo)}, {})
-                    trace = OpTrace()
-                    got = intexec._code_node(qg, node, [xa, xb], trace, integer_only)
+                    got = intexec._code_node(qg, node, [xa, xb])
                     want = add_int64(xa, za, ka, xb, zb, kb, zo, ko)
                     assert np.array_equal(got, want), (ka, kb, ko, za, zb, zo)
+                    trace = OpTrace()
+                    trace.add(node.id, *intexec._events(qg, node, integer_only))
                     assert (trace.float_ops() == 0) == integer_only
 
 
@@ -534,6 +534,82 @@ def test_concat_graph_integer_path_is_bitwise_equal_and_float_free(ds):
         assert trace.count("shift") > 0
         codes_sim = run_quantized(qg, ds.eval_images[:16], return_codes=True)
         assert np.array_equal(codes_int, codes_sim), c
+
+
+def every_step_graph():
+    """conv+bias -> sole relu (fused) -> maxpool -> relu -> pointwise (no bias)
+    -> add -> three-input concat -> avgpool -> fc+bias -> add -> softmax."""
+    rng = np.random.default_rng(6)
+
+    def weight(*shape):
+        return (0.2 * rng.standard_normal(shape)).astype(np.float32)
+
+    g = Graph("every-step", [
+        Node("c0", "conv2d", [INPUT_TENSOR, "w0", "b0"], "t_c0", {"stride": 1, "padding": 1}),
+        Node("r0", "relu", ["t_c0"], "t_r0"),
+        Node("mp", "maxpool", ["t_r0"], "t_mp", {"kernel": 2, "stride": 2}),
+        Node("r1", "relu", ["t_mp"], "t_r1"),
+        Node("pw", "pointwise_conv2d", ["t_r1", "w1"], "t_pw"),
+        Node("s", "add", ["t_r1", "t_pw"], "t_s"),
+        Node("cat", "concat", ["t_r1", "t_pw", "t_s"], "t_cat"),
+        Node("ap", "avgpool", ["t_cat"], "t_ap", {"kernel": 2, "stride": 2}),
+        Node("fc", "fully_connected", ["t_ap", "wfc", "bfc"], "t_fc"),
+        Node("d", "add", ["t_fc", "t_fc"], "t_d"),
+        Node("sm", "softmax", ["t_d"], "t_sm"),
+    ], weights={"w0": weight(4, 3, 3, 3), "b0": weight(4), "w1": weight(4, 4, 1, 1),
+                "wfc": weight(10, 12 * 8 * 8), "bfc": weight(10)},
+        input_shape=(3, 32, 32), output_classes=10)
+    validate(g)
+    return g
+
+
+def test_trace_names_every_step_on_both_label_sets(ds):
+    g = every_step_graph()
+    cache = build_cache(g, ds, "S2", seed=0)
+    images = ds.eval_images[:2]
+
+    def expected(integer_only, mixed):
+        rescale = (["int_add", "shift", "clamp"] if integer_only
+                   else ["int_add", "float_mul", "round", "clamp"])
+        add = (["int_add", "shift"] * 3 + ["clamp"] if integer_only
+               else ["int_add", "float_mul"] * 2 + ["float_add", "round", "int_add", "clamp"])
+        middle = [("r1", ["clamp"]), ("pw", ["int_mul", "int_add", *rescale]), ("s", add),
+                  ("cat", rescale * 3), ("ap", rescale)]
+        if mixed:  # c0 and fc in fp32: c0 quantizes at its output, fc dequantizes its input
+            head = [("c0", ["float_kernel", "clamp", "float_mul", "round", "int_add", "clamp"])]
+            tail = [("fc", ["int_add", "float_mul", "float_kernel"]), ("d", ["float_add"]),
+                    ("sm", ["float_add", "float_mul"])]
+        else:
+            head = [("c0", ["int_mul", "int_add", "int_add", *rescale, "clamp"])]
+            tail = [("fc", ["int_mul", "int_add", "int_add", *rescale]), ("d", add)]
+        return [(n, c) for n, cats in head + middle + tail for c in cats]
+
+    qg = quantize_model(g, cache, int_cfg(fusion=True))
+    assert [n.id for n in qg.graph.nodes if n.attrs.get("fused_relu")] == ["c0"]
+    sim, integer = OpTrace(), OpTrace()
+    run_quantized(qg, images, trace=sim)
+    run_integer_only(qg, images, trace=integer)
+    assert sim.events == expected(integer_only=False, mixed=False)
+    assert integer.events == expected(integer_only=True, mixed=False)
+
+    mixed = quantize_model(g, cache, int_cfg(fusion=True, mixed="FirstLastFp32"))
+    assert mixed.fp32_nodes == {"c0", "fc"}
+    trace = OpTrace()
+    run_quantized(mixed, images, trace=trace)
+    assert trace.events == expected(integer_only=False, mixed=True)
+    # the integer labels of a graph no integer-only run accepts
+    labels = [(n.id, c) for n in mixed.graph.nodes for c in intexec._events(mixed, n, True)]
+    assert labels == expected(integer_only=True, mixed=True)
+
+    # a walk that raises partway leaves the caller's trace as it was
+    def fail_at_cat(t, _values):
+        if t == "t_cat":
+            raise RuntimeError("sink")
+
+    trace = OpTrace()
+    with pytest.raises(RuntimeError, match="sink"):
+        run_quantized(qg, images, trace=trace, sink=fail_at_cat)
+    assert trace.events == []
 
 
 def test_integer_only_rejects_non_power_of_two_pool_area(ds):

@@ -12,7 +12,7 @@ from ptqtune import (IntegerOnlyError, QuantConfig, Scheme, TargetProfile,
                      record_db, recipe_feature_counts, run_strategy, tuner)
 from ptqtune.gbt import FEATURE_NAMES, encode
 from ptqtune.tuner import (GENERIC, INTEGER_ONLY, PROFILES, STRATEGIES, TuningRecord,
-                           _check_space)
+                           _check_request)
 
 FEATS = recipe_feature_counts("lenet-ish")
 
@@ -124,13 +124,19 @@ def test_check_integer_only_rejects_what_the_profile_rejects(lenet, lenet_cache_
 
 def test_space_guardrails():
     with pytest.raises(ValueError):
-        _check_space([], 1)
+        _check_request("random", [], 1, None)
     with pytest.raises(ValueError):
-        _check_space(SPACE, 0)
+        _check_request("random", SPACE, 0, None)
     with pytest.raises(ValueError):
-        _check_space(SPACE, 97)
+        _check_request("random", SPACE, 97, None)
     with pytest.raises(ValueError):
-        _check_space([SPACE[0], SPACE[0]], 1)
+        _check_request("random", [SPACE[0], SPACE[0]], 1, None)
+    with pytest.raises(ValueError, match="unknown strategy 'annealing'"):
+        _check_request("annealing", SPACE, 1, None)
+    for seed_db in (None, []):
+        with pytest.raises(ValueError, match="xgb-t requires a transfer database"):
+            _check_request("xgb-t", SPACE, 1, seed_db)
+    _check_request("xgb-t", SPACE, 96, donor_db())
 
 
 # ------------------------------------------------------------- common rules
