@@ -31,12 +31,15 @@ INPUT_TENSOR = "input"
 
 CONV_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
 COMPUTE_KINDS = CONV_KINDS + ("fully_connected",)
+# kinds that run on their input's int8 codes unchanged, so their output
+# shares their input's (scale, zero point)
+UNIT_KINDS = ("relu", "maxpool", "avgpool", "softmax")
 NODE_KINDS = COMPUTE_KINDS + ("relu", "maxpool", "avgpool", "add", "concat", "softmax")
 # kind -> (fewest, most) inputs and how many it takes; compute kinds count
 # their weight and bias
 _ARITY = {
     **{k: (2, 3, "[data, weight(, bias)]") for k in COMPUTE_KINDS},
-    **{k: (1, 1, "exactly one input") for k in ("relu", "maxpool", "avgpool", "softmax")},
+    **{k: (1, 1, "exactly one input") for k in UNIT_KINDS},
     "add": (2, 2, "exactly two inputs"),
     "concat": (1, np.inf, "at least one input"),
 }
@@ -245,7 +248,7 @@ class ModelFeatures:
     n_skip: int
     n_fc: int
     n_concat: int
-    activation_kinds: dict[str, int]  # relu / maxpool / avgpool / softmax
+    activation_kinds: dict[str, int]  # per UNIT_KINDS kind
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -259,7 +262,7 @@ class ModelFeatures:
 def extract_features(g: Graph) -> ModelFeatures:
     kinds = [n.kind for n in g.nodes]
     count = lambda k: kinds.count(k)  # noqa: E731
-    acts = {k: count(k) for k in ("relu", "maxpool", "avgpool", "softmax")}
+    acts = {k: count(k) for k in UNIT_KINDS}
     n_conv = count("conv2d")
     n_dw = count("depthwise_conv2d")
     n_pw = count("pointwise_conv2d")

@@ -9,9 +9,9 @@ Parameter placement rules:
 
   * activation params are always tensor-granularity; channel granularity
     applies to weights (one scale/zero-point per output channel);
-  * order-preserving unit ops (relu, maxpool, avgpool, softmax) adopt their
-    input tensor's params — they never introduce a new scale, which is what
-    makes conv+relu fusion bit-exact;
+  * unit ops (``ir.UNIT_KINDS``: relu, maxpool, avgpool, softmax) adopt
+    their input tensor's params — they never introduce a new scale, which is
+    what makes conv+relu fusion bit-exact;
   * when a weighted layer's or an add's output feeds exactly one relu
     (``Graph.sole_relu``), its params are derived from the relu *output*
     histogram (post-activation range).  The producer's negative values then
@@ -44,8 +44,8 @@ import numpy as np
 
 from .calibration import SIZE_CLASSES, CalibrationCache
 from .clipping import clipped_range
-from .container import _malformed_header, read_container, write_container
-from .ir import (COMPUTE_KINDS, Graph, GraphError, INPUT_TENSOR, Node,
+from .container import _malformed_header, canonical_json, read_container, write_container
+from .ir import (COMPUTE_KINDS, Graph, GraphError, INPUT_TENSOR, Node, UNIT_KINDS,
                  _graph_from_header, _graph_header, check_names, propagate_shapes)
 from .schemes import (QMAX, QMIN, QuantParams, Scheme, params_for_range, quantize_array,
                       round_half_away)
@@ -242,9 +242,8 @@ def quantize_model(g: Graph, cache: CalibrationCache, cfg: QuantConfig,
                 act_params[node.output] = _act_params(cache, src, cfg)
             elif any(in_codes):
                 raise GraphError(f"node {node.id}: mixed int8/fp32 operands")
-        else:  # relu / maxpool / avgpool / softmax: adopt
-            if node.data_inputs[0] in act_params:
-                act_params[node.output] = act_params[node.data_inputs[0]]
+        elif node.kind in UNIT_KINDS and node.data_inputs[0] in act_params:  # adopt
+            act_params[node.output] = act_params[node.data_inputs[0]]
 
     return QuantizedGraph(graph=replace(g, nodes=nodes, weights=weights), config=cfg,
                           act_params=act_params, weight_params=weight_params)
@@ -280,49 +279,39 @@ def _params_from_buffers(scale: np.ndarray, zp: np.ndarray,
                        zero_point=zp.astype(np.int64), axis=axis)
 
 
-def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> None:
+def _restated(qg: QuantizedGraph) -> dict:
+    """The ``.qtm8`` header keys that restate the graph: ``save_quantized``
+    writes them and ``load_quantized`` rejects a header that disagrees.  A
+    unit op's output whose input carries params joins its input's group of
+    shared params; each group is named by its first member in sorted order."""
     g = qg.graph
-    wq_ids = sorted(qg.weight_params)
     bias_ids = sorted(n.bias_id for n in g.compute_nodes()
                       if n.bias_id is not None and qg.on_codes(n))
-    fp32_weight_ids = sorted(set(g.weights) - set(wq_ids) - set(bias_ids))
-    act_ids = sorted(qg.act_params)
-    # adopted params are shared objects; record sharing so load restores it
-    shared: dict[int, str] = {}
-    act_src: list[str] = []
-    uniq_act: list[str] = []
-    for t in act_ids:
-        p = qg.act_params[t]
-        if id(p) in shared:
-            act_src.append(shared[id(p)])
-        else:
-            shared[id(p)] = t
-            act_src.append(t)
-            uniq_act.append(t)
-    act_scales = np.asarray([float(qg.act_params[t].scale) for t in uniq_act], dtype=np.float32)
-    act_zps = np.asarray([int(qg.act_params[t].zero_point) for t in uniq_act], dtype=np.int32)
+    root: dict[str, str] = {}  # unit-op output -> the tensor whose params it adopts
+    for n in g.nodes:
+        if n.kind in UNIT_KINDS and n.data_inputs[0] in qg.act_params:
+            root[n.output] = root.get(n.data_inputs[0], n.data_inputs[0])
+    names: dict[str, str] = {}
+    sources = [names.setdefault(root.get(t, t), t) for t in sorted(qg.act_params)]
+    return {"fp32_nodes": sorted(qg.fp32_nodes), "fused": qg.fused, "bias_tensors": bias_ids,
+            "fp32_weight_tensors": sorted(set(g.weights) - set(qg.weight_params) - set(bias_ids)),
+            "act_sources": sources, "act_unique": sorted(set(sources))}
 
-    buffers: list[np.ndarray] = [act_scales, act_zps]
+
+def save_quantized(qg: QuantizedGraph, path: str, meta: dict | None = None) -> None:
+    g = qg.graph
+    restated = _restated(qg)
+    unique = [qg.act_params[t] for t in restated["act_unique"]]
+    buffers: list[np.ndarray] = [np.asarray([float(p.scale) for p in unique], dtype=np.float32),
+                                 np.asarray([int(p.zero_point) for p in unique], dtype=np.int32)]
     wp_meta = []
-    for t in wq_ids:
+    for t in sorted(qg.weight_params):
         p = qg.weight_params[t]
-        s, z = _params_to_buffers(p)
-        buffers += [g.weights[t], s, z]
+        buffers += [g.weights[t], *_params_to_buffers(p)]
         wp_meta.append({"id": t, "axis": p.axis})
-    buffers += [g.weights[t] for t in bias_ids + fp32_weight_ids]
-
-    header = {
-        **_graph_header(g),
-        "config": qg.config.to_dict(),
-        "fp32_nodes": sorted(qg.fp32_nodes),
-        "fused": qg.fused,
-        "act_tensors": act_ids,
-        "act_sources": act_src,
-        "act_unique": uniq_act,
-        "weight_tensors": wp_meta,
-        "bias_tensors": bias_ids,
-        "fp32_weight_tensors": fp32_weight_ids,
-    }
+    buffers += [g.weights[t] for t in restated["bias_tensors"] + restated["fp32_weight_tensors"]]
+    header = {**_graph_header(g), **restated, "config": qg.config.to_dict(),
+              "act_tensors": sorted(qg.act_params), "weight_tensors": wp_meta}
     write_container(path, "qtm8", header, buffers, meta)
 
 
@@ -330,15 +319,19 @@ def _check_references(qg: QuantizedGraph) -> None:
     """The executors find everything a node reads, in the form they need.
     The graph passes the ``ir`` rules: ``check_names``, then
     ``propagate_shapes`` (which checks each weight and bias) to exactly one
-    output.  Each param has a finite scale > 0, a zero point in [QMIN, QMAX]
-    and, per channel, one entry per output channel.  A node run on codes has
-    params for its inputs and weight and reads int8 weight and int32 bias
-    codes; a node kept in float reads float32.  So a corrupt ``.qtm8`` fails
-    at load with ValueError, instead of mid-run."""
+    output.  Every act tensor is the input or a node output.  Each param
+    has a finite scale > 0, a zero point in [QMIN, QMAX] and, per channel,
+    one entry per output channel.  A node run on codes has params for its
+    inputs and weight and reads int8 weight and int32 bias codes; a node
+    kept in float reads float32.  So a corrupt ``.qtm8`` fails at load with
+    ValueError, instead of mid-run."""
     g = qg.graph
     check_names(g, g.weights)
     propagate_shapes(g)
     g.output_tensor()
+    ghosts = sorted(set(qg.act_params) - {INPUT_TENSOR, *(n.output for n in g.nodes)})
+    if ghosts:
+        raise ValueError(f"activations {ghosts} are neither {INPUT_TENSOR!r} nor a node output")
     for what, params in (("activation", qg.act_params), ("weight", qg.weight_params)):
         for t, p in params.items():
             if p.axis not in (None, 0):
@@ -385,6 +378,11 @@ def load_quantized(path: str) -> QuantizedGraph:
         if len(set(listed)) != len(listed):
             raise ValueError(f"{path}: a tensor is listed twice across weight_tensors, "
                              "bias_tensors and fp32_weight_tensors")
+        # act scales and zero points, each listed tensor, and each weight's params
+        n_buffers = 2 + len(listed) + 2 * len(w_meta)
+        if len(buffers) != n_buffers:
+            raise ValueError(f"{path}: {len(buffers)} buffers, but the listed tensors "
+                             f"and params take {n_buffers}")
         weights, weight_params = {}, {}  # one table, in payload order
         for meta in w_meta:
             weights[meta["id"]] = next(it)
@@ -393,12 +391,10 @@ def load_quantized(path: str) -> QuantizedGraph:
         qg = QuantizedGraph(graph=_graph_from_header(header, weights),
                             config=QuantConfig.from_dict(header["config"]),
                             act_params=act_params, weight_params=weight_params)
-        # both flags restate the graph; a file whose header disagrees is corrupt
-        if set(header["fp32_nodes"]) != qg.fp32_nodes:
-            raise ValueError(f"{path}: fp32_nodes {header['fp32_nodes']!r} are not the "
-                             f"weighted layers without weight params {sorted(qg.fp32_nodes)}")
-        if header["fused"] is not qg.fused:
-            raise ValueError(f"{path}: fused is {header['fused']!r}, but "
-                             f"{'a' if qg.fused else 'no'} node carries fused_relu")
         _check_references(qg)
+        # a header that contradicts the graph is corrupt
+        for key, derived in _restated(qg).items():
+            if canonical_json(header[key]) != canonical_json(derived):
+                raise ValueError(f"{path}: {key} is {header[key]!r} in the header, "
+                                 f"but the graph gives {derived!r}")
     return qg

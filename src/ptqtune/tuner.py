@@ -143,7 +143,7 @@ def load_db(path: str) -> list[TuningRecord]:
 
 
 def _check_request(strategy: str, space: list[QuantConfig], budget: int,
-                   seed_db: list[TuningRecord] | None) -> None:
+                   seed_db: list[TuningRecord] | None, workers: int = 1) -> None:
     """Reject a campaign request before anything is calibrated or measured."""
     if strategy not in _PICKERS:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -155,6 +155,8 @@ def _check_request(strategy: str, space: list[QuantConfig], budget: int,
         raise ValueError(f"budget {budget} not in [1, {len(space)}]")
     if len(set(space)) != len(space):
         raise ValueError("search space contains duplicates")
+    if workers < 1:
+        raise ValueError(f"workers {workers} is not >= 1")
 
 
 class _Campaign:
@@ -348,17 +350,18 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
                  space: list[QuantConfig], evaluate: Evaluator, budget: int,
                  seed: int = 0, seed_db: list[TuningRecord] | None = None,
                  model_name: str = "", workers: int = 1) -> SearchResult:
-    """Run a named search strategy as one campaign: check the budget and the
-    space, measure what the strategy picks, and report the first trial that
-    reaches the best.
+    """Run a named search strategy as one campaign: check the request
+    (``_check_request``), measure what the strategy picks, and report the
+    first trial that reaches the best.
 
-    Each list of picks is evaluated ``workers`` at a time.  random and grid
-    pick their whole budget in one list; xgb, xgb-t and genetic pick one
-    config per list, so only the first two run trials in parallel.  Budget
-    a picker leaves unspent (a stalled genetic population) goes to uniform
-    picks.  ``seed_db`` is read by xgb-t, which requires one.
+    Each list of picks is evaluated ``workers`` at a time; ``workers`` below
+    1 is rejected.  random and grid pick their whole budget in one list;
+    xgb, xgb-t and genetic pick one config per list, so only the first two
+    run trials in parallel.  Budget a picker leaves unspent (a stalled
+    genetic population) goes to uniform picks.  ``seed_db`` is read by
+    xgb-t, which requires one.
     """
-    _check_request(strategy, space, budget, seed_db)
+    _check_request(strategy, space, budget, seed_db, workers)
     camp = _Campaign(model_name, features, space, evaluate, budget)
     rng = np.random.default_rng(seed)
     for picks in _PICKERS[strategy](camp, rng, seed_db):

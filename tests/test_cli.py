@@ -252,6 +252,17 @@ def test_tune_checks_the_request_before_calibrating(ws, tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+def test_tune_rejects_fewer_than_one_worker_before_calibrating(ws, tmp_path, capsys):
+    with mock.patch("ptqtune.cli.make_accuracy_evaluator",
+                    side_effect=AssertionError("calibrated")):
+        rc = main(["tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+                   "--dataset", str(ws / "dataset.qds"), "--strategy", "grid",
+                   "--budget", "4", "--workers", "0", "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: workers 0 is not >= 1\n"
+    assert not (tmp_path / "never").exists()
+
+
 def test_tune_budget_validation(ws, capsys):
     rc = main(["tune", "--model", str(ws / "lenet-ish-s1.qtm"),
                "--dataset", str(ws / "dataset.qds"), "--strategy", "grid",

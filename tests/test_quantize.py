@@ -392,13 +392,88 @@ def _header(key, value):
     return tamper
 
 
-@pytest.mark.parametrize("tamper, match", [
-    (_header("fused", True), "fused is True, but no node carries fused_relu"),
-    (_header("fp32_nodes", ["relu1"]), r"fp32_nodes \['relu1'\] are not the weighted "
-                                       r"layers without weight params \[\]"),
-], ids=["fused", "fp32-nodes"])
+@pytest.mark.parametrize("config, tamper, match", [
+    (cfg(), _header("fused", True), "fused is True in the header, but the graph gives False"),
+    (cfg(), _header("fp32_nodes", ["relu1"]), r"fp32_nodes is \['relu1'\] in the header, "
+                                              r"but the graph gives \[\]"),
+    # the header restates the graph exactly: 1 is not true
+    (cfg(fusion=True), _header("fused", 1), "fused is 1 in the header, but the graph gives True"),
+], ids=["fused", "fp32-nodes", "fused-one"])
 def test_load_rejects_flags_the_graph_contradicts(tmp_path, lenet, lenet_cache_s2,
-                                                  tamper, match):
+                                                  config, tamper, match):
+    qg = quantize_model(lenet, lenet_cache_s2, config)
+    with pytest.raises(ValueError, match=match):
+        load_quantized(_tampered(tmp_path, qg, tamper))
+
+
+def _own_params(header, buffers):
+    # t_maxp2 gets params of its own, at 4x its input's scale
+    i = header["act_tensors"].index("t_maxp2")
+    shared = header["act_unique"].index(header["act_sources"][i])
+    header["act_sources"][i] = "t_maxp2"
+    j = sorted(header["act_unique"] + ["t_maxp2"]).index("t_maxp2")
+    header["act_unique"].insert(j, "t_maxp2")
+    buffers[0] = np.insert(buffers[0], j, 4 * buffers[0][shared])
+    buffers[1] = np.insert(buffers[1], j, buffers[1][shared])
+
+
+def _other_group(header, buffers):
+    # t_maxp2 points at the input's params; no param value changes
+    header["act_sources"][header["act_tensors"].index("t_maxp2")] = "input"
+
+
+@pytest.mark.parametrize("tamper", [_own_params, _other_group],
+                         ids=["own-params", "other-group"])
+def test_load_rejects_a_unit_op_that_does_not_share_its_inputs_params(
+        tmp_path, lenet, lenet_cache_s2, tamper):
+    # a maxpool runs on its input's codes, so it must carry its input's params
+    qg = quantize_model(lenet, lenet_cache_s2, cfg())
+    with pytest.raises(ValueError, match=r"act_sources is \[.*\] in the header, "
+                                         r"but the graph gives \["):
+        load_quantized(_tampered(tmp_path, qg, tamper))
+
+
+def _ghost(header, buffers):
+    header["act_tensors"].append("ghost")
+    header["act_sources"].append(header["act_sources"][0])
+
+
+def _extra_buffer(header, buffers):
+    buffers.append(np.zeros(1, dtype=np.float32))
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_ghost, r"activations \['ghost'\] are neither 'input' nor a node output"),
+    (_extra_buffer, "14 buffers, but the listed tensors and params take 13"),
+], ids=["ghost-tensor", "extra-buffer"])
+def test_load_rejects_entries_the_graph_does_not_read(tmp_path, lenet, lenet_cache_s2,
+                                                       tamper, match):
     qg = quantize_model(lenet, lenet_cache_s2, cfg())
     with pytest.raises(ValueError, match=match):
         load_quantized(_tampered(tmp_path, qg, tamper))
+
+
+@pytest.mark.parametrize("preset", ["lenet", "resnet", "mobile"])
+@pytest.mark.parametrize("config", [cfg(), cfg(fusion=True),
+                                    cfg(mixed="FirstLastFp32", granularity="Channel")],
+                         ids=["plain", "fused", "first-last-fp32-channel"])
+def test_save_load_save_keeps_the_bytes(tmp_path, request, preset, config):
+    g = request.getfixturevalue(preset)
+    qg = quantize_model(g, request.getfixturevalue(f"{preset}_cache_s2"), config)
+    a, b = tmp_path / "a.qtm8", tmp_path / "b.qtm8"
+    save_quantized(qg, str(a))
+    save_quantized(load_quantized(str(a)), str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_loaded_artifact_shares_params_along_unit_ops(tmp_path, resnet, resnet_cache_s2):
+    from ptqtune.container import read_container
+    p = str(tmp_path / "r.qtm8")
+    save_quantized(quantize_model(resnet, resnet_cache_s2, cfg()), p)
+    q = load_quantized(p)
+    # conv6 -> relu7 -> avgpool8 is one group, named by its first member
+    assert q.act_params["t_relu7"] is q.act_params["t_conv6"]
+    assert q.act_params["t_avgp8"] is q.act_params["t_conv6"]
+    assert q.act_params["t_soft10"] is q.act_params["t_full9"]
+    header, _ = read_container(p, "qtm8")
+    assert header["act_sources"][header["act_tensors"].index("t_conv6")] == "t_avgp8"

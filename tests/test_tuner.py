@@ -137,6 +137,17 @@ def test_space_guardrails():
         with pytest.raises(ValueError, match="xgb-t requires a transfer database"):
             _check_request("xgb-t", SPACE, 1, seed_db)
     _check_request("xgb-t", SPACE, 96, donor_db())
+    with pytest.raises(ValueError, match="^workers 0 is not >= 1$"):
+        _check_request("random", SPACE, 4, None, 0)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_strategy_rejects_fewer_than_one_worker(workers):
+    def never(cfg):
+        raise AssertionError("measured")
+
+    with pytest.raises(ValueError, match=f"^workers {workers} is not >= 1$"):
+        run_strategy("random", FEATS, SPACE, never, budget=4, workers=workers)
 
 
 # ------------------------------------------------------------- common rules
