@@ -60,6 +60,17 @@ where the order of a sum and the row count of an sgemm set the rounding,
 so ``run_fp32``, calibration and the fp32 layers of mixed-precision graphs
 keep the ``fp32`` kernels.
 
+A tuning campaign runs one float graph under many configurations.  Under
+FirstLastFp32 the graph input stays in float, so the first layer runs in
+fp32 on the raw batch with its float weights: its output, before the
+boundary quantization, is the same for every configuration.  Given a
+``memo`` (``make_accuracy_evaluator`` keeps one per graph and eval batch),
+the walk computes each such config-free output (``_config_free``) once,
+stores it read-only, and serves it to later runs; the boundary quantization
+still runs per configuration.  A served array is the one the same step
+computed on the same inputs, so every result is bit-identical.  Without a
+memo the walk computes every node.
+
 The OpTrace records the *semantic* operation categories of the quantized
 program, which is what the integer-only audit asserts over.  The walk
 only computes; ``_events`` derives each node's categories from the graph
@@ -325,30 +336,58 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarr
     return out
 
 
-def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
+def _config_free(qg: QuantizedGraph) -> dict[str, tuple[str, bool]]:
+    """The memo key of each node whose fp32 output, before any boundary
+    quantization, is the same for every configuration of the graph on one
+    batch: a node not run on codes whose data inputs are all config-free.
+    The raw input is config-free when it carries no params, and so is such
+    a node's output when it carries none (a boundary's codes depend on its
+    params).  The key is the output tensor and ``fused_relu``, so a fused
+    layer and an unfused one never share an entry."""
+    free = set() if INPUT_TENSOR in qg.act_params else {INPUT_TENSOR}
+    keys = {}
+    for node in qg.graph.nodes:
+        if not qg.on_codes(node) and free.issuperset(node.data_inputs):
+            keys[node.id] = (node.output, node.attrs.get("fused_relu", False))
+            if node.output not in qg.act_params:
+                free.add(node.output)
+    return keys
+
+
+def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
+                memo: dict | None, key: tuple | None) -> np.ndarray:
     """The fp32 step for a quantized graph: dequantize code inputs (only a
     FirstLastFp32 layer has them), run fp32, quantize a code output (the
-    FirstLastFp32 boundary)."""
-    xs = [dequantize_array(env[t], qg.act_params[t]) if t in qg.act_params else env[t]
-          for t in node.data_inputs]
-    out = _float_node(node, xs, qg.graph.weights)
+    FirstLastFp32 boundary).  Given a config-free ``key``, the fp32 output
+    is served from ``memo``, or computed and stored there read-only; the
+    boundary quantization still runs."""
+    out = None if key is None else memo.get(key)
+    if out is None:
+        xs = [dequantize_array(env[t], qg.act_params[t]) if t in qg.act_params else env[t]
+              for t in node.data_inputs]
+        out = _float_node(node, xs, qg.graph.weights)
+        if key is not None:
+            out.flags.writeable = False
+            out = memo.setdefault(key, out)
     if node.output in qg.act_params:
         out = quantize_array(out, qg.act_params[node.output]).astype(np.float32)
     return out
 
 
-def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None) -> np.ndarray:
+def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
+             memo: dict | None = None) -> np.ndarray:
     g = qg.graph
     env: dict[str, np.ndarray] = {INPUT_TENSOR: _check_batch(g, batch)}
     if INPUT_TENSOR in qg.act_params:
         # host-side input quantization (not part of the traced graph program)
         env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
                                            qg.act_params[INPUT_TENSOR]).astype(np.float32)
+    keys = {} if memo is None else _config_free(qg)
     for node in g.nodes:
         if qg.on_codes(node):
             out = _code_node(qg, node, [env[t] for t in node.data_inputs])
         else:
-            out = _float_step(qg, node, env)
+            out = _float_step(qg, node, env, memo, keys.get(node.id))
         env[node.output] = out
         if sink is not None:
             sink(node.output, out)
@@ -380,13 +419,16 @@ def _events(qg: QuantizedGraph, node: Node, integer_only: bool) -> list[str]:
 
 def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
                   trace: OpTrace | None = None,
-                  return_codes: bool = False, sink=None) -> np.ndarray:
+                  return_codes: bool = False, sink=None,
+                  memo: dict | None = None) -> np.ndarray:
     """Simulated-int8 forward pass; returns fp32 logits (or codes).
 
     ``sink(tensor_id, values)`` observes every node output (int8 codes
     carried as float32 for quantized tensors; fp32 for tensors kept in
-    float)."""
-    out = _execute(qg, batch, sink)
+    float).  ``memo``, a dict kept for one float graph and one ``batch``
+    across its configurations, serves the config-free prefix
+    (``_config_free``) computed by an earlier call."""
+    out = _execute(qg, batch, sink, memo)
     if trace is not None:  # filled only once the walk has finished
         for node in qg.graph.nodes:
             trace.add(node.id, *_events(qg, node, integer_only=False))
@@ -413,7 +455,8 @@ def run_integer_only(qg: QuantizedGraph, batch: np.ndarray,
     return out.astype(np.int8)
 
 
-def evaluate_quantized(qg: QuantizedGraph, d: Dataset) -> AccuracyResult:
-    scores = run_quantized(qg, d.eval_images)
+def evaluate_quantized(qg: QuantizedGraph, d: Dataset,
+                       memo: dict | None = None) -> AccuracyResult:
+    scores = run_quantized(qg, d.eval_images, memo=memo)
     return top1_from_scores(scores, d.eval_labels)
 

@@ -366,6 +366,10 @@ def load_quantized(path: str) -> QuantizedGraph:
         it = iter(buffers)
         act_scales = next(it)
         act_zps = next(it)
+        n_groups = len(header["act_unique"])
+        if act_scales.shape != (n_groups,) or act_zps.shape != (n_groups,):
+            raise ValueError(f"{path}: act scales {act_scales.shape} and zero points "
+                             f"{act_zps.shape} are not ({n_groups},), one per act_unique group")
         uniq_params = {
             t: QuantParams(scale=np.float32(act_scales[i]), zero_point=int(act_zps[i]))
             for i, t in enumerate(header["act_unique"])

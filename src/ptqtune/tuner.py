@@ -378,11 +378,15 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
 def make_accuracy_evaluator(g: Graph, d: Dataset, seed: int,
                             profile: TargetProfile | None = None) -> Evaluator:
     """Build the measured evaluator: calibrate once per cache size, then
-    quantize + score the eval split for each requested configuration."""
+    quantize + score the eval split for each requested configuration.  The
+    evaluator keeps one memo of ``g``'s config-free prefix on the eval split
+    (see ``intexec``), shared by its trials and threads, so each config-free
+    fp32 output is computed once per evaluator."""
     caches = {sc: build_cache(g, d, sc, seed) for sc in CACHE_SIZES}
+    memo: dict = {}
 
     def evaluate(cfg: QuantConfig) -> float:
         qg = quantize_model(g, caches[cfg.cache], cfg, profile=profile)
-        return evaluate_quantized(qg, d).top1
+        return evaluate_quantized(qg, d, memo=memo).top1
 
     return evaluate

@@ -420,6 +420,84 @@ def test_only_a_sole_relu_narrows_and_fuses(shared, ds):
         assert np.array_equal(a, b), scheme
 
 
+# --------------------------------------------------------- config-free memo
+
+def first_last(**kw):
+    return cfg(mixed="FirstLastFp32", **kw)
+
+
+def memo_graph() -> Graph:
+    """A maxpool on the raw input, then two weighted layers.  Under
+    FirstLastFp32 both layers run in fp32, and the second reads the first
+    layer's boundary codes."""
+    rng = np.random.default_rng(6)
+    g = Graph("memo", [
+        Node("m", "maxpool", [INPUT_TENSOR], "t_m", {"kernel": 2, "stride": 2}),
+        Node("c0", "conv2d", ["t_m", "w0", "b0"], "t_c0", {"stride": 1, "padding": 1}),
+        Node("fc", "fully_connected", ["t_c0", "wfc"], "t_fc"),
+    ], weights={"w0": (0.3 * rng.standard_normal((4, 3, 3, 3))).astype(np.float32),
+                "b0": (0.1 * rng.standard_normal(4)).astype(np.float32),
+                "wfc": (0.05 * rng.standard_normal((10, 4 * 16 * 16))).astype(np.float32)},
+        input_shape=(3, 32, 32), output_classes=10)
+    validate(g)
+    return g
+
+
+def test_a_memo_computes_the_config_free_prefix_once_and_serves_it_read_only(ds):
+    g = memo_graph()
+    cache = build_cache(g, ds, "S2", seed=0)
+    images = ds.eval_images[:16]
+    memo = {}
+    ran = []
+    kernel = intexec._float_node
+
+    def counted(node, xs, weights):
+        ran.append(node.id)
+        return kernel(node, xs, weights)
+
+    # the two configs give the boundary t_c0 different params
+    for c in (first_last(), first_last(scheme=Scheme.SymmetricUint8, clipping="KL")):
+        qg = quantize_model(g, cache, c)
+        want = run_quantized(qg, images)
+        seen = {}
+        with mock.patch.object(intexec, "_float_node", counted):
+            got = run_quantized(qg, images, memo=memo, sink=seen.__setitem__)
+        assert got.tobytes() == want.tobytes()
+    # the maxpool and conv values are config-free; fc reads the boundary codes
+    assert ran == ["m", "c0", "fc", "fc"]
+    assert set(memo) == {("t_m", False), ("t_c0", False)}
+    assert seen["t_m"] is memo[("t_m", False)]
+    with pytest.raises(ValueError, match="read-only"):
+        seen["t_m"] += 1
+
+
+def test_a_memo_leaves_first_last_fp32_outputs_byte_equal(resnet, resnet_cache_s2, ds):
+    images = ds.eval_images[:40]
+    memo = {}
+    for c in (first_last(), first_last(scheme=Scheme.Symmetric, clipping="KL",
+                                       granularity="Channel")):
+        qg = quantize_model(resnet, resnet_cache_s2, c)
+        want = run_quantized(qg, images)
+        for _ in range(2):  # with an empty memo, then with a stored entry
+            assert run_quantized(qg, images, memo=memo).tobytes() == want.tobytes(), c
+
+
+@pytest.mark.parametrize("preset", ["lenet", "resnet", "mobile"])
+def test_the_memo_holds_the_first_layers_fp32_output_per_fused_flag(preset, request, ds):
+    g = request.getfixturevalue(preset)
+    cache = request.getfixturevalue(f"{preset}_cache_s2")
+    first = g.compute_nodes()[0]
+    memo = {}
+    for c in (cfg(), first_last(), first_last(fusion=True), first_last(granularity="Channel")):
+        run_quantized(quantize_model(g, cache, c), ds.eval_images[:4], memo=memo)
+    # one entry without fusion, one with the first layer fused with its
+    # relu, and none for a graph whose input is quantized
+    assert set(memo) == {(first.output, False), (g.sole_relu(first.output).output, True)}
+    for out in memo.values():
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0
+
+
 # ------------------------------------------------------------- integer-only
 
 def int_cfg(**kw):

@@ -442,10 +442,19 @@ def _extra_buffer(header, buffers):
     buffers.append(np.zeros(1, dtype=np.float32))
 
 
+def _extra_act_params(*buffer_ids):
+    def tamper(header, buffers):
+        for i in buffer_ids:  # 0: act scales, 1: act zero points
+            buffers[i] = np.append(buffers[i], buffers[i][-1])
+    return tamper
+
+
 @pytest.mark.parametrize("tamper, match", [
     (_ghost, r"activations \['ghost'\] are neither 'input' nor a node output"),
     (_extra_buffer, "14 buffers, but the listed tensors and params take 13"),
-], ids=["ghost-tensor", "extra-buffer"])
+    (_extra_act_params(0, 1), r"act scales \(5,\) and zero points \(5,\) are not \(4,\)"),
+    (_extra_act_params(1), r"act scales \(4,\) and zero points \(5,\) are not \(4,\)"),
+], ids=["ghost-tensor", "extra-buffer", "extra-act-params", "extra-act-zero-point"])
 def test_load_rejects_entries_the_graph_does_not_read(tmp_path, lenet, lenet_cache_s2,
                                                        tamper, match):
     qg = quantize_model(lenet, lenet_cache_s2, cfg())

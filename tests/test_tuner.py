@@ -7,10 +7,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ptqtune import (IntegerOnlyError, QuantConfig, Scheme, TargetProfile,
-                     check_integer_only, enumerate_space, load_db, quantize_model,
-                     record_db, recipe_feature_counts, run_strategy, tuner)
+from ptqtune import (IntegerOnlyError, QuantConfig, Scheme, TargetProfile, build_cache,
+                     check_integer_only, enumerate_space, evaluate_quantized, load_db,
+                     make_accuracy_evaluator, make_dataset, quantize_model, record_db,
+                     recipe_feature_counts, run_strategy, tuner)
 from ptqtune.gbt import FEATURE_NAMES, encode
+from ptqtune.quantize import CACHE_SIZES
 from ptqtune.tuner import (GENERIC, INTEGER_ONLY, PROFILES, STRATEGIES, TuningRecord,
                            _check_request)
 
@@ -243,6 +245,55 @@ def test_parallel_records_are_stamped_as_each_result_arrives():
     assert r.trials[0].timestamp < max(ended.values())
     for t in r.trials:
         assert t.timestamp >= ended[t.config]
+
+
+# ------------------------------------------------- the measured evaluator
+
+@pytest.fixture(scope="module")
+def noisy():
+    """A small eval split on which resnet-toy's top1 varies across configs."""
+    return make_dataset(n_eval=40, noise=1.0)
+
+
+def test_a_shared_evaluator_scores_every_config_as_a_memo_free_run(resnet, noisy,
+                                                                   monkeypatch):
+    caches = {sc: build_cache(resnet, noisy, sc, seed=0) for sc in CACHE_SIZES}
+    want = {c: evaluate_quantized(quantize_model(resnet, caches[c.cache], c), noisy).top1
+            for c in SPACE}
+    assert len(set(want.values())) > 1  # a stale array could show
+    memos = []
+
+    def spy(qg, d, memo=None):
+        memos.append(memo)
+        return evaluate_quantized(qg, d, memo=memo)
+
+    monkeypatch.setattr(tuner, "evaluate_quantized", spy)
+    for order in (SPACE, SPACE[::-1]):
+        evaluate = make_accuracy_evaluator(resnet, noisy, seed=0, profile=GENERIC)
+        assert {c: evaluate(c) for c in order} == want
+    # one memo per evaluator, holding only the first layer's fp32 output
+    first, second = memos[0], memos[-1]
+    assert first is not second
+    assert all(m is first for m in memos[:96]) and all(m is second for m in memos[96:])
+    assert list(first) == list(second) == [("t_conv0", False)]
+
+
+def test_an_evaluator_keeps_fused_and_unfused_first_layers_apart(resnet, noisy):
+    off = QuantConfig(mixed="FirstLastFp32")
+    on = replace(off, fusion=True)
+    fresh = {c: make_accuracy_evaluator(resnet, noisy, seed=0)(c) for c in (off, on)}
+    shared = make_accuracy_evaluator(resnet, noisy, seed=0)
+    assert [shared(c) for c in (off, on, off)] == [fresh[off], fresh[on], fresh[off]]
+
+
+def test_parallel_workers_share_one_evaluator_memo(lenet, ds):
+    runs = []
+    for workers in (1, 2):
+        evaluate = make_accuracy_evaluator(lenet, ds, seed=0, profile=GENERIC)
+        r = run_strategy("random", FEATS, SPACE, evaluate, budget=12, seed=3, workers=workers)
+        runs.append([replace(t, timestamp=0.0) for t in r.trials])
+    assert runs[0] == runs[1]
+    assert any(t.config.mixed == "FirstLastFp32" for t in runs[0])
 
 
 # ---------------------------------------------------------------- surrogate
