@@ -36,29 +36,34 @@ value needs more significand bits than its dtype has.
     2**16 taps below 2**32, far under 2**53.
   * float64 stays where a float32 result could round: the bias add and
     int32 saturation (int32 values), the requantize multiply, ``add``
-    (codes times scale ratios) and the avgpool sums.  Requantize and
-    ``add`` run in place on ``_blocks`` of the batch.
+    (codes times scale ratios) and the avgpool sums.
 
-Exactness makes summation order free on codes, and layout with it: an
-exact integer sum has one value however it is formed.  So the code step
-lowers conv itself, a block of the batch at a time (``_blocks``; a block
-holds about ``_BLOCK`` elements of working set, at least one image):
+Exactness makes summation order free on codes, and layout and batch size
+with it: an exact integer sum has one value however it is formed.  So the
+code step lowers conv itself:
 
-  * conv2d and pointwise conv (``_conv_cols``): the block is zero-shifted
-    into a zero-bordered buffer, its im2col columns are gathered in
+  * conv2d and pointwise conv (``_conv_cols``): the input is zero-shifted
+    into a zero-bordered copy, its im2col columns are gathered in
     (C, kh, kw, OH, OW) order by one copy whose inner loop runs along an
     output row, and one batched matmul of the (O, C*kh*kw) weights writes
-    the block of the NCHW output.
+    the NCHW output.
   * depthwise conv (``_depthwise_taps``): the sum of the kh*kw strided tap
-    products of the shifted, bordered block, written into the output.
+    products of the shifted, bordered input.
   * fully_connected: one matmul.
 
-Each returns a C-contiguous NCHW array; the fp32 conv kernel, which the
-code step once shared, returns a view with NHWC memory order, gathered
-from a full-batch (N*OH*OW, C*kh*kw) matrix.  None of this is free on fp32,
-where the order of a sum and the row count of an sgemm set the rounding,
-so ``run_fp32``, calibration and the fp32 layers of mixed-precision graphs
-keep the ``fp32`` kernels.
+The walk alone cuts the batch for cache.  It splits the node list into
+maximal runs of nodes that do, or do not, run on codes.  A run on codes
+goes depth-first over blocks of ``max(1, _BLOCK // e)`` images, where ``e``
+is the run's elements per image summed over its outputs: each node reads
+its inputs from the block's own outputs or from a slice of a tensor made
+before the run, so a block's intermediates stay in cache, and only the
+outputs read after the run (and the graph output) are kept, whole-batch.
+A run not on codes goes node by node over the whole batch: on fp32 the
+order of a sum and the row count of an sgemm set the rounding, so
+``run_fp32``, calibration and the fp32 layers of mixed-precision graphs
+keep the ``fp32`` kernels on the batch they are given.  With a ``sink``
+every run is one block, so the sink sees each node's whole output in node
+order.
 
 A tuning campaign runs one float graph under many configurations.  Under
 FirstLastFp32 the graph input stays in float, so the first layer runs in
@@ -81,13 +86,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .dataset import Dataset
 from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _windows, maxpool,
                    top1_from_scores)
-from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, out_size, pool_args
+from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, pool_args, propagate_shapes
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 
@@ -95,10 +101,10 @@ from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 # (the precision map); float_mul/float_add are elementwise float steps
 # (dequantize, requantize multiplier, boundary quantize)
 FLOAT_CATS = ("float_mul", "float_add", "float_kernel")
-# elements per batch block of the code steps (512 KiB in float64): the
-# requantize steps and the conv working buffers then stay in cache instead
-# of streaming through memory
-_BLOCK = 1 << 16
+# float32 output elements per image block of a run of code nodes, summed
+# over the run's nodes (2 MiB): the block's intermediates then stay in cache
+# instead of streaming through memory
+_BLOCK = 1 << 19
 
 
 class IntegerOnlyError(ValueError):
@@ -180,26 +186,12 @@ def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
              zero_point: int, bias: np.ndarray | None = None) -> np.ndarray:
     """Integer accumulator at ``src_scale``, plus ``bias`` codes and
     saturated to int32 -> float32 int8 codes at ``dst_scale``, through the
-    multiplier ``src_scale / dst_scale``.
-
-    Runs in float64 on ``_blocks`` of the batch, whose temporaries stay in
-    cache."""
-    multiplier = src_scale / dst_scale
-    out = np.empty_like(acc, dtype=np.float32)
-    for sl in _blocks(len(acc), math.prod(acc.shape[1:])):
-        a = acc[sl].astype(np.float64)
-        if bias is not None:
-            a += bias
-        np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
-        _requantize(a, multiplier, zero_point, out[sl])
-    return out
-
-
-def _blocks(n: int, item: int):
-    """Slices of a batch of ``n`` items of ``item`` elements each, about
-    ``_BLOCK`` elements per slice."""
-    step = max(1, _BLOCK // max(1, item))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    multiplier ``src_scale / dst_scale``; one float64 pass."""
+    a = acc.astype(np.float64)
+    if bias is not None:
+        a += bias
+    np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
+    return _requantize(a, src_scale / dst_scale, zero_point, np.empty_like(acc, np.float32))
 
 
 def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray:
@@ -220,61 +212,33 @@ def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray
     return _conv_cols(x, zx, w, stride, pad)
 
 
-def _shifted_blocks(x: np.ndarray, zx: int, dtype, pad: int, item: int):
-    """``(slice, block)`` over the batch of ``x``, each block ``x[slice] - zx``
-    in ``dtype`` inside a zero border of ``pad``, in one reused buffer;
-    ``item`` is the working set per image that sizes the blocks."""
+def _shifted(x: np.ndarray, zx: int, dtype, pad: int) -> np.ndarray:
+    """``x - zx`` in ``dtype`` inside a zero border of ``pad``."""
     n, c, h, wd = x.shape
-    buf = None
-    for sl in _blocks(n, item):
-        xb = x[sl]
-        if buf is None:
-            buf = np.zeros((len(xb), c, h + 2 * pad, wd + 2 * pad), dtype=dtype)
-        xp = buf[:len(xb)]
-        np.subtract(xb, zx, out=xp[:, :, pad:pad + h, pad:pad + wd])
-        yield sl, xp
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=dtype)
+    np.subtract(x, zx, out=xp[:, :, pad:pad + h, pad:pad + wd])
+    return xp
 
 
 def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """conv2d / pointwise on codes: per batch block, one im2col copy in
+    """conv2d / pointwise on codes: one im2col copy of the shifted input in
     (C, kh, kw, OH, OW) order, then one batched matmul into the NCHW
     output."""
-    n, c, h, wd = x.shape
+    n = len(x)
     o, _, kh, kw = w.shape
-    oh, ow = out_size(h, kh, stride, pad), out_size(wd, kw, stride, pad)
-    out = np.empty((n, o, oh, ow), dtype=w.dtype)
-    w2 = w.reshape(o, -1)
-    cols = None
-    for sl, xp in _shifted_blocks(x, zx, w.dtype, pad, c * kh * kw * oh * ow):
-        nb = len(xp)
-        if cols is None:
-            cols = np.empty((nb, c, kh, kw, oh, ow), dtype=w.dtype)
-        cb = cols[:nb]
-        np.copyto(cb, _windows(xp, kh, kw, stride, 0).transpose(0, 1, 4, 5, 2, 3))
-        np.matmul(w2, cb.reshape(nb, -1, oh * ow), out=out[sl].reshape(nb, o, oh * ow))
-    return out
+    cols = _windows(_shifted(x, zx, w.dtype, pad), kh, kw, stride, 0)
+    oh, ow = cols.shape[2:4]
+    cols = np.ascontiguousarray(cols.transpose(0, 1, 4, 5, 2, 3))
+    return np.matmul(w.reshape(o, -1), cols.reshape(n, -1, oh * ow)).reshape(n, o, oh, ow)
 
 
 def _depthwise_taps(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Depthwise conv on codes: per batch block, the sum of its k*k strided
-    tap products, written into the NCHW output."""
-    n, c, h, wd = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    oh, ow = out_size(h, kh, stride, pad), out_size(wd, kw, stride, pad)
-    out = np.empty((n, c, oh, ow), dtype=w.dtype)
-    tmp = None
-    item = c * (h + 2 * pad) * (wd + 2 * pad)
-    for sl, xp in _shifted_blocks(x, zx, w.dtype, pad, item):
-        ob = out[sl]
-        if tmp is None:
-            tmp = np.empty_like(ob)
-        tb = tmp[:len(ob)]
-        for i, j, tap in _taps(xp, kh, kw, stride):
-            wij = w[None, :, 0, i, j, None, None]
-            if i == j == 0:
-                np.multiply(tap, wij, out=ob)
-            else:
-                ob += np.multiply(tap, wij, out=tb)
+    """Depthwise conv on codes: the sum of the k*k strided tap products of
+    the shifted input, NCHW."""
+    out = None
+    for i, j, tap in _taps(_shifted(x, zx, w.dtype, pad), w.shape[2], w.shape[3], stride):
+        prod = tap * w[None, :, 0, i, j, None, None]
+        out = prod if out is None else np.add(out, prod, out=out)
     return out
 
 
@@ -316,15 +280,12 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarr
         # separately would destroy negative contributions when the output
         # range is relu-narrowed
         pa, pb = params
-        out = np.empty_like(x)
         so = float(out_p.scale)
-        ra, rb = float(pa.scale) / so, float(pb.scale) / so
-        for sl in _blocks(len(x), math.prod(x.shape[1:])):
-            xa = np.subtract(x[sl], int(pa.zero_point), dtype=np.float64)
-            xb = np.subtract(xs[1][sl], int(pb.zero_point), dtype=np.float64)
-            xa *= ra
-            xa += np.multiply(xb, rb, out=xb)
-            _requantize(xa, 1.0, zo, out[sl])  # already at the output scale
+        xa = np.subtract(x, int(pa.zero_point), dtype=np.float64)
+        xb = np.subtract(xs[1], int(pb.zero_point), dtype=np.float64)
+        xa *= float(pa.scale) / so
+        xa += np.multiply(xb, float(pb.scale) / so, out=xb)
+        out = _requantize(xa, 1.0, zo, np.empty_like(x))  # already at the output scale
     elif node.kind == "concat":
         out = np.concatenate([
             _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo)
@@ -378,19 +339,38 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
              memo: dict | None = None) -> np.ndarray:
     g = qg.graph
     env: dict[str, np.ndarray] = {INPUT_TENSOR: _check_batch(g, batch)}
+    n = len(env[INPUT_TENSOR])
     if INPUT_TENSOR in qg.act_params:
         # host-side input quantization (not part of the traced graph program)
         env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
                                            qg.act_params[INPUT_TENSOR]).astype(np.float32)
     keys = {} if memo is None else _config_free(qg)
-    for node in g.nodes:
-        if qg.on_codes(node):
-            out = _code_node(qg, node, [env[t] for t in node.data_inputs])
-        else:
-            out = _float_step(qg, node, env, memo, keys.get(node.id))
-        env[node.output] = out
-        if sink is not None:
-            sink(node.output, out)
+    shapes = propagate_shapes(g)
+    done = 0
+    for codes, run in groupby(g.nodes, qg.on_codes):
+        run = list(run)
+        done += len(run)
+        if not codes:  # whole-batch: an sgemm's row count sets fp32 bits
+            for node in run:
+                env[node.output] = _float_step(qg, node, env, memo, keys.get(node.id))
+                if sink is not None:
+                    sink(node.output, env[node.output])
+            continue
+        # depth-first over image blocks, keeping the outputs read after the run
+        read = {t for node in g.nodes[done:] for t in node.data_inputs} | {g.output_tensor()}
+        keep = [node.output for node in run if node.output in read]
+        env.update((t, np.empty((n, *shapes[t]), np.float32)) for t in keep)
+        step = n if sink is not None else max(
+            1, _BLOCK // sum(math.prod(shapes[node.output]) for node in run))
+        for lo in range(0, n, step):
+            local: dict[str, np.ndarray] = {}
+            for node in run:
+                xs = [local[t] if t in local else env[t][lo:lo + step] for t in node.data_inputs]
+                local[node.output] = _code_node(qg, node, xs)
+                if sink is not None:
+                    sink(node.output, local[node.output])
+            for t in keep:
+                env[t][lo:lo + step] = local[t]
     return env[g.output_tensor()]
 
 

@@ -271,3 +271,97 @@ def add_int64(xa, za, ka, xb, zb, kb, zo, ko):
     acc = ((np.asarray(xa, dtype=np.int64) - za) << (ka - kmin)) \
         + ((np.asarray(xb, dtype=np.int64) - zb) << (kb - kmin))
     return requantize_int64(acc, shift=ko - kmin, zero_point=zo)
+
+
+def run_reference(qg, batch):
+    """A quantized graph run straight from the spec, one node at a time on the
+    whole batch: int8 codes as int64, integer sums in int64, and every
+    requantize through ``requantize_int64`` (``add_int64`` for an ``add`` on
+    power-of-two scales).  A layer kept in float runs ``fp32._float_node``
+    on this walk's own inputs, dequantized here, and its boundary codes are
+    quantized here.  Returns the graph output: int8 codes, or float32 values
+    for an output kept in float."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from ptqtune.fp32 import _float_node
+    from ptqtune.ir import COMPUTE_KINDS, INPUT_TENSOR, conv_args, pool_args
+
+    g, act = qg.graph, qg.act_params
+
+    def quantize(x, p):  # round half away from zero, then clamp
+        v = np.asarray(x, dtype=np.float64) / float(p.scale) + float(p.zero_point)
+        return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -128, 127).astype(np.int64)
+
+    def dequantize(codes, p):
+        return ((codes.astype(np.float64) - float(p.zero_point)) * float(p.scale)).astype(np.float32)
+
+    def windows(x, k, stride, pad=0):  # (N, C, OH, OW, k, k)
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+    batch = np.asarray(batch, dtype=np.float32)
+    env = {INPUT_TENSOR: quantize(batch, act[INPUT_TENSOR]) if INPUT_TENSOR in act else batch}
+    for node in g.nodes:
+        xs = [env[t] for t in node.data_inputs]
+        if not qg.on_codes(node):
+            xs = [dequantize(x, act[t]) if t in act else x for x, t in zip(xs, node.data_inputs)]
+            out = _float_node(node, xs, g.weights)
+            env[node.output] = quantize(out, act[node.output]) if node.output in act else out
+            continue
+        ps = [act[t] for t in node.data_inputs]
+        po = act[node.output]
+        zo, so = int(po.zero_point), float(po.scale)
+        x, zx = xs[0], int(ps[0].zero_point)
+        if node.kind in COMPUTE_KINDS:
+            wp = qg.weight_params[node.weight_id]
+            w = g.weights[node.weight_id].astype(np.int64)
+            zw, sw = np.asarray(wp.zero_point), np.asarray(wp.scale, dtype=np.float64)
+            if wp.axis is not None:
+                zw = zw.reshape((-1,) + (1,) * (w.ndim - 1))
+            w = w - zw.astype(np.int64)
+            if node.kind == "fully_connected":
+                acc = (x - zx).reshape(len(x), -1) @ w.T
+            else:
+                stride, pad = conv_args(node)
+                win = windows(x - zx, w.shape[-1], stride, pad)
+                acc = (np.einsum("nchwij,cij->nchw", win, w[:, 0])
+                       if node.kind == "depthwise_conv2d"
+                       else np.einsum("nchwij,ocij->nohw", win, w))
+            shape = (1, -1) + (1,) * (acc.ndim - 2)
+            if node.bias_id is not None:
+                acc = acc + g.weights[node.bias_id].astype(np.int64).reshape(shape)
+            acc = np.clip(acc, -(2**31), 2**31 - 1)
+            multiplier = float(ps[0].scale) * (sw.reshape(shape) if sw.ndim else sw) / so
+            out = requantize_int64(acc, multiplier=multiplier, zero_point=zo).astype(np.int64)
+            if node.attrs.get("fused_relu", False):
+                out = np.maximum(out, zo)
+        elif node.kind == "relu":
+            out = np.maximum(x, zo)
+        elif node.kind == "maxpool":
+            out = windows(x, *pool_args(node)).max(axis=(-2, -1))
+        elif node.kind == "avgpool":
+            k, stride = pool_args(node)
+            total = windows(x, k, stride).sum(axis=(-2, -1)) - zo * k * k
+            out = requantize_int64(total, multiplier=1.0 / (k * k), zero_point=zo).astype(np.int64)
+        elif node.kind == "add":
+            pa, pb = ps
+            mant, exp = zip(*(math.frexp(float(s)) for s in (pa.scale, pb.scale, so)))
+            if set(mant) == {0.5}:  # power-of-two scales 2**(exp - 1)
+                out = add_int64(x, int(pa.zero_point), exp[0] - 1, xs[1], int(pb.zero_point),
+                                exp[1] - 1, zo, exp[2] - 1).astype(np.int64)
+            else:  # both inputs at the output scale in float64, rounded half up once
+                v = ((x - int(pa.zero_point)) * (float(pa.scale) / so)
+                     + (xs[1] - int(pb.zero_point)) * (float(pb.scale) / so))
+                out = np.clip(np.floor(v + 0.5) + zo, -128, 127).astype(np.int64)
+        elif node.kind == "concat":
+            out = np.concatenate([
+                requantize_int64(xi - int(p.zero_point), multiplier=float(p.scale) / so,
+                                 zero_point=zo).astype(np.int64)
+                for xi, p in zip(xs, ps)], axis=1)
+        elif node.kind == "softmax":
+            out = x  # a monotone map: the identity on codes
+        else:
+            raise ValueError(f"unknown node kind {node.kind!r}")
+        env[node.output] = out
+    out = env[g.output_tensor()]
+    return out.astype(np.int8) if g.output_tensor() in act else out

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import add_int64, conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up
+from oracles import (add_int64, conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up,
+                     run_reference)
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantParams, Scheme,
                      build_cache, check_integer_only, clipped_range, enumerate_space,
                      evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
@@ -14,11 +16,11 @@ from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantPa
                      validate)
 from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune import intexec
-from ptqtune.intexec import _BLOCK, _accumulate
-from ptqtune.ir import INPUT_TENSOR, Graph, Node
+from ptqtune.intexec import _accumulate
+from ptqtune.ir import INPUT_TENSOR, Graph, Node, propagate_shapes
 from ptqtune.quantize import QuantizedGraph
 from ptqtune.schemes import QMAX, QMIN
-from ptqtune.tuner import INTEGER_ONLY
+from ptqtune.tuner import GENERIC, INTEGER_ONLY
 
 
 def cfg(**kw):
@@ -57,8 +59,8 @@ def test_requantize_multiplier_matches_shift_bitwise():
 
 
 def test_rescale_matches_int64_shift_with_bias_and_int32_saturation():
-    # (n, 7) accumulators over three batch blocks, the last one ragged, with
-    # sums that pass both int32 ends once the bias is added
+    # (n, 7) accumulators with sums that pass both int32 ends once the bias
+    # is added
     rng = np.random.default_rng(4)
     acc = rng.integers(-(2**33), 2**33, size=(20000, 7)).astype(np.float64)
     acc[:, 0] = 2**31 - 1
@@ -186,9 +188,8 @@ def check_conv(kind, x, zx, w, stride, pad):
 
 @st.composite
 def conv_layers(draw):
-    """A conv2d, pointwise or depthwise layer on int8 codes, its batch, and
-    a block size for the batch: one image or up to seven, in blocks of one
-    to three images or of less than one."""
+    """A conv2d, pointwise or depthwise layer on int8 codes and its batch of
+    one to seven images."""
     kind = draw(st.sampled_from(["conv2d", "pointwise_conv2d", "depthwise_conv2d"]))
     # zero-shifted weights reach 255 in magnitude; all-extreme weights on a
     # conv2d of 275 taps or more put its bound past 2**24
@@ -208,47 +209,17 @@ def conv_layers(draw):
     w_shape = (o, 1 if kind == "depthwise_conv2d" else c, k, k)
     w = (rng.choice([-255.0, 255.0], size=w_shape) if extreme
          else rng.integers(-255, 256, size=w_shape).astype(np.float64))
-    # elements per image that size the blocks: the gathered columns, or the
-    # padded input of a depthwise layer
-    oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
-    item = c * ((h + 2 * pad) * (wd + 2 * pad) if kind == "depthwise_conv2d"
-                else k * k * oh * ow)
-    step = draw(st.integers(0, 3))  # 0: an image larger than a block
-    block = max(1, item - 1) if step == 0 else step * item + draw(st.integers(0, item - 1))
-    return kind, x, zx, w, stride, pad, block
+    return kind, x, zx, w, stride, pad
 
 
 @settings(max_examples=150, deadline=None)
 @given(conv_layers())
 @example(("conv2d", np.full((3, 16, 5, 5), 127, dtype=np.float32), -128,
-          np.full((2, 16, 5, 5), -255.0), 1, 0, 1000))  # bound 26,010,000
+          np.full((2, 16, 5, 5), -255.0), 1, 0))  # bound 26,010,000
 @example(("conv2d", np.full((3, 8, 5, 5), 127, dtype=np.float32), -128,
-          np.full((2, 8, 5, 5), -255.0), 2, 1, 5000))   # bound 13,005,000
+          np.full((2, 8, 5, 5), -255.0), 2, 1))   # bound 13,005,000
 def test_conv_kernels_on_codes_match_scalar_oracles(layer):
-    kind, x, zx, w, stride, pad, block = layer
-    with mock.patch.object(intexec, "_BLOCK", block):
-        check_conv(kind, x, zx, w, stride, pad)
-
-
-@pytest.mark.parametrize("kind,k,c,o", [("conv2d", 3, 4, 2), ("pointwise_conv2d", 1, 16, 2),
-                                        ("depthwise_conv2d", 2, 4, 4)])
-def test_conv_kernels_on_codes_block_at_the_shipped_size(kind, k, c, o):
-    """At the shipped ``_BLOCK`` (padding 1): a batch that ends in a ragged
-    block, and one image larger than a block."""
-    rng = np.random.default_rng(k * c)
-    depthwise = kind == "depthwise_conv2d"
-    w = rng.integers(-255, 256, size=(o, 1 if depthwise else c, k, k)).astype(np.float64)
-
-    def item(h):  # elements per image of the gathered columns, or the padded input
-        return c * (h + 2) ** 2 if depthwise else c * k * k * (h + 3 - k) ** 2
-
-    big = next(h for h in range(1, 256) if item(h) > _BLOCK)
-    step = _BLOCK // item(16)
-    ragged = step + step // 2 + 1
-    assert step > 1 and ragged % step
-    for h, n in ((16, ragged), (big, 2)):
-        x = rng.integers(-128, 128, size=(n, c, h, h)).astype(np.float32)
-        check_conv(kind, x, 5, w, 1, 1)
+    check_conv(*layer)
 
 
 # --------------------------------------------------- simulated int8 forward
@@ -710,3 +681,90 @@ def test_integer_only_rejects_non_power_of_two_pool_area(ds):
     qg = quantize_model(g2, cache, int_cfg())
     with pytest.raises(IntegerOnlyError):
         check_integer_only(qg)
+
+
+# ------------------------------------------------------------ reference walk
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat", "recipe"])
+def test_every_s2_config_matches_the_int64_reference_walk(name, request, ds):
+    """Every Generic and IntegerOnly config on the S2 cache, in enumeration
+    order through one memo, as a campaign's evaluator runs them: the output
+    equals ``run_reference``'s byte for byte, and so do the integer-only
+    codes."""
+    if name == "concat":
+        g = concat_graph()
+    elif name == "recipe":
+        g = generate_fixture("conv+relu+maxpool+dwconv+relu+pwconv+avgpool+fc", seed=1)
+    else:
+        g = request.getfixturevalue(name)
+    cache = build_cache(g, ds, "S2", seed=0)
+    images = ds.eval_images[:16]
+    memo = {}
+    configs = [c for c in enumerate_space(GENERIC) + enumerate_space(INTEGER_ONLY)
+               if c.cache == "S2"]
+    for c in configs:
+        qg = quantize_model(g, cache, c)
+        want = run_reference(qg, images)
+        codes = g.output_tensor() in qg.act_params
+        got = run_quantized(qg, images, return_codes=codes, memo=memo)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
+        if INTEGER_ONLY.contains(c):
+            assert run_integer_only(qg, images).tobytes() == want.tobytes(), c
+
+
+# ------------------------------------------------------------- image blocks
+
+def code_run_sizes(qg):
+    """Each run of code nodes' elements per image, summed over its outputs:
+    what the walk divides ``_BLOCK`` by."""
+    shapes = propagate_shapes(qg.graph)
+    return [sum(int(np.prod(shapes[n.output])) for n in run)
+            for codes, run in groupby(qg.graph.nodes, qg.on_codes) if codes]
+
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
+def test_image_blocks_give_the_one_block_bytes(name, request, ds):
+    """7 images in 1-image blocks, then in 3-image blocks (a ragged last
+    block) for each run of code nodes in turn, equal the one-block run byte
+    for byte: logits, codes, with and without a memo, and integer-only."""
+    g = concat_graph() if name == "concat" else request.getfixturevalue(name)
+    cache = build_cache(g, ds, "S2", seed=0)
+    images = ds.eval_images[:7]
+    for c in (cfg(), first_last(), first_last(scheme=Scheme.Symmetric, fusion=True,
+                                              granularity="Channel"), int_cfg()):
+        qg = quantize_model(g, cache, c)
+        codes = g.output_tensor() in qg.act_params
+        integer = INTEGER_ONLY.contains(c)
+
+        def outputs():
+            memo = {}
+            runs = [run_quantized(qg, images), run_quantized(qg, images, memo=memo),
+                    run_quantized(qg, images, memo=memo)]
+            if codes:
+                runs.append(run_quantized(qg, images, return_codes=True))
+            if integer:
+                runs.append(run_integer_only(qg, images))
+            return [r.tobytes() for r in runs]
+
+        with mock.patch.object(intexec, "_BLOCK", 1 << 40):
+            want = outputs()
+        sizes = code_run_sizes(qg)
+        assert sizes and 7 * max(sizes) < 1 << 40
+        for block in [1] + [3 * e for e in sizes]:
+            with mock.patch.object(intexec, "_BLOCK", block):
+                assert outputs() == want, (c, block)
+
+
+def test_a_single_image_equals_a_batch_of_one(lenet, lenet_cache_s2, ds):
+    """A (C,H,W) image runs as a batch of one; on a graph without fp32
+    layers, where the batch size sets no bits, that is row 0 of a batch."""
+    images = ds.eval_images[:5]
+    for c in (cfg(), first_last(), int_cfg()):
+        qg = quantize_model(lenet, lenet_cache_s2, c)
+        one = run_quantized(qg, images[0])
+        assert one.shape == (1, 10) and one.tobytes() == run_quantized(qg, images[:1]).tobytes()
+        if not qg.fp32_nodes:
+            assert one.tobytes() == run_quantized(qg, images)[:1].tobytes(), c
+        if INTEGER_ONLY.contains(c):
+            assert run_integer_only(qg, images[0]).tobytes() == \
+                run_integer_only(qg, images)[:1].tobytes()
