@@ -13,8 +13,7 @@ from .clipping import clip_range_kl, clip_range_max, clipped_range
 from .dataset import Dataset, class_templates, load_dataset, make_dataset, save_dataset
 from .fixtures import FIXTURE_RECIPES, generate_fixture, recipe_feature_counts
 from .fp32 import (AccuracyResult, avgpool, conv2d, depthwise_conv2d,
-                   evaluate_top1, maxpool, observe_activations, run_fp32,
-                   softmax, top1_from_scores)
+                   evaluate_top1, maxpool, run_fp32, softmax, top1_from_scores)
 from .gbt import GBTModel, feature_importance, predict, save_gbt, train
 from .intexec import (IntegerOnlyError, OpTrace, check_integer_only,
                       evaluate_quantized, requantize, run_integer_only,
@@ -41,7 +40,7 @@ __all__ = [
     "extract_features", "feature_importance", "generate_fixture",
     "load_cache", "load_db", "load_dataset", "load_model", "load_quantized",
     "make_accuracy_evaluator", "make_dataset",
-    "maxpool", "model_size", "observe_activations", "params_for_range",
+    "maxpool", "model_size", "params_for_range",
     "predict", "propagate_shapes", "quantize_array", "quantize_model",
     "quantize_weights", "recipe_feature_counts", "record_db", "requantize",
     "run_fp32", "run_integer_only", "run_quantized", "run_strategy",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .container import _malformed_header, read_container, write_container
 from .dataset import Dataset
-from .fp32 import _check_batch, observe_activations
+from .fp32 import _check_batch, run_fp32
 from .ir import Graph
 
 N_BINS = 2048
@@ -59,43 +59,45 @@ def select_images(pool: Dataset, size_class: str, seed: int) -> np.ndarray:
 def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
               image_ids: list[int] | None = None) -> CalibrationCache:
     """Histogram every tensor of ``g`` over ``images``; the cache is named
-    ``g.name``."""
+    ``g.name``.
+
+    Both passes run one image per ``run_fp32`` call, whose sink sees the
+    input first, then each node's output: an sgemm's row count sets fp32
+    bits, so one image at a time keeps every histogram independent of
+    batching.  A NaN or inf activation raises ValueError naming its tensor.
+    """
     images = _check_batch(g, images)
+    ranges: dict[str, tuple[float, float]] = {}  # first-seen tensor order
 
-    mins: dict[str, float] = {}
-    maxs: dict[str, float] = {}
-    order: list[str] = []
-
-    def minmax_sink(tid: str, v: np.ndarray) -> None:
+    def widen(tid: str, v: np.ndarray) -> None:
         lo, hi = float(v.min()), float(v.max())
-        if tid not in mins:
-            order.append(tid)
-            mins[tid], maxs[tid] = lo, hi
-        else:
-            mins[tid] = min(mins[tid], lo)
-            maxs[tid] = max(maxs[tid], hi)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"tensor {tid!r} holds NaN or inf")
+        lo0, hi0 = ranges.setdefault(tid, (lo, hi))
+        ranges[tid] = (min(lo0, lo), max(hi0, hi))
 
-    observe_activations(g, images, minmax_sink)
+    for i in range(len(images)):
+        run_fp32(g, images[i:i + 1], sink=widen)
 
-    counts = {t: np.zeros(N_BINS, dtype=np.int64) for t in order}
+    counts = {t: np.zeros(N_BINS, dtype=np.int64) for t in ranges}
 
-    def bin_sink(tid: str, v: np.ndarray) -> None:
+    def add_bins(tid: str, v: np.ndarray) -> None:
         # bin in float64: at float32 precision a near-constant tensor's bin
         # width can underflow and histogram rejects the range
         flat = v.ravel().astype(np.float64)
-        lo, hi = mins[tid], maxs[tid]
+        lo, hi = ranges[tid]
         if lo == hi:
             counts[tid][0] += flat.size
         else:
-            c, _ = np.histogram(flat, bins=N_BINS, range=(lo, hi))
-            counts[tid] += c
+            counts[tid] += np.histogram(flat, bins=N_BINS, range=(lo, hi))[0]
 
-    observe_activations(g, images, bin_sink)
+    for i in range(len(images)):
+        run_fp32(g, images[i:i + 1], sink=add_bins)
 
     hists = {
-        t: TensorHistogram(tensor_id=t, min_seen=np.float32(mins[t]),
-                           max_seen=np.float32(maxs[t]), bin_counts=counts[t])
-        for t in order
+        t: TensorHistogram(tensor_id=t, min_seen=np.float32(lo),
+                           max_seen=np.float32(hi), bin_counts=counts[t])
+        for t, (lo, hi) in ranges.items()
     }
     return CalibrationCache(
         model_name=g.name,

@@ -81,4 +81,6 @@ def load_dataset(path: str) -> Dataset:
     header, buffers = read_container(path, "qds")
     with _malformed_header(path):
         images, labels = buffers
+        if not np.isfinite(images).all():
+            raise ValueError(f"{path}: images hold NaN or inf")
         return Dataset(images=images, labels=labels, n_calib=int(header["n_calib"]))

@@ -236,11 +236,7 @@ def _plant_head(g: Graph) -> None:
         if tid == target:
             captured[tid] = v
 
-    templates = class_templates()
-    if target == INPUT_TENSOR:
-        captured[target] = templates
-    else:
-        run_fp32(g, templates, sink=sink)
+    run_fp32(g, class_templates(), sink=sink)
     feats = captured[target].reshape(N_CLASSES, -1).astype(np.float64)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

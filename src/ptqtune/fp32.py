@@ -4,14 +4,14 @@ Runs a Graph on NCHW fp32 batches.  ``_float_node`` is the one fp32 step
 over the ten node kinds and holds the fp32 conv/depthwise/pointwise/fc
 dispatch; node attributes and window geometry come from ``ir``
 (``conv_args``, ``pool_args``, ``out_size``).  ``run_fp32`` walks a graph
-with it; the quantized executor (``intexec``) uses it for tensors kept in
-float and for mixed-precision fp32 layers, and reuses ``maxpool`` and the
-window views (``_taps``, ``_windows``) on integer codes, whose conv kernels
-are its own.
+with it, and its sink sees the graph input, then each node's output: every
+fp32 tensor is observed there (calibration, planted fixture heads).  The
+quantized executor (``intexec``) uses it for tensors kept in float and for
+mixed-precision fp32 layers, and reuses ``maxpool`` and the window views
+(``_taps``, ``_windows``) on integer codes, whose conv kernels are its own.
 Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
 deployed fp32 baseline would; the test suite pins this against a scalar
-brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation
-and the activation observer used by calibration.
+brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation.
 """
 
 from __future__ import annotations
@@ -163,14 +163,3 @@ def top1_from_scores(scores: np.ndarray, labels: np.ndarray) -> AccuracyResult:
 def evaluate_top1(g: Graph, d: Dataset) -> AccuracyResult:
     scores = run_fp32(g, d.eval_images)
     return top1_from_scores(scores, d.eval_labels)
-
-
-def observe_activations(g: Graph, images: np.ndarray, sink: ObserverSink) -> None:
-    """Stream every tensor (graph input + each node output) per image.
-
-    Images run one at a time so the stream an observer sees is independent
-    of batching; order per image is input first, then node order.
-    """
-    images = _check_batch(g, images)
-    for i in range(images.shape[0]):
-        run_fp32(g, images[i : i + 1], sink=sink)

@@ -233,6 +233,10 @@ def validate(g: Graph) -> None:
         if w.dtype != np.float32:
             raise GraphError(f"weight {wid!r} must be float32, got {w.dtype}")
     propagate_shapes(g)
+    for n in g.compute_nodes():
+        for t in n.inputs[1:]:
+            if not np.isfinite(g.weights[t]).all():
+                raise GraphError(f"node {n.id}: {t!r} holds NaN or inf")
     g.output_tensor()
 
 

@@ -62,13 +62,11 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:
-    """``round_half_away`` in place on the float64 array ``v``."""
-    sign = np.sign(v)
-    np.abs(v, out=v)
-    v += 0.5
-    np.floor(v, out=v)
-    v *= sign
-    return v
+    """``round_half_away`` in place on the float64 array ``v``.  Adding
+    +-0.5 and truncating equals -floor(|v| + 0.5) for negative ``v``, since
+    round-to-nearest is sign-symmetric: fl(v - 0.5) == -fl(|v| + 0.5)."""
+    v += np.copysign(0.5, v)
+    return np.trunc(v, out=v)
 
 
 def ceil_log2(x: float) -> int:

@@ -25,8 +25,8 @@ on uniform picks.
            genome that decodes to a measured config reuses that
            measurement, so only new configs consume budget.
 
-Failed evaluations are recorded with accuracy 0.0 and the exception that
-failed them, and consume their trial.
+Failed evaluations (the evaluator raised, or scored NaN or inf) are
+recorded with accuracy 0.0 and why they failed, and consume their trial.
 The tuning database is a line-oriented JSON log that round-trips exactly;
 ``record_db`` writes a whole campaign's log as a fresh file.
 """
@@ -63,6 +63,14 @@ def enumerate_space(profile: TargetProfile) -> list[QuantConfig]:
     pins = profile.pins
     allowed = [(pins[name],) if name in pins else values for name, values in DIMENSIONS.items()]
     return [QuantConfig(*values) for values in product(*allowed)]
+
+
+def _finite_top1(v) -> float:
+    """``v`` as a float top1; NaN or inf raise ValueError."""
+    top1 = float(v)
+    if not math.isfinite(top1):
+        raise ValueError(f"top1 {top1} is not finite")
+    return top1
 
 
 @dataclass
@@ -102,7 +110,7 @@ class TuningRecord:
             model_name=d["model"],
             features=ModelFeatures.from_dict(d["features"]) if d["features"] else None,
             config=QuantConfig.from_dict(d["config"]) if d["config"] else None,
-            top1=float(d["top1"]),
+            top1=_finite_top1(d["top1"]),
             timestamp=float(d["timestamp"]),
             trial=int(d["trial"]),
             error=bool(d.get("error", False)),
@@ -184,9 +192,9 @@ class _Campaign:
         return int(rng.choice(np.flatnonzero(~self.explored)))
 
     def _safe_eval(self, i: int) -> tuple[float, str | None]:
-        """(top1, None), or (0.0, why) when the evaluator raised."""
+        """(top1, None), or (0.0, why) when scoring raised or was not finite."""
         try:
-            return float(self.evaluate(self.space[i])), None
+            return _finite_top1(self.evaluate(self.space[i])), None
         except Exception as e:
             return 0.0, f"{type(e).__name__}: {e}"
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ptqtune import Graph, Node, build_cache, calibrate, load_cache, save_cache
+from ptqtune import (Graph, Node, build_cache, calibrate, load_cache, propagate_shapes,
+                     save_cache)
 from ptqtune.calibration import N_BINS, SIZE_CLASSES, select_images
 from ptqtune.container import write_container
 from ptqtune.ir import INPUT_TENSOR
@@ -37,10 +38,13 @@ def test_small_pool_cannot_supply_large_class():
 def test_cache_covers_every_tensor(lenet, lenet_cache_s2):
     tensors = {INPUT_TENSOR} | {n.output for n in lenet.nodes}
     assert set(lenet_cache_s2.histograms) == tensors
-    for h in lenet_cache_s2.histograms.values():
+    shapes = propagate_shapes(lenet)
+    for t, h in lenet_cache_s2.histograms.items():
         assert h.bin_counts.shape == (N_BINS,)
         assert h.bin_counts.sum() == h.n_samples
         assert h.min_seen <= h.max_seen
+        # every value of every image is binned once
+        assert h.n_samples == 32 * np.prod(shapes[t])
 
 
 def test_relu_output_histogram_is_nonnegative(lenet, lenet_cache_s2):
@@ -63,6 +67,15 @@ def test_constant_tensor_collapses_to_single_bin(ds):
 def test_calibrate_rejects_zero_images(lenet, ds):
     with pytest.raises(ValueError, match="empty batch"):
         calibrate(lenet, ds.calib_images[:0])
+
+
+@pytest.mark.parametrize("image, value", [(0, np.nan), (2, np.nan), (1, np.inf)],
+                         ids=["nan-first-image", "nan-later-image", "inf"])
+def test_calibrate_rejects_a_non_finite_activation(lenet, ds, image, value):
+    images = ds.calib_images[:4].copy()
+    images[image, 1, 5, 7] = value
+    with pytest.raises(ValueError, match="^tensor 'input' holds NaN or inf$"):
+        calibrate(lenet, images)
 
 
 def test_superset_of_images_widens_ranges_monotonically(lenet, ds):

@@ -60,3 +60,9 @@ def test_wrong_format_rejected(tmp_path, lenet):
     save_model(lenet, str(p))
     with pytest.raises(ValueError):
         load_dataset(str(p))
+    bad = make_dataset(n_calib=2, n_eval=2)
+    bad.images[3, 2, 1, 0] = np.nan
+    p = tmp_path / "nan.qds"
+    save_dataset(bad, str(p))
+    with pytest.raises(ValueError, match="images hold NaN or inf"):
+        load_dataset(str(p))

@@ -4,8 +4,7 @@ import pytest
 from oracles import (avgpool_scalar, conv2d_scalar, depthwise_scalar,
                      maxpool_scalar)
 from ptqtune import (avgpool, conv2d, depthwise_conv2d, evaluate_top1,
-                     maxpool, observe_activations, run_fp32, softmax,
-                     top1_from_scores)
+                     maxpool, run_fp32, softmax, top1_from_scores)
 from ptqtune.fp32 import _windows
 
 RNG = np.random.default_rng(42)
@@ -109,11 +108,3 @@ def test_top1_tie_breaks_to_lowest_index():
     with pytest.raises(ValueError):
         top1_from_scores(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
-
-def test_observer_sees_every_tensor_once_per_image(lenet, ds):
-    seen: dict[str, int] = {}
-    observe_activations(lenet, ds.calib_images[:3],
-                        lambda tid, v: seen.update({tid: seen.get(tid, 0) + 1}))
-    tensors = {"input"} | {n.output for n in lenet.nodes}
-    assert set(seen) == tensors
-    assert all(c == 3 for c in seen.values())

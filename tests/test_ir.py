@@ -170,10 +170,14 @@ def _weight_is_a_node_output(g):
     g.nodes[2].inputs[1] = "t0"
 
 
+def _weight_holds_nan(g):
+    g.weights["w1"][1, 0, 2, 2] = np.nan
+
+
 @pytest.mark.parametrize("tamper, node", [
     (_bias_2d, "c0"), (_bias_wrong_length, "c0"), (_bias_missing, "c0"),
-    (_weight_is_a_node_output, "c1"),
-], ids=["bias-2d", "bias-length", "bias-missing", "weight-is-output"])
+    (_weight_is_a_node_output, "c1"), (_weight_holds_nan, "c1"),
+], ids=["bias-2d", "bias-length", "bias-missing", "weight-is-output", "weight-nan"])
 def test_weight_and_bias_that_do_not_fit_are_rejected_naming_the_node(tamper, node):
     g = tiny_graph()
     tamper(g)

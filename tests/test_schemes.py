@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import round_half_away as rha_oracle
@@ -33,6 +33,18 @@ def test_round_half_away_from_zero():
 
 @given(st.floats(-1e6, 1e6))
 @settings(max_examples=200)
+@example(0.5)
+@example(-0.5)
+@example(1.5)
+@example(-1.5)
+@example(2.5)
+@example(-2.5)
+@example(999.5)
+@example(-999.5)
+@example(0.49999999999999994)
+@example(-0.49999999999999994)
+@example(2.0**52 + 0.5)
+@example(-(2.0**52 + 0.5))
 def test_round_half_away_matches_scalar_oracle(v):
     assert float(round_half_away(v)) == rha_oracle(v)
 

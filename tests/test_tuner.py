@@ -190,17 +190,22 @@ def test_trials_to_best_is_first_hit():
 
 
 def test_failed_measurement_scores_zero_and_flags_error():
-    bad = SPACE[7]
+    bad, nan = SPACE[7], SPACE[9]
 
     def ev(cfg):
         if cfg == bad:
             raise RuntimeError("quantization exploded")
-        return 0.5
+        return float("nan") if cfg == nan else 0.5
 
     r = run_strategy("grid", FEATS, SPACE, ev, budget=96)
     rec = next(t for t in r.trials if t.config == bad)
     assert rec.error and rec.top1 == 0.0
-    assert sum(t.error for t in r.trials) == 1
+    # a NaN score is a failed trial too, so no NaN reaches the surrogate or the db
+    rec = next(t for t in r.trials if t.config == nan)
+    assert rec.error and rec.top1 == 0.0
+    assert rec.error_msg == "ValueError: top1 nan is not finite"
+    assert "NaN" not in "".join(t.to_json() for t in r.trials)
+    assert sum(t.error for t in r.trials) == 2
 
 
 def test_random_is_seed_deterministic_and_seed_sensitive():
@@ -414,12 +419,13 @@ def test_db_rejects_future_schema(tmp_path):
     lambda d: {"v": 1},
     lambda d: [],
     lambda d: {**d, "top1": [1]},
+    lambda d: {**d, "top1": float("nan")},
     lambda d: {**d, "features": {k: v for k, v in d["features"].items() if k != "n_conv"}},
     lambda d: {**d, "config": {k: v for k, v in d["config"].items() if k != "scheme"}},
     lambda d: {**d, "config": {**d["config"], "scheme": "Int4"}},
     lambda d: {**d, "features": 3},
     lambda d: "record",
-], ids=["no-fields", "array", "top1-list", "features-no-key", "config-no-scheme",
+], ids=["no-fields", "array", "top1-list", "top1-nan", "features-no-key", "config-no-scheme",
         "unknown-scheme", "features-int", "string"])
 def test_db_rejects_malformed_records_with_value_error(tmp_path, edit):
     good = TuningRecord("m", FEATS, SPACE[0], 0.5, 0.0, 1).to_json()
