@@ -83,4 +83,9 @@ def load_dataset(path: str) -> Dataset:
         images, labels = buffers
         if not np.isfinite(images).all():
             raise ValueError(f"{path}: images hold NaN or inf")
+        # a label no class can match scores every prediction wrong
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"{path}: labels are {labels.dtype}, not integers")
+        if ((labels < 0) | (labels >= N_CLASSES)).any():
+            raise ValueError(f"{path}: labels must lie in [0, {N_CLASSES})")
         return Dataset(images=images, labels=labels, n_calib=int(header["n_calib"]))

@@ -12,6 +12,19 @@ mixed-precision fp32 layers, and reuses ``maxpool`` and the window views
 Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
 deployed fp32 baseline would; the test suite pins this against a scalar
 brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation.
+
+An sgemm's row count sets its fp32 bits (its blocking, hence its summation
+order, follows the rows), so a conv or fully_connected output depends on
+how many images share one sgemm.  By default the two sgemm sites (the conv
+im2col product and ``fully_connected``) run one sgemm over the whole batch,
+whose bits the golden digests and the planted fixture heads pin.  With
+``per_image`` each becomes one stacked matmul, ``(n, rows of one image, K)
+@ (K, O)``, for which numpy calls sgemm once per image with the one-image
+row count: every tensor then holds the bytes of ``n`` one-image runs, while
+every other step still runs once over the whole batch.  The conv output
+keeps its ``(n, oh, ow, o)``-backed layout either way, since ``avgpool``
+rounds by memory order.  Calibration runs this way, so its histograms do
+not depend on how it chunks its images.
 """
 
 from __future__ import annotations
@@ -26,6 +39,11 @@ from .dataset import Dataset
 from .ir import COMPUTE_KINDS, INPUT_TENSOR, Graph, Node, conv_args, out_size, pool_args
 
 ObserverSink = Callable[[str, np.ndarray], None]
+# float32 elements per chunk of images, summed over the tensors a chunk
+# holds at once (2 MiB), for the int8 walk's image blocks and calibration's
+# chunks: a chunk's tensors then stay in cache instead of streaming through
+# memory
+_BLOCK = 1 << 19
 
 
 def _check_batch(g: Graph, batch: np.ndarray) -> np.ndarray:
@@ -48,12 +66,13 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-           stride: int, pad: int) -> np.ndarray:
+           stride: int, pad: int, *, per_image: bool = False) -> np.ndarray:
     n = x.shape[0]
     o, c, kh, kw = w.shape
     win = _windows(x, kh, kw, stride, pad)
     oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    rows = (n, oh * ow) if per_image else (n * oh * ow,)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(*rows, c * kh * kw)
     out = np.ascontiguousarray(cols) @ w.reshape(o, -1).T
     if b is not None:
         out = out + b
@@ -100,20 +119,24 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]) -> np.ndarray:
+def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray], *,
+                per_image: bool = False) -> np.ndarray:
     """One node in fp32 on its data inputs ``xs``; the float step of every
     executor (``run_fp32``, and float tensors and fp32 layers of quantized
-    graphs)."""
+    graphs).  ``per_image`` runs each sgemm once per image (module
+    docstring)."""
     x = xs[0]
     if node.kind in COMPUTE_KINDS:
         w = weights[node.weight_id]
         b = weights[node.bias_id] if node.bias_id else None
         if node.kind == "fully_connected":
-            out = x.reshape(x.shape[0], -1) @ w.T
+            rows = (x.shape[0], 1) if per_image else (x.shape[0],)
+            out = (x.reshape(*rows, -1) @ w.T).reshape(x.shape[0], -1)
             out = out if b is None else out + b
+        elif node.kind == "depthwise_conv2d":
+            out = depthwise_conv2d(x, w, b, *conv_args(node))
         else:
-            fn = depthwise_conv2d if node.kind == "depthwise_conv2d" else conv2d
-            out = fn(x, w, b, *conv_args(node))
+            out = conv2d(x, w, b, *conv_args(node), per_image=per_image)
         if node.attrs.get("fused_relu", False):
             out = np.maximum(out, np.float32(0))
     elif node.kind == "relu":
@@ -133,14 +156,17 @@ def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]
     return out.astype(np.float32, copy=False)
 
 
-def run_fp32(g: Graph, batch: np.ndarray, sink: ObserverSink | None = None) -> np.ndarray:
-    """Forward pass; returns the graph output (logits or class scores)."""
+def run_fp32(g: Graph, batch: np.ndarray, sink: ObserverSink | None = None, *,
+             per_image: bool = False) -> np.ndarray:
+    """Forward pass; returns the graph output (logits or class scores).
+    With ``per_image`` every tensor holds the bytes of one-image runs."""
     batch = _check_batch(g, batch)
     env: dict[str, np.ndarray] = {INPUT_TENSOR: batch}
     if sink is not None:
         sink(INPUT_TENSOR, batch)
     for node in g.nodes:
-        env[node.output] = _float_node(node, [env[t] for t in node.data_inputs], g.weights)
+        xs = [env[t] for t in node.data_inputs]
+        env[node.output] = _float_node(node, xs, g.weights, per_image=per_image)
         if sink is not None:
             sink(node.output, env[node.output])
     return env[g.output_tensor()]

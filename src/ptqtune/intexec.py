@@ -59,9 +59,10 @@ its inputs from the block's own outputs or from a slice of a tensor made
 before the run, so a block's intermediates stay in cache, and only the
 outputs read after the run (and the graph output) are kept, whole-batch.
 A run not on codes goes node by node over the whole batch: on fp32 the
-order of a sum and the row count of an sgemm set the rounding, so
-``run_fp32``, calibration and the fp32 layers of mixed-precision graphs
-keep the ``fp32`` kernels on the batch they are given.  With a ``sink``
+order of a sum and the row count of an sgemm set the rounding, so the fp32
+layers of mixed-precision graphs, like ``run_fp32``, keep the ``fp32``
+kernels on the batch they are given.  ``_BLOCK`` is ``fp32``'s, which
+calibration's image chunks also read.  With a ``sink``
 every run is one block, so the sink sees each node's whole output in node
 order.
 
@@ -91,8 +92,8 @@ from itertools import groupby
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _windows, maxpool,
-                   top1_from_scores)
+from .fp32 import (_BLOCK, AccuracyResult, _check_batch, _float_node, _taps, _windows,
+                   maxpool, top1_from_scores)
 from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, pool_args, propagate_shapes
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
@@ -101,10 +102,6 @@ from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 # (the precision map); float_mul/float_add are elementwise float steps
 # (dequantize, requantize multiplier, boundary quantize)
 FLOAT_CATS = ("float_mul", "float_add", "float_kernel")
-# float32 output elements per image block of a run of code nodes, summed
-# over the run's nodes (2 MiB): the block's intermediates then stay in cache
-# instead of streaming through memory
-_BLOCK = 1 << 19
 
 
 class IntegerOnlyError(ValueError):

@@ -2,10 +2,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared oracles module
 
-from ptqtune import build_cache, generate_fixture, make_dataset
+from ptqtune import GraphError, build_cache, generate_fixture, make_dataset
+from ptqtune.fixtures import _GRAMMAR_KINDS
+
+
+@st.composite
+def recipes(draw, max_size=5):
+    """The fixture graph of a drawn grammar recipe: up to ``max_size``
+    tokens of any kind, then ``fc``, at fixture seed 0-3.  A recipe the
+    grammar cannot build (say, a conv after an fc) is rejected."""
+    tokens = draw(st.lists(st.sampled_from(_GRAMMAR_KINDS), max_size=max_size))
+    seed = draw(st.integers(0, 3))
+    try:
+        return generate_fixture("+".join(tokens + ["fc"]), seed=seed)
+    except GraphError:
+        reject()
 
 
 @pytest.fixture(scope="session")

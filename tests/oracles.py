@@ -365,3 +365,36 @@ def run_reference(qg, batch):
         env[node.output] = out
     out = env[g.output_tensor()]
     return out.astype(np.int8) if g.output_tensor() in act else out
+
+
+def calibrate_per_image(g, images):
+    """Calibration image by image, one ``run_fp32`` call per image in each
+    of two passes: the exact (min, max) of every tensor the sink sees, then
+    2048 bins over that range, in float64, with a constant tensor's values
+    all in bin 0.  Returns ``{tensor: (min, max, counts)}`` in first-seen
+    tensor order, min and max as float32."""
+    from ptqtune.calibration import N_BINS
+    from ptqtune.fp32 import run_fp32
+
+    ranges = {}
+
+    def widen(tid, v):
+        lo, hi = float(v.min()), float(v.max())
+        lo0, hi0 = ranges.setdefault(tid, (lo, hi))
+        ranges[tid] = (min(lo0, lo), max(hi0, hi))
+
+    for i in range(len(images)):
+        run_fp32(g, images[i:i + 1], sink=widen)
+    counts = {t: np.zeros(N_BINS, dtype=np.int64) for t in ranges}
+
+    def add_bins(tid, v):
+        flat = v.ravel().astype(np.float64)
+        lo, hi = ranges[tid]
+        if lo == hi:
+            counts[tid][0] += flat.size
+        else:
+            counts[tid] += np.histogram(flat, bins=N_BINS, range=(lo, hi))[0]
+
+    for i in range(len(images)):
+        run_fp32(g, images[i:i + 1], sink=add_bins)
+    return {t: (np.float32(lo), np.float32(hi), counts[t]) for t, (lo, hi) in ranges.items()}

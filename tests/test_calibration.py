@@ -1,11 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ptqtune import (Graph, Node, build_cache, calibrate, load_cache, propagate_shapes,
-                     save_cache)
+from conftest import recipes
+from oracles import calibrate_per_image
+from ptqtune import (Graph, Node, build_cache, calibrate, generate_fixture, load_cache,
+                     propagate_shapes, save_cache)
+from ptqtune import calibration
 from ptqtune.calibration import N_BINS, SIZE_CLASSES, select_images
 from ptqtune.container import write_container
 from ptqtune.ir import INPUT_TENSOR
+from test_intexec import concat_graph
 
 
 def test_size_classes():
@@ -69,13 +77,53 @@ def test_calibrate_rejects_zero_images(lenet, ds):
         calibrate(lenet, ds.calib_images[:0])
 
 
-@pytest.mark.parametrize("image, value", [(0, np.nan), (2, np.nan), (1, np.inf)],
-                         ids=["nan-first-image", "nan-later-image", "inf"])
-def test_calibrate_rejects_a_non_finite_activation(lenet, ds, image, value):
-    images = ds.calib_images[:4].copy()
+def tensor_elements(g):
+    """Elements per image over the input and every node output: what
+    ``calibrate`` divides ``_BLOCK`` by."""
+    return sum(int(np.prod(s)) for s in propagate_shapes(g).values())
+
+
+@pytest.mark.parametrize("n, chunk, image, value",
+                         [(4, 4, 0, np.nan), (4, 4, 2, np.nan), (4, 4, 1, np.inf),
+                          (7, 3, 4, np.nan)],
+                         ids=["nan-first-image", "nan-later-image", "inf", "nan-mid-chunk"])
+def test_calibrate_rejects_a_non_finite_activation(lenet, ds, n, chunk, image, value):
+    images = ds.calib_images[:n].copy()
     images[image, 1, 5, 7] = value
-    with pytest.raises(ValueError, match="^tensor 'input' holds NaN or inf$"):
+    with mock.patch.object(calibration, "_BLOCK", chunk * tensor_elements(lenet)), \
+            pytest.raises(ValueError, match="^tensor 'input' holds NaN or inf$"):
         calibrate(lenet, images)
+
+
+def assert_calibrate_equals_per_image(g, images, chunk):
+    """``calibrate`` over chunks of ``chunk`` images gives the per-image
+    oracle's ranges, bin counts and first-seen tensor order."""
+    want = calibrate_per_image(g, images)
+    with mock.patch.object(calibration, "_BLOCK", chunk * tensor_elements(g)):
+        got = calibrate(g, images).histograms
+    assert list(got) == list(want)
+    for t, (lo, hi, counts) in want.items():
+        h = got[t]
+        assert (h.min_seen.tobytes(), h.max_seen.tobytes()) == (lo.tobytes(), hi.tobytes()), t
+        assert h.bin_counts.tobytes() == counts.tobytes(), t
+
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
+def test_calibrate_equals_the_per_image_oracle(name, request, ds):
+    """7 images in chunks of 1, 3 (a ragged last chunk) and 7."""
+    g = concat_graph() if name == "concat" else request.getfixturevalue(name)
+    for chunk in (1, 3, 7):
+        assert_calibrate_equals_per_image(g, ds.calib_images[:7], chunk)
+
+
+@settings(deadline=None, max_examples=50)
+@given(g=recipes(), chunk=st.integers(2, 4), full=st.integers(1, 2), rest=st.integers(1, 3))
+@example(g=generate_fixture("conv+relu+dwconv+avgpool+fc+softmax", seed=1),
+         chunk=3, full=1, rest=2)
+def test_calibrate_equals_the_per_image_oracle_on_drawn_recipes(ds, g, chunk, full, rest):
+    """``full`` whole chunks of ``chunk`` images, then a ragged last chunk."""
+    n = full * chunk + rest % (chunk - 1) + 1
+    assert_calibrate_equals_per_image(g, ds.calib_images[:n], chunk)
 
 
 def test_superset_of_images_widens_ranges_monotonically(lenet, ds):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,10 @@ def test_wrong_format_rejected(tmp_path, lenet):
     save_dataset(bad, str(p))
     with pytest.raises(ValueError, match="images hold NaN or inf"):
         load_dataset(str(p))
+    for labels, match in [(np.array([0, 10, 1, 2]), r"labels must lie in \[0, 10\)"),
+                          (np.array([0, 1, -3, 2]), r"labels must lie in \[0, 10\)"),
+                          (np.array([0.0, 1.0, 2.0, 3.0]), "labels are float64, not integers")]:
+        save_dataset(Dataset(images=np.zeros((4, 3, 32, 32), np.float32), labels=labels,
+                             n_calib=2), str(p))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {match}"):
+            load_dataset(str(p))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import recipes
 from oracles import (avgpool_scalar, conv2d_scalar, depthwise_scalar,
                      maxpool_scalar)
-from ptqtune import (avgpool, conv2d, depthwise_conv2d, evaluate_top1,
+from ptqtune import (avgpool, conv2d, depthwise_conv2d, evaluate_top1, generate_fixture,
                      maxpool, run_fp32, softmax, top1_from_scores)
 from ptqtune.fp32 import _windows
+from test_intexec import concat_graph
 
 RNG = np.random.default_rng(42)
 
@@ -94,6 +97,41 @@ def test_run_accepts_single_image(lenet, ds):
     batch = run_fp32(lenet, ds.eval_images[:1])
     assert one.shape == (1, 10)
     assert np.array_equal(one, batch)
+
+
+def sink_tensors(g, images, chunk, per_image):
+    """Every tensor ``run_fp32``'s sink sees over ``images``, run ``chunk``
+    images at a time, joined along the batch in first-seen order."""
+    seen = {}
+    for lo in range(0, len(images), chunk):
+        run_fp32(g, images[lo:lo + chunk], lambda t, v: seen.setdefault(t, []).append(v),
+                 per_image=per_image)
+    return {t: np.concatenate(vs) for t, vs in seen.items()}
+
+
+def assert_per_image_gives_one_image_bytes(g, images):
+    """``per_image`` runs of 1 image, 3 (a ragged last chunk) and the whole
+    batch give every tensor the shape and bytes of one-image runs."""
+    want = sink_tensors(g, images, 1, per_image=False)
+    for chunk in (1, 3, len(images)):
+        got = sink_tensors(g, images, chunk, per_image=True)
+        assert list(got) == list(want)
+        for t, v in want.items():
+            assert got[t].shape == v.shape and got[t].tobytes() == v.tobytes(), (chunk, t)
+
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
+def test_per_image_gives_the_bytes_of_one_image_runs(name, request, ds):
+    g = concat_graph() if name == "concat" else request.getfixturevalue(name)
+    assert_per_image_gives_one_image_bytes(g, ds.eval_images[:7])
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=recipes())
+@example(g=generate_fixture("conv+relu+dwconv+avgpool+fc+softmax", seed=1))
+@example(g=generate_fixture("pwconv+maxpool+conv+avgpool+fc+fc+softmax", seed=2))
+def test_per_image_gives_the_bytes_of_one_image_runs_on_drawn_recipes(ds, g):
+    assert_per_image_gives_one_image_bytes(g, ds.eval_images[:7])
 
 
 def test_batch_shape_mismatch_rejected(lenet):

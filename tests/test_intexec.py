@@ -4,9 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import recipes
 from oracles import (add_int64, conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up,
                      run_reference)
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantParams, Scheme,
@@ -14,7 +15,6 @@ from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantPa
                      evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
                      quantize_model, requantize, run_fp32, run_integer_only, run_quantized,
                      validate)
-from ptqtune.fixtures import _GRAMMAR_KINDS
 from ptqtune import intexec
 from ptqtune.intexec import _accumulate
 from ptqtune.ir import INPUT_TENSOR, Graph, Node, propagate_shapes
@@ -533,12 +533,8 @@ def test_integer_path_is_bitwise_equal_and_float_free(lenet, resnet, mobile, ds)
 
 
 @settings(deadline=None, max_examples=20)
-@given(tokens=st.lists(st.sampled_from(_GRAMMAR_KINDS), max_size=5), seed=st.integers(0, 3))
-def test_integer_path_is_bitwise_equal_on_generated_recipes(ds, tokens, seed):
-    try:
-        g = generate_fixture("+".join(tokens + ["fc"]), seed=seed)
-    except GraphError:
-        assume(False)
+@given(g=recipes())
+def test_integer_path_is_bitwise_equal_on_generated_recipes(ds, g):
     qg = quantize_model(g, build_cache(g, ds, "S1", seed=0), int_cfg(cache="S1"))
     trace = OpTrace()
     codes_int = run_integer_only(qg, ds.eval_images[:8], trace=trace)
@@ -685,31 +681,47 @@ def test_integer_only_rejects_non_power_of_two_pool_area(ds):
 
 # ------------------------------------------------------------ reference walk
 
-@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat", "recipe"])
-def test_every_s2_config_matches_the_int64_reference_walk(name, request, ds):
-    """Every Generic and IntegerOnly config on the S2 cache, in enumeration
-    order through one memo, as a campaign's evaluator runs them: the output
-    equals ``run_reference``'s byte for byte, and so do the integer-only
-    codes."""
-    if name == "concat":
-        g = concat_graph()
-    elif name == "recipe":
-        g = generate_fixture("conv+relu+maxpool+dwconv+relu+pwconv+avgpool+fc", seed=1)
-    else:
-        g = request.getfixturevalue(name)
-    cache = build_cache(g, ds, "S2", seed=0)
-    images = ds.eval_images[:16]
+# every Generic and IntegerOnly config, except those on the 256-image S3 cache
+REFERENCE_CONFIGS = [c for c in enumerate_space(GENERIC) + enumerate_space(INTEGER_ONLY)
+                     if c.cache != "S3"]
+
+
+def assert_matches_the_reference_walk(g, ds, configs, images):
+    """``configs`` in order through one memo, as a campaign's evaluator runs
+    them: the output equals ``run_reference``'s byte for byte, and so do
+    the integer-only codes."""
+    caches = {c: build_cache(g, ds, c, seed=0) for c in {c.cache for c in configs}}
     memo = {}
-    configs = [c for c in enumerate_space(GENERIC) + enumerate_space(INTEGER_ONLY)
-               if c.cache == "S2"]
     for c in configs:
-        qg = quantize_model(g, cache, c)
+        qg = quantize_model(g, caches[c.cache], c)
         want = run_reference(qg, images)
         codes = g.output_tensor() in qg.act_params
         got = run_quantized(qg, images, return_codes=codes, memo=memo)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
         if INTEGER_ONLY.contains(c):
             assert run_integer_only(qg, images).tobytes() == want.tobytes(), c
+
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat", "recipe"])
+def test_every_s2_config_matches_the_int64_reference_walk(name, request, ds):
+    """Every Generic and IntegerOnly config on the S2 cache, in enumeration
+    order."""
+    if name == "concat":
+        g = concat_graph()
+    elif name == "recipe":
+        g = generate_fixture("conv+relu+maxpool+dwconv+relu+pwconv+avgpool+fc", seed=1)
+    else:
+        g = request.getfixturevalue(name)
+    configs = [c for c in REFERENCE_CONFIGS if c.cache == "S2"]
+    assert_matches_the_reference_walk(g, ds, configs, ds.eval_images[:16])
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=recipes(), configs=st.lists(st.sampled_from(REFERENCE_CONFIGS), min_size=1,
+                                     max_size=6, unique=True))
+def test_drawn_recipes_match_the_int64_reference_walk(ds, g, configs):
+    """Drawn configs of a drawn recipe, on its S1 or S2 cache."""
+    assert_matches_the_reference_walk(g, ds, configs, ds.eval_images[:8])
 
 
 # ------------------------------------------------------------- image blocks
