@@ -81,6 +81,10 @@ def load_dataset(path: str) -> Dataset:
     header, buffers = read_container(path, "qds")
     with _malformed_header(path):
         images, labels = buffers
+        if images.ndim != 4:
+            raise ValueError(f"{path}: images have shape {images.shape}, not (N, C, H, W)")
+        if labels.shape != images.shape[:1]:
+            raise ValueError(f"{path}: labels have shape {labels.shape}, not ({len(images)},)")
         if not np.isfinite(images).all():
             raise ValueError(f"{path}: images hold NaN or inf")
         # a label no class can match scores every prediction wrong

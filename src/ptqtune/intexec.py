@@ -21,35 +21,41 @@ shift of |ka - kb|, so it is exact while that is at most 45 (255 * 2**45 <
 
 Codes are carried as float32 integers, from input quantization to the int8
 cast of the graph output; every code, and every zero-shifted code or weight
-(|v| <= 255), is exact in float32.  Every intermediate value is an integer,
-so the arithmetic is bit-identical to true integer execution as long as no
-value needs more significand bits than its dtype has.
+(|v| <= 255), is exact in float32.  Every value the code step forms is an
+integer times a power of two, so the arithmetic is bit-identical to true
+integer execution as long as no value needs more significand bits than its
+dtype has.  One rule, ``_float32_exact``, picks the dtype of each step: a
+step runs in float32 when every value it forms is a multiple of a
+power-of-two unit u (1 for a sum of codes, the 2**k multiplier, or the 0.5
+of round half up) below u * 2**24 by a static bound; otherwise in float64,
+where the same values are exact far wider.  The bounds read no data: they
+come from the weights, bias codes, zero points and scale ratios, with an
+input zero point zp allowing |x - zp| up to max(zp - QMIN, QMAX - zp).
 
-  * Weighted layers accumulate in float32 when a bound proves it exact.
-    ``_accumulate`` takes, per output channel, the sum of |w - zp_w| over
-    its taps times the largest |x - zp_x| the input's zero point allows,
-    max(zp_x - QMIN, QMAX - zp_x); no data is read.  When the largest of
-    these is below 2**24, every partial sum of every output, in any order
-    and with or without FMA, is an integer below 2**24, hence exact.
-    Otherwise the layer accumulates in float64: the widest layer the
-    fixture grammar builds, a fully_connected over 64x32x32 inputs, sums
-    2**16 taps below 2**32, far under 2**53.
-  * float64 stays where a float32 result could round: the bias add and
-    int32 saturation (int32 values), the requantize multiply, ``add``
-    (codes times scale ratios) and the avgpool sums.
+  * ``_accumulate``: per output channel, the sum of |w - zp_w| over its
+    taps times the input's reach bounds every partial sum of every output,
+    in any order and with or without FMA.  The widest layer the fixture
+    grammar builds, a fully_connected over 64x32x32 inputs, sums 2**16
+    taps below 2**32, far under float64's 2**53.
+  * ``_rescale`` (weighted layers, avgpool, concat): with a power-of-two
+    multiplier m, per tensor or per channel, it forms acc * m + (bias * m
+    + zp + 0.5), floors and clips; the bound is (|acc| + |bias|) * m + |zp|
+    + 0.5, which keeps |acc + bias| below 2**24, so the int32 saturation
+    never acts.  Any other multiplier runs the float64 sequence: bias add,
+    int32 saturation, multiply, +0.5, floor, +zp, clip.  Either way a fused
+    relu is the clip's lower bound.
+  * ``add``: with power-of-two ratios ra and rb it forms x * ra + y * rb +
+    (zp_o + 0.5 - zp_x * ra - zp_y * rb); the bound is the two inputs'
+    reaches times their ratios plus |zp_o| + 0.5.
 
 Exactness makes summation order free on codes, and layout and batch size
 with it: an exact integer sum has one value however it is formed.  So the
-code step lowers conv itself:
-
-  * conv2d and pointwise conv (``_conv_cols``): the input is zero-shifted
-    into a zero-bordered copy, its im2col columns are gathered in
-    (C, kh, kw, OH, OW) order by one copy whose inner loop runs along an
-    output row, and one batched matmul of the (O, C*kh*kw) weights writes
-    the NCHW output.
-  * depthwise conv (``_depthwise_taps``): the sum of the kh*kw strided tap
-    products of the shifted, bordered input.
-  * fully_connected: one matmul.
+code step lowers every conv the same way (``_conv_cols``): the input is
+zero-shifted into a zero-bordered copy, its im2col columns are gathered in
+(C, kh, kw, OH, OW) order by one copy whose inner loop runs along an output
+row, and one batched matmul per group of ``C // w.shape[1]`` channels (1 for
+conv2d and pointwise, C for depthwise) writes the NCHW output.
+fully_connected is one matmul.
 
 The walk alone cuts the batch for cache.  It splits the node list into
 maximal runs of nodes that do, or do not, run on codes.  A run on codes
@@ -87,6 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import groupby
 
 import numpy as np
@@ -136,14 +143,33 @@ def requantize(acc: np.ndarray | int, multiplier: float | np.ndarray,
 
 
 def _requantize(acc: np.ndarray, multiplier, zero_point: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """``requantize`` in place on the float64 accumulator ``acc``; the codes
-    land in ``out`` (default ``acc``)."""
+                out: np.ndarray | None = None, lo: int = QMIN) -> np.ndarray:
+    """``requantize`` in place on the float64 accumulator ``acc``, clipped
+    to [``lo``, QMAX]; the codes land in ``out`` (default ``acc``)."""
     np.multiply(acc, multiplier, out=acc)
     acc += 0.5
     np.floor(acc, out=acc)
     acc += zero_point
-    return np.clip(acc, QMIN, QMAX, out=acc if out is None else out)
+    return np.clip(acc, lo, QMAX, out=acc if out is None else out)
+
+
+def _float32_exact(bound, *units) -> bool:
+    """The code step's one dtype rule: whether float32 holds exactly every
+    value a step forms.  Each such value is an integer combination of
+    ``units`` (1 when none is given), so, when every unit is a power of two,
+    a multiple of the smallest; float32 holds every multiple of a power of
+    two u below u * 2**24 in magnitude.  ``bound`` bounds those magnitudes
+    and is static: it comes from weights, bias codes, zero points and scale
+    ratios, never from data.  Bound and units may be per channel."""
+    units = [np.asarray(u, dtype=np.float64) for u in units or (1.0,)]
+    if not all((np.frexp(u)[0] == 0.5).all() for u in units):
+        return False
+    return bool((bound < reduce(np.minimum, units) * 2.0**24).all())
+
+
+def _reach(zero_point: int) -> int:
+    """The largest |x - zero_point| of an int8 code x."""
+    return max(zero_point - QMIN, QMAX - zero_point)
 
 
 def _per_channel(vec: np.ndarray, ndim: int) -> np.ndarray:
@@ -180,33 +206,54 @@ def check_integer_only(qg: QuantizedGraph) -> None:
 
 
 def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
-             zero_point: int, bias: np.ndarray | None = None) -> np.ndarray:
+             zero_point: int, bias: np.ndarray | float | None = None,
+             bound: np.ndarray | float | None = None, lo: int = QMIN) -> np.ndarray:
     """Integer accumulator at ``src_scale``, plus ``bias`` codes and
-    saturated to int32 -> float32 int8 codes at ``dst_scale``, through the
-    multiplier ``src_scale / dst_scale``; one float64 pass."""
+    saturated to int32 -> float32 int8 codes at ``dst_scale`` in [``lo``,
+    QMAX], through the multiplier ``src_scale / dst_scale``.  Scales and
+    bias are scalars or (O,) vectors over axis 1 of ``acc``.
+
+    Given ``bound``, a static bound on |acc| (per channel allowed), a
+    power-of-two multiplier m runs in float32 where ``_float32_exact``
+    allows it: acc * m + (bias * m + zero_point + 0.5), floored and clipped,
+    where every value is exact and below the bound (int32 saturation can
+    then never act).  Otherwise one float64 pass."""
+    m = src_scale / dst_scale
+    b = 0.0 if bias is None else np.asarray(bias, dtype=np.float64)
+    if bound is not None and _float32_exact((bound + np.abs(b)) * m + abs(zero_point) + 0.5,
+                                            m, 0.5):
+        m32, c32 = (_per_channel(v, acc.ndim).astype(np.float32)
+                    for v in (m, b * m + (zero_point + 0.5)))
+        out = np.multiply(acc, m32, dtype=np.float32)
+        out += c32
+        np.floor(out, out=out)
+        return np.clip(out, lo, QMAX, out=out)
     a = acc.astype(np.float64)
     if bias is not None:
-        a += bias
+        a += _per_channel(b, a.ndim)
     np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
-    return _requantize(a, src_scale / dst_scale, zero_point, np.empty_like(acc, np.float32))
+    return _requantize(a, _per_channel(m, a.ndim), zero_point,
+                       np.empty_like(acc, np.float32), lo)
+
+
+def _tap_bound(w: np.ndarray, zx: int) -> np.ndarray:
+    """Per output channel, the largest |sum| of a weighted node: the sum of
+    its zero-shifted |weights| times the input's ``_reach``."""
+    return np.abs(w).reshape(len(w), -1).sum(axis=1) * _reach(zx)
 
 
 def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray:
     """The integer sum of a weighted node: float32 codes ``x`` at zero point
     ``zx`` against zero-shifted weights ``w`` (float64).
 
-    Runs in float32 when no partial sum can reach 2**24, else in float64;
-    either way the result is the exact integer sum, C-contiguous."""
-    reach = max(zx - QMIN, QMAX - zx)  # largest |x - zx|
-    bound = float(np.abs(w).reshape(len(w), -1).sum(axis=1).max()) * reach
-    dtype = np.float32 if bound < 2**24 else np.float64
+    Runs in float32 when ``_float32_exact`` allows every partial sum (all
+    below ``_tap_bound``), else in float64; either way the result is the
+    exact integer sum, C-contiguous."""
+    dtype = np.float32 if _float32_exact(_tap_bound(w, zx)) else np.float64
     w = w.astype(dtype, copy=False)
     if node.kind == "fully_connected":
         return np.subtract(x, zx, dtype=dtype).reshape(len(x), -1) @ w.T
-    stride, pad = conv_args(node)
-    if node.kind == "depthwise_conv2d":
-        return _depthwise_taps(x, zx, w, stride, pad)
-    return _conv_cols(x, zx, w, stride, pad)
+    return _conv_cols(x, zx, w, *conv_args(node))
 
 
 def _shifted(x: np.ndarray, zx: int, dtype, pad: int) -> np.ndarray:
@@ -218,25 +265,18 @@ def _shifted(x: np.ndarray, zx: int, dtype, pad: int) -> np.ndarray:
 
 
 def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """conv2d / pointwise on codes: one im2col copy of the shifted input in
-    (C, kh, kw, OH, OW) order, then one batched matmul into the NCHW
-    output."""
-    n = len(x)
-    o, _, kh, kw = w.shape
+    """Every conv on codes, as a grouped conv of ``C // w.shape[1]`` groups
+    (1 for conv2d and pointwise, C for depthwise): one im2col copy of the
+    shifted input in (C, kh, kw, OH, OW) order, then one batched matmul of
+    each group's (O/g, C/g*kh*kw) weights into the NCHW output."""
+    n, c = x.shape[:2]
+    o, cg, kh, kw = w.shape
+    g = c // cg
     cols = _windows(_shifted(x, zx, w.dtype, pad), kh, kw, stride, 0)
     oh, ow = cols.shape[2:4]
     cols = np.ascontiguousarray(cols.transpose(0, 1, 4, 5, 2, 3))
-    return np.matmul(w.reshape(o, -1), cols.reshape(n, -1, oh * ow)).reshape(n, o, oh, ow)
-
-
-def _depthwise_taps(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Depthwise conv on codes: the sum of the k*k strided tap products of
-    the shifted input, NCHW."""
-    out = None
-    for i, j, tap in _taps(_shifted(x, zx, w.dtype, pad), w.shape[2], w.shape[3], stride):
-        prod = tap * w[None, :, 0, i, j, None, None]
-        out = prod if out is None else np.add(out, prod, out=out)
-    return out
+    return np.matmul(w.reshape(g, o // g, -1),
+                     cols.reshape(n, g, -1, oh * ow)).reshape(n, o, oh, ow)
 
 
 def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarray:
@@ -249,28 +289,23 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarr
         wp = qg.weight_params[node.weight_id]
         w = qg.graph.weights[node.weight_id]
         w = w - _broadcast(wp, w.ndim)[1]  # int8 - float64 zero point
-        acc = _accumulate(node, x, int(params[0].zero_point), w)
-        b = None
-        if node.bias_id is not None:
-            b = qg.graph.weights[node.bias_id].astype(np.float64)
-            b = _per_channel(b, acc.ndim) if acc.ndim == 4 else b
-        sw = np.asarray(wp.scale, dtype=np.float64)
-        if wp.axis is not None and acc.ndim == 4:
-            sw = _per_channel(sw, acc.ndim)
-        out = _rescale(acc, float(params[0].scale) * sw, float(out_p.scale), zo, bias=b)
-        if node.attrs.get("fused_relu", False):
-            np.maximum(out, zo, out=out)
+        zx = int(params[0].zero_point)
+        acc = _accumulate(node, x, zx, w)
+        b = None if node.bias_id is None else qg.graph.weights[node.bias_id]
+        lo = zo if node.attrs.get("fused_relu", False) else QMIN  # a fused relu
+        out = _rescale(acc, float(params[0].scale) * np.asarray(wp.scale, dtype=np.float64),
+                       float(out_p.scale), zo, bias=b, bound=_tap_bound(w, zx), lo=lo)
     elif node.kind == "relu":
         out = np.maximum(x, zo)
     elif node.kind == "maxpool":
         out = maxpool(x, *pool_args(node))
     elif node.kind == "avgpool":
         k, s = pool_args(node)
+        dtype = np.float32 if _float32_exact(-QMIN * k * k) else np.float64
         total = None
         for _, _, tap in _taps(x, k, k, s):
-            total = tap.astype(np.float64) if total is None else np.add(total, tap, out=total)
-        total -= zo * k * k
-        out = _rescale(total, 1.0, float(k * k), zo)
+            total = tap.astype(dtype) if total is None else np.add(total, tap, out=total)
+        out = _rescale(total, 1.0, float(k * k), zo, bias=-zo * k * k, bound=-QMIN * k * k)
     elif node.kind == "add":
         # align both inputs to a common scale WITHOUT clamping, sum in the
         # wide accumulator, then round/clamp once -- clamping the addends
@@ -278,14 +313,26 @@ def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarr
         # range is relu-narrowed
         pa, pb = params
         so = float(out_p.scale)
-        xa = np.subtract(x, int(pa.zero_point), dtype=np.float64)
-        xb = np.subtract(xs[1], int(pb.zero_point), dtype=np.float64)
-        xa *= float(pa.scale) / so
-        xa += np.multiply(xb, float(pb.scale) / so, out=xb)
-        out = _requantize(xa, 1.0, zo, np.empty_like(x))  # already at the output scale
+        za, zb = int(pa.zero_point), int(pb.zero_point)
+        ra, rb = float(pa.scale) / so, float(pb.scale) / so
+        if _float32_exact(_reach(za) * ra + _reach(zb) * rb + abs(zo) + 0.5, ra, rb, 0.5):
+            # x*ra + xb*rb + (zo + 0.5 - za*ra - zb*rb): each term and partial
+            # sum is at most the bound, a multiple of the smallest unit
+            out = np.multiply(x, np.float32(ra))
+            out += np.multiply(xs[1], np.float32(rb))
+            out += np.float32(zo + 0.5 - za * ra - zb * rb)
+            np.floor(out, out=out)
+            out = np.clip(out, QMIN, QMAX, out=out)
+        else:
+            xa = np.subtract(x, za, dtype=np.float64)
+            xb = np.subtract(xs[1], zb, dtype=np.float64)
+            xa *= ra
+            xa += np.multiply(xb, rb, out=xb)
+            out = _requantize(xa, 1.0, zo, np.empty_like(x))  # already at the output scale
     elif node.kind == "concat":
         out = np.concatenate([
-            _rescale(xi - int(p.zero_point), float(p.scale), float(out_p.scale), zo)
+            _rescale(xi, float(p.scale), float(out_p.scale), zo, bias=-int(p.zero_point),
+                     bound=-QMIN)
             for xi, p in zip(xs, params)], axis=1)
     elif node.kind == "softmax":
         out = x  # monotone map: identity on codes

@@ -70,8 +70,15 @@ def test_wrong_format_rejected(tmp_path, lenet):
         load_dataset(str(p))
     for labels, match in [(np.array([0, 10, 1, 2]), r"labels must lie in \[0, 10\)"),
                           (np.array([0, 1, -3, 2]), r"labels must lie in \[0, 10\)"),
-                          (np.array([0.0, 1.0, 2.0, 3.0]), "labels are float64, not integers")]:
+                          (np.array([0.0, 1.0, 2.0, 3.0]), "labels are float64, not integers"),
+                          (np.zeros((4, 2), np.int64), r"labels have shape \(4, 2\), not \(4,\)")]:
         save_dataset(Dataset(images=np.zeros((4, 3, 32, 32), np.float32), labels=labels,
                              n_calib=2), str(p))
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {match}"):
+            load_dataset(str(p))
+    for shape in [(4, 32, 32), (4, 1, 3, 32, 32)]:
+        save_dataset(Dataset(images=np.zeros(shape, np.float32), labels=np.zeros(4, np.int64),
+                             n_calib=2), str(p))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: images have shape "
+                                             f"{re.escape(str(shape))}, not \\(N, C, H, W\\)"):
             load_dataset(str(p))

@@ -20,8 +20,12 @@ Beside them, five lenet-ish campaigns (budget 24, seed 0, Generic space,
 ``error_msg`` of every trial, in order; xgb-t transfers from a resnet-toy
 grid campaign of the same budget.  Every lenet-ish trial scores 1.0, so a
 cold resnet-toy xgb campaign, whose accuracy varies, pins a surrogate that
-guides.  For the xgb campaigns and xgb-t the ``save_gbt`` bytes of the last
-surrogate trained are pinned as a SHA-256.
+guides.  The same cold campaign is pinned again on ``make_dataset(seed=0,
+noise=noisy_noise)``, where resnet-toy's top1 takes about 50 distinct
+values over the Generic space: an executor that computes wrong codes
+moves a pinned top1 there, not only a digest.  For the xgb campaigns and
+xgb-t the ``save_gbt`` bytes of the last surrogate trained are pinned as a
+SHA-256.
 
 The fp32 steps (calibration, mixed-precision layers) run through BLAS, so
 the digest file records the numpy version and BLAS build it was made with;
@@ -61,8 +65,8 @@ MODELS = RECIPES + ("concat",)
 N_IMAGES = 16
 CAMPAIGN = {"model": "lenet-ish", "transfer_model": "resnet-toy",
             "transfer_strategy": "grid", "cold_model": "resnet-toy",
-            "cold_strategy": "xgb", "budget": 24, "seed": 0}
-PINNED_CAMPAIGNS = ("transfer", "cold") + STRATEGIES
+            "cold_strategy": "xgb", "noisy_noise": 1.0, "budget": 24, "seed": 0}
+PINNED_CAMPAIGNS = ("transfer", "cold", "noisy") + STRATEGIES
 
 
 def environment() -> dict:
@@ -163,17 +167,17 @@ def campaigns(d) -> dict[str, dict]:
     space = enumerate_space(GENERIC)
     budget, seed = CAMPAIGN["budget"], CAMPAIGN["seed"]
 
-    def run(strategy, model, seed_db=None):
+    def run(strategy, model, seed_db, data):
         g = generate_fixture(model, seed=1)
-        evaluate = make_accuracy_evaluator(g, d, seed=seed, profile=GENERIC)
+        evaluate = make_accuracy_evaluator(g, data, seed=seed, profile=GENERIC)
         return run_strategy(strategy, extract_features(g), space, evaluate, budget=budget,
                             seed=seed, seed_db=seed_db, model_name=g.name)
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        def pin(key, strategy, model, seed_db=None):
+        def pin(key, strategy, model, seed_db=None, data=d):
             with trained_surrogates() as models:
-                res = run(strategy, model, seed_db)
+                res = run(strategy, model, seed_db, data)
             surrogate = None
             if models:
                 path = os.path.join(tmp, "surrogate.json")
@@ -184,6 +188,8 @@ def campaigns(d) -> dict[str, dict]:
 
         transfer = pin("transfer", CAMPAIGN["transfer_strategy"], CAMPAIGN["transfer_model"])
         pin("cold", CAMPAIGN["cold_strategy"], CAMPAIGN["cold_model"])
+        pin("noisy", CAMPAIGN["cold_strategy"], CAMPAIGN["cold_model"],
+            data=make_dataset(seed=0, noise=CAMPAIGN["noisy_noise"]))
         for strategy in STRATEGIES:
             pin(strategy, strategy, CAMPAIGN["model"],
                 transfer.trials if strategy == "xgb-t" else None)

@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 from itertools import groupby
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import recipes
@@ -101,6 +102,127 @@ def test_add_step_matches_int64_alignment_up_to_45_bits(integer_only):
                     trace = OpTrace()
                     trace.add(node.id, *intexec._events(qg, node, integer_only))
                     assert (trace.float_ops() == 0) == integer_only
+
+
+# -------------------------------------------- float32 requantize bound
+
+def rescale_limit(m, zp):
+    """The least |acc| + |bias| at which ``_rescale`` leaves float32, for a
+    power-of-two multiplier ``m`` and zero point ``zp``: acc * m + (bias * m
+    + zp + 0.5) and its terms are multiples of min(m, 0.5), exact in float32
+    below min(m, 0.5) * 2**24."""
+    return math.ceil((min(m, 0.5) * 2**24 - abs(zp) - 0.5) / m)
+
+
+def rescale_ran_float64(*args, **kwargs):
+    """``_rescale``'s codes, and whether its float64 sequence ran."""
+    with mock.patch.object(intexec, "_requantize", wraps=intexec._requantize) as f64:
+        out = intexec._rescale(*args, **kwargs)
+    assert out.dtype == np.float32
+    return out, f64.called
+
+
+def accumulators(rng, bound, shape):
+    """float32 integer accumulators of ``shape`` (channels on axis 1), each
+    channel within its ``bound``, reaching it at both signs in image 0."""
+    acc = np.stack([rng.integers(-v, v + 1, size=(shape[0], *shape[2:])) for v in bound], axis=1)
+    acc[0, :, 0, 0], acc[0, :, 0, 1] = bound, -bound
+    return acc.astype(np.float32)
+
+
+RESCALE_CASES = [  # shifts s of the multipliers 2**-s (one: per tensor), zero point
+    ((9,), 0), ((9,), QMIN), ((9,), QMAX), ((0,), QMIN), ((-2,), QMAX), ((20,), 0),
+    ((1, 7, 12, 16), QMIN), ((3, 0, 14, -1), QMAX)]
+
+
+@pytest.mark.parametrize("shifts,zp", RESCALE_CASES)
+@pytest.mark.parametrize("in_float32", [True, False])
+def test_rescale_matches_int64_on_both_sides_of_the_float32_bound(shifts, zp, in_float32):
+    # four channels whose |acc| + |bias| reaches the last value that runs in
+    # float32 (or the first that does not), with bias codes of both signs,
+    # on a 4-D layer and the same values as a 2-D one
+    m = 2.0 ** -np.array(shifts, dtype=np.float64)
+    limit = np.array([rescale_limit(mi, zp) for mi in np.broadcast_to(m, 4)])
+    total = limit - 1 if in_float32 else limit
+    bias = total // 3 * np.array([1, -1, 1, -1])
+    bound = total - np.abs(bias)
+    acc = accumulators(np.random.default_rng(256 * len(shifts) + zp - QMIN), bound, (3, 4, 5, 5))
+    mult = m if len(m) > 1 else float(m[0])
+    for a in (acc, acc.transpose(0, 2, 3, 1).reshape(-1, 4)):
+        axis = (1, -1, 1, 1)[:a.ndim]
+        want = requantize_int64(a.astype(np.int64) + bias.reshape(axis),
+                                multiplier=np.reshape(m, axis), zero_point=zp)
+        got, ran_float64 = rescale_ran_float64(a, mult, 1.0, zp, bias=bias.astype(np.int32),
+                                               bound=bound)
+        assert ran_float64 != in_float32
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_float32_and_float64_rescale_agree_inside_the_bound(data):
+    o = data.draw(st.integers(1, 5))
+    shifts = data.draw(st.lists(st.integers(-4, 21), min_size=1, max_size=1)
+                       | st.lists(st.integers(-4, 21), min_size=o, max_size=o))
+    zp = data.draw(st.integers(QMIN, QMAX))
+    m = 2.0 ** -np.array(shifts, dtype=np.float64)
+    limit = np.array([rescale_limit(mi, zp) for mi in np.broadcast_to(m, o)])
+    assume((limit > 0).all())
+    total = np.array([data.draw(st.integers(0, v - 1)) for v in limit])
+    bias = np.array([data.draw(st.integers(-v, v)) for v in total])
+    bound = total - np.abs(bias)
+    acc = accumulators(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), bound,
+                       (data.draw(st.integers(1, 3)), o, 2, 3))
+    lo = data.draw(st.sampled_from([QMIN, zp]))
+    mult = m if len(m) > 1 else float(m[0])
+    f32, ran_float64 = rescale_ran_float64(acc, mult, 1.0, zp, bias=bias, bound=bound, lo=lo)
+    assert not ran_float64
+    f64, ran_float64 = rescale_ran_float64(acc, mult, 1.0, zp, bias=bias, lo=lo)  # no bound
+    assert ran_float64
+    assert np.array_equal(f32, f64)
+
+
+@pytest.mark.parametrize("zp", [-100, -3, 0, 40, 120])
+def test_a_fused_relu_is_the_clip_lower_bound(zp):
+    # on both paths: clip(v, zp, QMAX) == maximum(clip(v, QMIN, QMAX), zp)
+    rng = np.random.default_rng(zp - QMIN)
+    bound = np.full(3, 2**16)
+    acc = accumulators(rng, bound, (4, 3, 6, 6))
+    bias = rng.integers(-2**10, 2**10, size=3).astype(np.int32)
+    for given_bound, float64 in ((bound, False), (None, True)):
+        fused, ran_float64 = rescale_ran_float64(acc, 2.0**-10, 1.0, zp, bias=bias,
+                                                 bound=given_bound, lo=zp)
+        plain, _ = rescale_ran_float64(acc, 2.0**-10, 1.0, zp, bias=bias, bound=given_bound)
+        assert ran_float64 == float64
+        assert (plain < zp).any() and np.array_equal(fused, np.maximum(plain, zp))
+
+
+def test_a_multiplier_that_is_not_a_power_of_two_runs_in_float64():
+    # far inside the bound, but 3 * 2**-10 rounds: per tensor, and as one
+    # channel of three
+    bound = np.full(3, 100)
+    acc = accumulators(np.random.default_rng(3), bound, (2, 3, 4, 4))
+    for m in (3 * 2.0**-10, np.array([2.0**-10, 3 * 2.0**-10, 2.0**-9])):
+        got, ran_float64 = rescale_ran_float64(acc, m, 1.0, 5, bound=bound)
+        assert ran_float64
+        want = requantize_int64(acc, multiplier=np.reshape(m, (1, -1, 1, 1)), zero_point=5)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,in_float32", [(15, True), (16, False)])
+def test_add_runs_in_float32_only_inside_the_bound(d, in_float32):
+    # ratios 1 and 2**-d, every zero point at the widest reach: the bound
+    # 255 + 255 * 2**-d + 128.5 against the unit 2**-d times 2**24
+    assert (255 + 255 * 2.0**-d + 128.5 < 2.0**(24 - d)) == in_float32
+    xa, xb = (v.reshape(1, -1) for v in np.meshgrid(_EXTREMES, _EXTREMES))
+    node = Node("a", "add", ["ta", "tb"], "to")
+    qg = QuantizedGraph(Graph("add", [node], {}, (1, 1, xa.shape[1]), xa.shape[1]), int_cfg(),
+                        {"ta": QuantParams(2.0**-10, QMIN), "tb": QuantParams(2.0**(-10 - d), QMIN),
+                         "to": QuantParams(2.0**-10, QMIN)}, {})
+    with mock.patch.object(intexec, "_requantize", wraps=intexec._requantize) as f64:
+        got = intexec._code_node(qg, node, [xa, xb])
+    assert f64.called != in_float32
+    assert np.array_equal(got, add_int64(xa, QMIN, -10, xb, QMIN, -10 - d, QMIN, -10))
 
 
 # ------------------------------------------ float32 accumulation bound
