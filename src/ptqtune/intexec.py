@@ -32,12 +32,12 @@ where the same values are exact far wider.  The bounds read no data: they
 come from the weights, bias codes, zero points and scale ratios, with an
 input zero point zp allowing |x - zp| up to max(zp - QMIN, QMAX - zp).
 
-  * ``_accumulate``: per output channel, the sum of |w - zp_w| over its
+  * ``_accumulator``: per output channel, the sum of |w - zp_w| over its
     taps times the input's reach bounds every partial sum of every output,
     in any order and with or without FMA.  The widest layer the fixture
     grammar builds, a fully_connected over 64x32x32 inputs, sums 2**16
     taps below 2**32, far under float64's 2**53.
-  * ``_rescale`` (weighted layers, avgpool, concat): with a power-of-two
+  * ``_rescaler`` (weighted layers, avgpool, concat): with a power-of-two
     multiplier m, per tensor or per channel, it forms acc * m + (bias * m
     + zp + 0.5), floors and clips; the bound is (|acc| + |bias|) * m + |zp|
     + 0.5, which keeps |acc + bias| below 2**24, so the int32 saturation
@@ -57,6 +57,14 @@ row, and one batched matmul per group of ``C // w.shape[1]`` channels (1 for
 conv2d and pointwise, C for depthwise) writes the NCHW output.
 fully_connected is one matmul.
 
+Each code node is lowered once per walk (``_lower``), as the multipliers
+of Jacob et al. are computed once, offline: everything its step needs that
+reads no data is fixed there (the zero-shifted weights, cast to the dtype
+``_float32_exact`` picks, the conv and pool arguments, every dtype
+decision, and the multiplier and offset vectors of each requantize and
+``add``).  What it returns, the step, only computes on the codes of one
+block of images.
+
 The walk alone cuts the batch for cache.  It splits the node list into
 maximal runs of nodes that do, or do not, run on codes.  A run on codes
 goes depth-first over blocks of ``max(1, _BLOCK // e)`` images, where ``e``
@@ -64,6 +72,8 @@ is the run's elements per image summed over its outputs: each node reads
 its inputs from the block's own outputs or from a slice of a tensor made
 before the run, so a block's intermediates stay in cache, and only the
 outputs read after the run (and the graph output) are kept, whole-batch.
+A quantized input is quantized by the first run, per block like a node
+output of that run, and kept whole-batch only if read after it.
 A run not on codes goes node by node over the whole batch: on fp32 the
 order of a sum and the row count of an sgemm set the rounding, so the fp32
 layers of mixed-precision graphs, like ``run_fp32``, keep the ``fp32``
@@ -92,6 +102,7 @@ once a run has finished, so a run that raises leaves the trace as it was.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import groupby
@@ -205,35 +216,44 @@ def check_integer_only(qg: QuantizedGraph) -> None:
                 raise IntegerOnlyError(f"avgpool {node.id}: area {area} not a power of two")
 
 
-def _rescale(acc: np.ndarray, src_scale: float | np.ndarray, dst_scale: float,
-             zero_point: int, bias: np.ndarray | float | None = None,
-             bound: np.ndarray | float | None = None, lo: int = QMIN) -> np.ndarray:
-    """Integer accumulator at ``src_scale``, plus ``bias`` codes and
-    saturated to int32 -> float32 int8 codes at ``dst_scale`` in [``lo``,
-    QMAX], through the multiplier ``src_scale / dst_scale``.  Scales and
-    bias are scalars or (O,) vectors over axis 1 of ``acc``.
+def _rescaler(ndim: int, src_scale: float | np.ndarray, dst_scale: float, zero_point: int,
+              bias: np.ndarray | float | None = None, bound: np.ndarray | float | None = None,
+              lo: int = QMIN) -> Callable[[np.ndarray], np.ndarray]:
+    """The requantize step: an ``ndim``-D integer accumulator at
+    ``src_scale``, plus ``bias`` codes and saturated to int32 -> float32
+    int8 codes at ``dst_scale`` in [``lo``, QMAX], through the multiplier
+    ``src_scale / dst_scale``.  Scales and bias are scalars or (O,) vectors
+    over axis 1 of the accumulator.
 
     Given ``bound``, a static bound on |acc| (per channel allowed), a
     power-of-two multiplier m runs in float32 where ``_float32_exact``
     allows it: acc * m + (bias * m + zero_point + 0.5), floored and clipped,
     where every value is exact and below the bound (int32 saturation can
-    then never act).  Otherwise one float64 pass."""
+    then never act).  Otherwise one float64 pass.  The decision and the
+    multiplier and offset vectors are fixed here, once."""
     m = src_scale / dst_scale
     b = 0.0 if bias is None else np.asarray(bias, dtype=np.float64)
     if bound is not None and _float32_exact((bound + np.abs(b)) * m + abs(zero_point) + 0.5,
                                             m, 0.5):
-        m32, c32 = (_per_channel(v, acc.ndim).astype(np.float32)
+        m32, c32 = (_per_channel(v, ndim).astype(np.float32)
                     for v in (m, b * m + (zero_point + 0.5)))
-        out = np.multiply(acc, m32, dtype=np.float32)
-        out += c32
-        np.floor(out, out=out)
-        return np.clip(out, lo, QMAX, out=out)
-    a = acc.astype(np.float64)
-    if bias is not None:
-        a += _per_channel(b, a.ndim)
-    np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
-    return _requantize(a, _per_channel(m, a.ndim), zero_point,
-                       np.empty_like(acc, np.float32), lo)
+
+        def rescale32(acc: np.ndarray) -> np.ndarray:
+            out = np.multiply(acc, m32, dtype=np.float32)
+            out += c32
+            np.floor(out, out=out)
+            return np.clip(out, lo, QMAX, out=out)
+        return rescale32
+    m64 = _per_channel(m, ndim)
+    b64 = None if bias is None else _per_channel(b, ndim)
+
+    def rescale64(acc: np.ndarray) -> np.ndarray:
+        a = acc.astype(np.float64)
+        if b64 is not None:
+            a += b64
+        np.clip(a, INT32_MIN, INT32_MAX, out=a)  # saturating int32 contract
+        return _requantize(a, m64, zero_point, np.empty_like(acc, np.float32), lo)
+    return rescale64
 
 
 def _tap_bound(w: np.ndarray, zx: int) -> np.ndarray:
@@ -242,18 +262,21 @@ def _tap_bound(w: np.ndarray, zx: int) -> np.ndarray:
     return np.abs(w).reshape(len(w), -1).sum(axis=1) * _reach(zx)
 
 
-def _accumulate(node: Node, x: np.ndarray, zx: int, w: np.ndarray) -> np.ndarray:
-    """The integer sum of a weighted node: float32 codes ``x`` at zero point
+def _accumulator(node: Node, zx: int, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The integer sum of a weighted node: float32 codes at zero point
     ``zx`` against zero-shifted weights ``w`` (float64).
 
-    Runs in float32 when ``_float32_exact`` allows every partial sum (all
-    below ``_tap_bound``), else in float64; either way the result is the
-    exact integer sum, C-contiguous."""
+    The weights are cast here, once: to float32 when ``_float32_exact``
+    allows every partial sum (all below ``_tap_bound``), else to float64.
+    The returned step maps codes to the exact integer sum, C-contiguous,
+    in that dtype."""
     dtype = np.float32 if _float32_exact(_tap_bound(w, zx)) else np.float64
     w = w.astype(dtype, copy=False)
     if node.kind == "fully_connected":
-        return np.subtract(x, zx, dtype=dtype).reshape(len(x), -1) @ w.T
-    return _conv_cols(x, zx, w, *conv_args(node))
+        wt = w.T
+        return lambda x: np.subtract(x, zx, dtype=dtype).reshape(len(x), -1) @ wt
+    stride, pad = conv_args(node)
+    return lambda x: _conv_cols(x, zx, w, stride, pad)
 
 
 def _shifted(x: np.ndarray, zx: int, dtype, pad: int) -> np.ndarray:
@@ -279,66 +302,79 @@ def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> 
                      cols.reshape(n, g, -1, oh * ow)).reshape(n, o, oh, ow)
 
 
-def _code_node(qg: QuantizedGraph, node: Node, xs: list[np.ndarray]) -> np.ndarray:
-    """One node on int8 codes carried in float32; returns float32 codes."""
+def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.ndarray]:
+    """The code step of ``node``, lowered once per walk: all it needs that
+    reads no data (zero-shifted weights in their dtype, conv and pool
+    arguments, every dtype decision, multiplier and offset) is fixed here.
+    The returned step maps the node's input codes to its output codes, all
+    int8 codes carried in float32, and only computes."""
     params = [qg.act_params[t] for t in node.data_inputs]
     out_p = qg.act_params[node.output]
-    zo = int(out_p.zero_point)
-    x = xs[0]
+    so, zo = float(out_p.scale), int(out_p.zero_point)
     if node.kind in COMPUTE_KINDS:
         wp = qg.weight_params[node.weight_id]
         w = qg.graph.weights[node.weight_id]
         w = w - _broadcast(wp, w.ndim)[1]  # int8 - float64 zero point
         zx = int(params[0].zero_point)
-        acc = _accumulate(node, x, zx, w)
+        accumulate = _accumulator(node, zx, w)
         b = None if node.bias_id is None else qg.graph.weights[node.bias_id]
         lo = zo if node.attrs.get("fused_relu", False) else QMIN  # a fused relu
-        out = _rescale(acc, float(params[0].scale) * np.asarray(wp.scale, dtype=np.float64),
-                       float(out_p.scale), zo, bias=b, bound=_tap_bound(w, zx), lo=lo)
-    elif node.kind == "relu":
-        out = np.maximum(x, zo)
-    elif node.kind == "maxpool":
-        out = maxpool(x, *pool_args(node))
-    elif node.kind == "avgpool":
+        rescale = _rescaler(2 if node.kind == "fully_connected" else 4,
+                            float(params[0].scale) * np.asarray(wp.scale, dtype=np.float64),
+                            so, zo, bias=b, bound=_tap_bound(w, zx), lo=lo)
+        return lambda xs: rescale(accumulate(xs[0]))
+    if node.kind == "relu":
+        return lambda xs: np.maximum(xs[0], zo)
+    if node.kind == "maxpool":
+        k, s = pool_args(node)
+        return lambda xs: maxpool(xs[0], k, s)
+    if node.kind == "avgpool":
         k, s = pool_args(node)
         dtype = np.float32 if _float32_exact(-QMIN * k * k) else np.float64
-        total = None
-        for _, _, tap in _taps(x, k, k, s):
-            total = tap.astype(dtype) if total is None else np.add(total, tap, out=total)
-        out = _rescale(total, 1.0, float(k * k), zo, bias=-zo * k * k, bound=-QMIN * k * k)
-    elif node.kind == "add":
+        rescale = _rescaler(4, 1.0, float(k * k), zo, bias=-zo * k * k, bound=-QMIN * k * k)
+
+        def avgpool(xs: list[np.ndarray]) -> np.ndarray:
+            total = None
+            for _, _, tap in _taps(xs[0], k, k, s):
+                total = tap.astype(dtype) if total is None else np.add(total, tap, out=total)
+            return rescale(total)
+        return avgpool
+    if node.kind == "add":
         # align both inputs to a common scale WITHOUT clamping, sum in the
         # wide accumulator, then round/clamp once -- clamping the addends
         # separately would destroy negative contributions when the output
         # range is relu-narrowed
         pa, pb = params
-        so = float(out_p.scale)
         za, zb = int(pa.zero_point), int(pb.zero_point)
         ra, rb = float(pa.scale) / so, float(pb.scale) / so
         if _float32_exact(_reach(za) * ra + _reach(zb) * rb + abs(zo) + 0.5, ra, rb, 0.5):
             # x*ra + xb*rb + (zo + 0.5 - za*ra - zb*rb): each term and partial
             # sum is at most the bound, a multiple of the smallest unit
-            out = np.multiply(x, np.float32(ra))
-            out += np.multiply(xs[1], np.float32(rb))
-            out += np.float32(zo + 0.5 - za * ra - zb * rb)
-            np.floor(out, out=out)
-            out = np.clip(out, QMIN, QMAX, out=out)
-        else:
-            xa = np.subtract(x, za, dtype=np.float64)
+            ra32, rb32 = np.float32(ra), np.float32(rb)
+            c32 = np.float32(zo + 0.5 - za * ra - zb * rb)
+
+            def add32(xs: list[np.ndarray]) -> np.ndarray:
+                out = np.multiply(xs[0], ra32)
+                out += np.multiply(xs[1], rb32)
+                out += c32
+                np.floor(out, out=out)
+                return np.clip(out, QMIN, QMAX, out=out)
+            return add32
+
+        def add64(xs: list[np.ndarray]) -> np.ndarray:
+            xa = np.subtract(xs[0], za, dtype=np.float64)
             xb = np.subtract(xs[1], zb, dtype=np.float64)
             xa *= ra
             xa += np.multiply(xb, rb, out=xb)
-            out = _requantize(xa, 1.0, zo, np.empty_like(x))  # already at the output scale
-    elif node.kind == "concat":
-        out = np.concatenate([
-            _rescale(xi, float(p.scale), float(out_p.scale), zo, bias=-int(p.zero_point),
-                     bound=-QMIN)
-            for xi, p in zip(xs, params)], axis=1)
-    elif node.kind == "softmax":
-        out = x  # monotone map: identity on codes
-    else:  # pragma: no cover
-        raise ValueError(f"unknown node kind {node.kind!r}")
-    return out
+            return _requantize(xa, 1.0, zo, np.empty_like(xs[0]))  # already at the output scale
+        return add64
+    if node.kind == "concat":
+        rescales = [_rescaler(4, float(p.scale), so, zo, bias=-int(p.zero_point), bound=-QMIN)
+                    for p in params]
+        return lambda xs: np.concatenate([r(x) for r, x in zip(rescales, xs)], axis=1)
+    if node.kind == "softmax":
+        return lambda xs: xs[0]  # monotone map: identity on codes
+    raise ValueError(f"unknown node kind {node.kind!r}")  # pragma: no cover
 
 
 def _config_free(qg: QuantizedGraph) -> dict[str, tuple[str, bool]]:
@@ -384,10 +420,9 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
     g = qg.graph
     env: dict[str, np.ndarray] = {INPUT_TENSOR: _check_batch(g, batch)}
     n = len(env[INPUT_TENSOR])
-    if INPUT_TENSOR in qg.act_params:
-        # host-side input quantization (not part of the traced graph program)
-        env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR],
-                                           qg.act_params[INPUT_TENSOR]).astype(np.float32)
+    # host-side input quantization (not part of the traced graph program),
+    # made by the first run: per block when that run is on codes
+    p_in = qg.act_params.get(INPUT_TENSOR)
     keys = {} if memo is None else _config_free(qg)
     shapes = propagate_shapes(g)
     done = 0
@@ -395,26 +430,35 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
         run = list(run)
         done += len(run)
         if not codes:  # whole-batch: an sgemm's row count sets fp32 bits
+            if p_in is not None:  # only a hand-made graph starts in float on input codes
+                env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR], p_in).astype(np.float32)
+                p_in = None
             for node in run:
                 env[node.output] = _float_step(qg, node, env, memo, keys.get(node.id))
                 if sink is not None:
                     sink(node.output, env[node.output])
             continue
-        # depth-first over image blocks, keeping the outputs read after the run
+        steps = [(node, _lower(qg, node)) for node in run]
+        # depth-first over image blocks, keeping the codes read after the run
         read = {t for node in g.nodes[done:] for t in node.data_inputs} | {g.output_tensor()}
-        keep = [node.output for node in run if node.output in read]
-        env.update((t, np.empty((n, *shapes[t]), np.float32)) for t in keep)
-        step = n if sink is not None else max(
+        made = [node.output for node in run] + ([INPUT_TENSOR] if p_in is not None else [])
+        kept = {t: np.empty((n, *shapes[t]), np.float32) for t in made if t in read}
+        block = n if sink is not None else max(
             1, _BLOCK // sum(math.prod(shapes[node.output]) for node in run))
-        for lo in range(0, n, step):
+        for lo in range(0, n, block):
             local: dict[str, np.ndarray] = {}
-            for node in run:
-                xs = [local[t] if t in local else env[t][lo:lo + step] for t in node.data_inputs]
-                local[node.output] = _code_node(qg, node, xs)
+            if p_in is not None:
+                x = env[INPUT_TENSOR][lo:lo + block]
+                local[INPUT_TENSOR] = quantize_array(x, p_in).astype(np.float32)
+            for node, step in steps:
+                xs = [local[t] if t in local else env[t][lo:lo + block] for t in node.data_inputs]
+                local[node.output] = step(xs)
                 if sink is not None:
                     sink(node.output, local[node.output])
-            for t in keep:
-                env[t][lo:lo + step] = local[t]
+            for t, whole in kept.items():
+                whole[lo:lo + block] = local[t]
+        env.update(kept)
+        p_in = None
     return env[g.output_tensor()]
 
 
@@ -452,16 +496,16 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
     float).  ``memo``, a dict kept for one float graph and one ``batch``
     across its configurations, serves the config-free prefix
     (``_config_free``) computed by an earlier call."""
+    t = qg.graph.output_tensor()
+    if return_codes and t not in qg.act_params:
+        raise ValueError("graph output is fp32; no codes to return")
     out = _execute(qg, batch, sink, memo)
     if trace is not None:  # filled only once the walk has finished
         for node in qg.graph.nodes:
             trace.add(node.id, *_events(qg, node, integer_only=False))
-    t = qg.graph.output_tensor()
     if t in qg.act_params:
         codes = out.astype(np.int8)
         return codes if return_codes else dequantize_array(codes, qg.act_params[t])
-    if return_codes:
-        raise ValueError("graph output is fp32; no codes to return")
     return out
 
 

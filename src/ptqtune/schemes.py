@@ -124,9 +124,9 @@ def _broadcast(p: QuantParams, ndim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quantize_array(x: np.ndarray, p: QuantParams) -> np.ndarray:
     """fp -> int8 codes under p (vectorized; per-channel when p.axis set)."""
-    v = np.array(x, dtype=np.float64)  # a copy, scaled and rounded in place
-    scale, zp = _broadcast(p, v.ndim)
-    v /= scale
+    scale, zp = _broadcast(p, np.ndim(x))
+    # x cast to float64, then divided: a new array, shifted and rounded in place
+    v = np.divide(x, scale, dtype=np.float64, out=np.empty(np.shape(x)))
     v += zp
     return np.clip(_round_half_away(v), QMIN, QMAX, out=v).astype(np.int8)
 

@@ -17,7 +17,7 @@ from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantPa
                      quantize_model, requantize, run_fp32, run_integer_only, run_quantized,
                      validate)
 from ptqtune import intexec
-from ptqtune.intexec import _accumulate
+from ptqtune.intexec import _accumulator
 from ptqtune.ir import INPUT_TENSOR, Graph, Node, propagate_shapes
 from ptqtune.quantize import QuantizedGraph
 from ptqtune.schemes import QMAX, QMIN
@@ -71,7 +71,8 @@ def test_rescale_matches_int64_shift_with_bias_and_int32_saturation():
     for s in (-2, 0, 1, 7, 16, 31):
         for zp in (-128, 0, 127):
             want = requantize_int64(saturated, shift=s, zero_point=zp)
-            got = intexec._rescale(acc, 2.0**-9, 2.0**(s - 9), zp, bias=bias.astype(np.float64))
+            got = intexec._rescaler(acc.ndim, 2.0**-9, 2.0**(s - 9), zp,
+                                    bias=bias.astype(np.float64))(acc)
             assert got.dtype == np.float32
             assert np.array_equal(got, want), (s, zp)
 
@@ -96,7 +97,7 @@ def test_add_step_matches_int64_alignment_up_to_45_bits(integer_only):
                         Graph("add", [node], {}, (1, 1, xa.shape[1]), xa.shape[1]),
                         int_cfg(), {"ta": QuantParams(2.0**ka, za), "tb": QuantParams(2.0**kb, zb),
                                     "to": QuantParams(2.0**ko, zo)}, {})
-                    got = intexec._code_node(qg, node, [xa, xb])
+                    got = intexec._lower(qg, node)([xa, xb])
                     want = add_int64(xa, za, ka, xb, zb, kb, zo, ko)
                     assert np.array_equal(got, want), (ka, kb, ko, za, zb, zo)
                     trace = OpTrace()
@@ -107,17 +108,18 @@ def test_add_step_matches_int64_alignment_up_to_45_bits(integer_only):
 # -------------------------------------------- float32 requantize bound
 
 def rescale_limit(m, zp):
-    """The least |acc| + |bias| at which ``_rescale`` leaves float32, for a
+    """The least |acc| + |bias| at which ``_rescaler`` leaves float32, for a
     power-of-two multiplier ``m`` and zero point ``zp``: acc * m + (bias * m
     + zp + 0.5) and its terms are multiples of min(m, 0.5), exact in float32
     below min(m, 0.5) * 2**24."""
     return math.ceil((min(m, 0.5) * 2**24 - abs(zp) - 0.5) / m)
 
 
-def rescale_ran_float64(*args, **kwargs):
-    """``_rescale``'s codes, and whether its float64 sequence ran."""
+def rescale_ran_float64(acc, *args, **kwargs):
+    """``_rescaler``'s codes for ``acc``, and whether its float64 sequence
+    ran."""
     with mock.patch.object(intexec, "_requantize", wraps=intexec._requantize) as f64:
-        out = intexec._rescale(*args, **kwargs)
+        out = intexec._rescaler(acc.ndim, *args, **kwargs)(acc)
     assert out.dtype == np.float32
     return out, f64.called
 
@@ -220,7 +222,7 @@ def test_add_runs_in_float32_only_inside_the_bound(d, in_float32):
                         {"ta": QuantParams(2.0**-10, QMIN), "tb": QuantParams(2.0**(-10 - d), QMIN),
                          "to": QuantParams(2.0**-10, QMIN)}, {})
     with mock.patch.object(intexec, "_requantize", wraps=intexec._requantize) as f64:
-        got = intexec._code_node(qg, node, [xa, xb])
+        got = intexec._lower(qg, node)([xa, xb])
     assert f64.called != in_float32
     assert np.array_equal(got, add_int64(xa, QMIN, -10, xb, QMIN, -10 - d, QMIN, -10))
 
@@ -276,7 +278,7 @@ def test_accumulation_is_exact_on_both_sides_of_the_float32_bound(kind, width, t
     node, x, w = edge_layer(kind, width)
     bound = taps * 128 * (127 - ZX)
     assert (bound < 2**24) == in_float32
-    acc = _accumulate(node, x, ZX, w)
+    acc = _accumulator(node, ZX, w)(x)
     assert acc.dtype == (np.float32 if in_float32 else np.float64)
     xs = (x - ZX).astype(np.int64)
     if kind == "conv2d":
@@ -302,7 +304,7 @@ def conv_oracle(kind, x, zx, w, stride, pad):
 def check_conv(kind, x, zx, w, stride, pad):
     node = Node("l", kind, ["x", "w"], "y", {"stride": stride, "padding": pad})
     bound = np.abs(w).reshape(len(w), -1).sum(axis=1).max() * max(zx + 128, 127 - zx)
-    acc = _accumulate(node, x, zx, w)
+    acc = _accumulator(node, zx, w)(x)
     assert acc.dtype == (np.float32 if bound < 2**24 else np.float64)
     assert acc.flags.c_contiguous
     assert np.array_equal(acc, conv_oracle(kind, x, zx, w, stride, pad))
@@ -624,7 +626,7 @@ def test_integer_only_rejects_a_scale_that_is_not_a_power_of_two(lenet, lenet_ca
     with pytest.raises(IntegerOnlyError, match=rf"^tensor {INPUT_TENSOR}: scale \S+ is not "
                        r"a power of two$"):
         check_integer_only(relabelled)
-    with mock.patch.object(intexec, "_code_node", side_effect=AssertionError("node ran")):
+    with mock.patch.object(intexec, "_lower", side_effect=AssertionError("node ran")):
         with pytest.raises(IntegerOnlyError, match=f"^tensor {INPUT_TENSOR}: "):
             run_integer_only(relabelled, ds.eval_images[:4])
     qg = quantize_model(lenet, lenet_cache_s2, int_cfg())
@@ -632,6 +634,15 @@ def test_integer_only_rejects_a_scale_that_is_not_a_power_of_two(lenet, lenet_ca
     with pytest.raises(IntegerOnlyError, match=rf"^weight {wid}: scale 0.3 is not a power of two$"):
         check_integer_only(replace(qg, weight_params={**qg.weight_params,
                                                       wid: QuantParams(0.3, 0)}))
+
+
+def test_codes_of_an_fp32_output_are_refused_before_any_node_runs(lenet, lenet_cache_s2, ds):
+    qg = quantize_model(lenet, lenet_cache_s2, first_last())
+    assert lenet.output_tensor() not in qg.act_params
+    with mock.patch.object(intexec, "_lower", side_effect=AssertionError("node ran")), \
+            mock.patch.object(intexec, "_float_step", side_effect=AssertionError("node ran")):
+        with pytest.raises(ValueError, match="^graph output is fp32; no codes to return$"):
+            run_quantized(qg, ds.eval_images[:4], return_codes=True)
 
 
 def test_every_executor_rejects_an_empty_batch(lenet, lenet_cache_s2, ds):
@@ -887,6 +898,66 @@ def test_image_blocks_give_the_one_block_bytes(name, request, ds):
         for block in [1] + [3 * e for e in sizes]:
             with mock.patch.object(intexec, "_BLOCK", block):
                 assert outputs() == want, (c, block)
+
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
+def test_static_work_is_lowered_once_per_walk(name, request, ds):
+    """A walk in 1-image blocks makes as many weight bounds and dtype
+    decisions as a walk in one block: none of it is redone per block."""
+    g = concat_graph() if name == "concat" else request.getfixturevalue(name)
+    cache = build_cache(g, ds, "S2", seed=0)
+    images = ds.eval_images[:7]
+    for c in (cfg(), first_last(), int_cfg()):
+        qg = quantize_model(g, cache, c)
+        calls = []
+        for block in (1, 1 << 40):
+            with mock.patch.object(intexec, "_BLOCK", block), \
+                    mock.patch.object(intexec, "_float32_exact",
+                                      wraps=intexec._float32_exact) as exact, \
+                    mock.patch.object(intexec, "_tap_bound", wraps=intexec._tap_bound) as bound:
+                run_quantized(qg, images)
+            calls.append((exact.call_count, bound.call_count))
+        assert calls[0] == calls[1] and min(calls[0]) > 0, (c, calls)
+
+
+def input_skip_graph() -> Graph:
+    """conv c0 on the input, conv c1, then an add of c1's output and the
+    input itself, then fc."""
+    rng = np.random.default_rng(7)
+
+    def weight(*shape):
+        return (0.2 * rng.standard_normal(shape)).astype(np.float32)
+
+    g = Graph("input-skip", [
+        Node("c0", "conv2d", [INPUT_TENSOR, "w0", "b0"], "t_c0", {"stride": 1, "padding": 1}),
+        Node("c1", "conv2d", ["t_c0", "w1", "b1"], "t_c1", {"stride": 1, "padding": 1}),
+        Node("s", "add", ["t_c1", INPUT_TENSOR], "t_s"),
+        Node("fc", "fully_connected", ["t_s", "wfc"], "t_fc"),
+    ], weights={"w0": weight(3, 3, 3, 3), "b0": weight(3), "w1": weight(3, 3, 3, 3),
+                "b1": weight(3), "wfc": weight(10, 3 * 32 * 32)},
+        input_shape=(3, 32, 32), output_classes=10)
+    validate(g)
+    return g
+
+
+@pytest.mark.parametrize("in_float", [("c1",), ("c0", "c1")], ids=["c1", "c0+c1"])
+def test_input_codes_reach_every_reader_from_any_first_run(in_float, ds):
+    """A hand-made graph with its input quantized keeps the layers
+    ``in_float`` in fp32: the input codes are read after a run in float,
+    and, when c0 is in float too, first by that run.  Every block size
+    gives the int64 reference walk's bytes."""
+    g = input_skip_graph()
+    qg = quantize_model(g, build_cache(g, ds, "S2", seed=0), cfg())
+    floats = {t for n in g.nodes if n.id in in_float for t in n.inputs[1:]}
+    qg = replace(qg, graph=replace(qg.graph, weights={**qg.graph.weights,
+                                                      **{t: g.weights[t] for t in floats}}),
+                 weight_params={t: p for t, p in qg.weight_params.items() if t not in floats})
+    assert qg.fp32_nodes == set(in_float) and INPUT_TENSOR in qg.act_params
+    images = ds.eval_images[:7]
+    want = run_reference(qg, images)
+    for block in (1, 1 << 40):
+        with mock.patch.object(intexec, "_BLOCK", block):
+            assert run_quantized(qg, images, return_codes=True).tobytes() == want.tobytes()
 
 
 def test_a_single_image_equals_a_batch_of_one(lenet, lenet_cache_s2, ds):
