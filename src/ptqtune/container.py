@@ -113,8 +113,9 @@ def read_container(path: str, fmt: str) -> tuple[dict, list[np.ndarray]]:
 
     The returned header is the payload plus ``"meta"`` when present, without
     the other envelope keys; arrays come back in native byte order with the
-    recorded dtype and shape.  A file that does not match the layout, is of
-    another format or of another version than ``VERSION`` raises ValueError.
+    recorded dtype and shape.  A file that does not match the layout (bytes
+    left after the last buffer included), is of another format or of
+    another version than ``VERSION`` raises ValueError.
     """
     with open(path, "rb") as f, _malformed_header(path):
         size = os.fstat(f.fileno()).st_size
@@ -135,5 +136,7 @@ def read_container(path: str, fmt: str) -> tuple[dict, list[np.ndarray]]:
                 raise ValueError(f"{path}: truncated buffer payload")
             arr = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape)
             buffers.append(arr.astype(arr.dtype.newbyteorder("="), copy=True))
+        if f.tell() != size:
+            raise ValueError(f"{path}: {size - f.tell()} bytes after the last buffer")
         payload = {k: v for k, v in header.items() if k not in ("format", "version", "buffers")}
         return payload, buffers

@@ -6,8 +6,8 @@ dispatch; node attributes and window geometry come from ``ir``
 (``conv_args``, ``pool_args``, ``out_size``).  ``run_fp32`` walks a graph
 with it, and its sink sees the graph input, then each node's output: every
 fp32 tensor is observed there (calibration, planted fixture heads).  The
-quantized executor (``intexec``) uses it for tensors kept in float and for
-mixed-precision fp32 layers, and reuses ``maxpool`` and the window views
+quantized executor (``intexec``) lowers its fp32 layers and tensors kept
+in float onto it, and reuses ``maxpool`` and the window views
 (``_taps``, ``_windows``) on integer codes, whose conv kernels are its own.
 Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
 deployed fp32 baseline would; the test suite pins this against a scalar
@@ -15,16 +15,18 @@ brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation.
 
 An sgemm's row count sets its fp32 bits (its blocking, hence its summation
 order, follows the rows), so a conv or fully_connected output depends on
-how many images share one sgemm.  By default the two sgemm sites (the conv
-im2col product and ``fully_connected``) run one sgemm over the whole batch,
-whose bits the golden digests and the planted fixture heads pin.  With
-``per_image`` each becomes one stacked matmul, ``(n, rows of one image, K)
-@ (K, O)``, for which numpy calls sgemm once per image with the one-image
-row count: every tensor then holds the bytes of ``n`` one-image runs, while
-every other step still runs once over the whole batch.  The conv output
-keeps its ``(n, oh, ow, o)``-backed layout either way, since ``avgpool``
-rounds by memory order.  Calibration runs this way, so its histograms do
-not depend on how it chunks its images.
+how many images share one sgemm.  With ``per_image`` the two sgemm sites
+(the conv im2col product and ``fully_connected``) each become one stacked
+matmul, ``(n, rows of one image, K) @ (K, O)``, for which numpy calls
+sgemm once per image with the one-image row count: every tensor then holds
+the bytes of ``n`` one-image runs, while every other step still runs once
+over the whole batch.  The conv output keeps its ``(n, oh, ow,
+o)``-backed layout either way, since ``avgpool`` rounds by memory order.
+Calibration and the fp32 layers of the quantized walk run this way, so
+neither a histogram nor a trial's score depends on how images are chunked
+or blocked.  Only ``evaluate_top1`` and the planted fixture heads
+(``fixtures._plant_head``) still run one sgemm over the whole batch, the
+default.
 """
 
 from __future__ import annotations

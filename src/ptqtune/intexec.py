@@ -65,22 +65,19 @@ decision, and the multiplier and offset vectors of each requantize and
 ``add``).  What it returns, the step, only computes on the codes of one
 block of images.
 
-The walk alone cuts the batch for cache.  It splits the node list into
-maximal runs of nodes that do, or do not, run on codes.  A run on codes
+The walk alone cuts the batch for cache, by one rule for every node: it
 goes depth-first over blocks of ``max(1, _BLOCK // e)`` images, where ``e``
-is the run's elements per image summed over its outputs: each node reads
-its inputs from the block's own outputs or from a slice of a tensor made
-before the run, so a block's intermediates stay in cache, and only the
-outputs read after the run (and the graph output) are kept, whole-batch.
-A quantized input is quantized by the first run, per block like a node
-output of that run, and kept whole-batch only if read after it.
-A run not on codes goes node by node over the whole batch: on fp32 the
-order of a sum and the row count of an sgemm set the rounding, so the fp32
-layers of mixed-precision graphs, like ``run_fp32``, keep the ``fp32``
-kernels on the batch they are given.  ``_BLOCK`` is ``fp32``'s, which
-calibration's image chunks also read.  With a ``sink``
-every run is one block, so the sink sees each node's whole output in node
-order.
+is the graph's elements per image summed over every node output.  Each
+node reads its inputs from the block's own outputs, so a block's
+intermediates stay in cache, and only the graph output is kept,
+whole-batch.  A quantized input is quantized per block, like one more
+node output.  The fp32 steps (``_float_step``, lowered like ``_lower``)
+run each sgemm once per image (``fp32``'s ``per_image``): an sgemm's row
+count sets its fp32 rounding, so every tensor then holds the bytes of
+one-image runs, and a trial's score does not depend on how its images
+are batched.  ``_BLOCK`` is ``fp32``'s, which calibration's image chunks
+also read.  With a ``sink`` the walk is one block, so the sink sees each
+node's whole output in node order.
 
 A tuning campaign runs one float graph under many configurations.  Under
 FirstLastFp32 the graph input stays in float, so the first layer runs in
@@ -88,10 +85,11 @@ fp32 on the raw batch with its float weights: its output, before the
 boundary quantization, is the same for every configuration.  Given a
 ``memo`` (``make_accuracy_evaluator`` keeps one per graph and eval batch),
 the walk computes each such config-free output (``_config_free``) once,
-stores it read-only, and serves it to later runs; the boundary quantization
-still runs per configuration.  A served array is the one the same step
-computed on the same inputs, so every result is bit-identical.  Without a
-memo the walk computes every node.
+over the whole batch before the block loop, stores it read-only, and each
+block reads its slice; the boundary quantization still runs per
+configuration and per block.  One sgemm per image makes the whole-batch
+output and a block's the same bytes, so every result is bit-identical.
+Without a memo the walk computes every node.
 
 The OpTrace records the *semantic* operation categories of the quantized
 program, which is what the integer-only audit asserts over.  The walk
@@ -105,7 +103,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
 
 import numpy as np
 
@@ -377,89 +374,83 @@ def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.nd
     raise ValueError(f"unknown node kind {node.kind!r}")  # pragma: no cover
 
 
-def _config_free(qg: QuantizedGraph) -> dict[str, tuple[str, bool]]:
-    """The memo key of each node whose fp32 output, before any boundary
-    quantization, is the same for every configuration of the graph on one
-    batch: a node not run on codes whose data inputs are all config-free.
-    The raw input is config-free when it carries no params, and so is such
-    a node's output when it carries none (a boundary's codes depend on its
-    params).  The key is the output tensor and ``fused_relu``, so a fused
-    layer and an unfused one never share an entry."""
-    free = set() if INPUT_TENSOR in qg.act_params else {INPUT_TENSOR}
-    keys = {}
+def _config_free(qg: QuantizedGraph, batch: np.ndarray, memo: dict) -> dict[str, np.ndarray]:
+    """By node id, the whole-batch fp32 output, before any boundary
+    quantization, of each node whose output is the same for every
+    configuration of the graph on one batch: a node not run on codes whose
+    data inputs are all config-free.  The raw input is config-free when it
+    carries no params, and so is such a node's output when it carries none
+    (a boundary's codes depend on its params).  Each is read from ``memo``,
+    or computed with one sgemm per image and stored there read-only, keyed
+    by its output tensor and ``fused_relu``, so a fused layer and an
+    unfused one never share an entry."""
+    free = {} if INPUT_TENSOR in qg.act_params else {INPUT_TENSOR: batch}
+    served = {}
     for node in qg.graph.nodes:
-        if not qg.on_codes(node) and free.issuperset(node.data_inputs):
-            keys[node.id] = (node.output, node.attrs.get("fused_relu", False))
-            if node.output not in qg.act_params:
-                free.add(node.output)
-    return keys
+        if qg.on_codes(node) or not all(t in free for t in node.data_inputs):
+            continue
+        key = (node.output, node.attrs.get("fused_relu", False))
+        if key not in memo:
+            memo[key] = _float_node(node, [free[t] for t in node.data_inputs], qg.graph.weights,
+                                    per_image=True)
+            memo[key].flags.writeable = False
+        served[node.id] = memo[key]
+        if node.output not in qg.act_params:
+            free[node.output] = memo[key]
+    return served
 
 
-def _float_step(qg: QuantizedGraph, node: Node, env: dict[str, np.ndarray],
-                memo: dict | None, key: tuple | None) -> np.ndarray:
-    """The fp32 step for a quantized graph: dequantize code inputs (only a
-    FirstLastFp32 layer has them), run fp32, quantize a code output (the
-    FirstLastFp32 boundary).  Given a config-free ``key``, the fp32 output
-    is served from ``memo``, or computed and stored there read-only; the
-    boundary quantization still runs."""
-    out = None if key is None else memo.get(key)
-    if out is None:
-        xs = [dequantize_array(env[t], qg.act_params[t]) if t in qg.act_params else env[t]
-              for t in node.data_inputs]
-        out = _float_node(node, xs, qg.graph.weights)
-        if key is not None:
-            out.flags.writeable = False
-            out = memo.setdefault(key, out)
-    if node.output in qg.act_params:
-        out = quantize_array(out, qg.act_params[node.output]).astype(np.float32)
-    return out
+def _float_step(qg: QuantizedGraph, node: Node,
+                served: bool) -> Callable[[list[np.ndarray]], np.ndarray]:
+    """The fp32 step of ``node`` in a quantized graph, lowered once per walk
+    like ``_lower``: dequantize code inputs (only a FirstLastFp32 layer has
+    them), run ``_float_node`` with one sgemm per image, quantize a code
+    output (the FirstLastFp32 boundary).  A ``served`` node's one input is
+    its own config-free fp32 output, so only the boundary runs."""
+    p_out = qg.act_params.get(node.output)
+
+    def boundary(out: np.ndarray) -> np.ndarray:
+        return out if p_out is None else quantize_array(out, p_out).astype(np.float32)
+    if served:
+        return lambda xs: boundary(xs[0])
+    params = [qg.act_params.get(t) for t in node.data_inputs]
+
+    def step(xs: list[np.ndarray]) -> np.ndarray:
+        xs = [x if p is None else dequantize_array(x, p) for x, p in zip(xs, params)]
+        return boundary(_float_node(node, xs, qg.graph.weights, per_image=True))
+    return step
 
 
 def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
              memo: dict | None = None) -> np.ndarray:
     g = qg.graph
-    env: dict[str, np.ndarray] = {INPUT_TENSOR: _check_batch(g, batch)}
-    n = len(env[INPUT_TENSOR])
-    # host-side input quantization (not part of the traced graph program),
-    # made by the first run: per block when that run is on codes
-    p_in = qg.act_params.get(INPUT_TENSOR)
-    keys = {} if memo is None else _config_free(qg)
+    batch = _check_batch(g, batch)
+    n = len(batch)
+    served = {} if memo is None else _config_free(qg, batch, memo)
+    steps = [(node, _lower(qg, node) if qg.on_codes(node) else
+              _float_step(qg, node, node.id in served)) for node in g.nodes]
     shapes = propagate_shapes(g)
-    done = 0
-    for codes, run in groupby(g.nodes, qg.on_codes):
-        run = list(run)
-        done += len(run)
-        if not codes:  # whole-batch: an sgemm's row count sets fp32 bits
-            if p_in is not None:  # only a hand-made graph starts in float on input codes
-                env[INPUT_TENSOR] = quantize_array(env[INPUT_TENSOR], p_in).astype(np.float32)
-                p_in = None
-            for node in run:
-                env[node.output] = _float_step(qg, node, env, memo, keys.get(node.id))
-                if sink is not None:
-                    sink(node.output, env[node.output])
-            continue
-        steps = [(node, _lower(qg, node)) for node in run]
-        # depth-first over image blocks, keeping the codes read after the run
-        read = {t for node in g.nodes[done:] for t in node.data_inputs} | {g.output_tensor()}
-        made = [node.output for node in run] + ([INPUT_TENSOR] if p_in is not None else [])
-        kept = {t: np.empty((n, *shapes[t]), np.float32) for t in made if t in read}
-        block = n if sink is not None else max(
-            1, _BLOCK // sum(math.prod(shapes[node.output]) for node in run))
-        for lo in range(0, n, block):
-            local: dict[str, np.ndarray] = {}
-            if p_in is not None:
-                x = env[INPUT_TENSOR][lo:lo + block]
-                local[INPUT_TENSOR] = quantize_array(x, p_in).astype(np.float32)
-            for node, step in steps:
-                xs = [local[t] if t in local else env[t][lo:lo + block] for t in node.data_inputs]
-                local[node.output] = step(xs)
-                if sink is not None:
-                    sink(node.output, local[node.output])
-            for t, whole in kept.items():
-                whole[lo:lo + block] = local[t]
-        env.update(kept)
-        p_in = None
-    return env[g.output_tensor()]
+    block = n if sink is not None else max(
+        1, _BLOCK // sum(math.prod(shapes[node.output]) for node in g.nodes))
+    # host-side input quantization (not part of the traced graph program)
+    p_in = qg.act_params.get(INPUT_TENSOR)
+    out = np.empty((n, *shapes[g.output_tensor()]), np.float32)
+
+    def rows(a: np.ndarray, lo: int) -> np.ndarray:  # one block reads whole arrays as they are
+        return a if block >= n else a[lo:lo + block]
+
+    # depth-first over image blocks, keeping only the graph output
+    for lo in range(0, n, block):
+        x = rows(batch, lo)
+        local = {INPUT_TENSOR: x if p_in is None else quantize_array(x, p_in).astype(np.float32)}
+        for node, step in steps:
+            xs = ([rows(served[node.id], lo)] if node.id in served
+                  else [local[t] for t in node.data_inputs])
+            local[node.output] = step(xs)
+            if sink is not None:
+                sink(node.output, local[node.output])
+        out[lo:lo + block] = local[g.output_tensor()]
+    return out
 
 
 def _events(qg: QuantizedGraph, node: Node, integer_only: bool) -> list[str]:

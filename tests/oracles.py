@@ -278,9 +278,9 @@ def run_reference(qg, batch):
     whole batch: int8 codes as int64, integer sums in int64, and every
     requantize through ``requantize_int64`` (``add_int64`` for an ``add`` on
     power-of-two scales).  A layer kept in float runs ``fp32._float_node``
-    on this walk's own inputs, dequantized here, and its boundary codes are
-    quantized here.  Returns the graph output: int8 codes, or float32 values
-    for an output kept in float."""
+    with one sgemm per image on this walk's own inputs, dequantized here,
+    and its boundary codes are quantized here.  Returns the graph output:
+    int8 codes, or float32 values for an output kept in float."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     from ptqtune.fp32 import _float_node
@@ -305,7 +305,7 @@ def run_reference(qg, batch):
         xs = [env[t] for t in node.data_inputs]
         if not qg.on_codes(node):
             xs = [dequantize(x, act[t]) if t in act else x for x, t in zip(xs, node.data_inputs)]
-            out = _float_node(node, xs, g.weights)
+            out = _float_node(node, xs, g.weights, per_image=True)
             env[node.output] = quantize(out, act[node.output]) if node.output in act else out
             continue
         ps = [act[t] for t in node.data_inputs]

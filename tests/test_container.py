@@ -57,6 +57,14 @@ def test_truncated_payload_rejected(tmp_path):
         read_container(str(path), "qtm")
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.qtm"
+    write_container(str(path), "qtm", {}, [np.zeros(10, dtype=np.float32)])
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(ValueError, match="8 bytes after the last buffer"):
+        read_container(str(path), "qtm")
+
+
 def test_reserved_header_key_rejected(tmp_path):
     for key in ("format", "version", "meta", "buffers"):
         with pytest.raises(ValueError, match="reserved"):
@@ -159,6 +167,9 @@ def test_loaders_reject_corrupt_files_with_value_error_only(tmp_path, lenet, ds)
         path = tmp_path / name
         save(str(path))
         raw = path.read_bytes()
+        path.write_bytes(raw + b"garbage!")
+        with pytest.raises(error, match="8 bytes after the last buffer"):
+            load(str(path))
         line_end = raw.index(b"\n", len(MAGIC)) + 1
         header_end = line_end + int(raw[len(MAGIC) + 4:line_end - 1])
         variants = [raw[:n] for n in rng.integers(0, len(raw), size=60)]

@@ -28,16 +28,19 @@ xgb-t the ``save_gbt`` bytes of the last surrogate trained are pinned as a
 SHA-256.
 
 The fp32 steps (calibration, mixed-precision layers) run through BLAS, so
-the digest file records the numpy version and BLAS build it was made with;
-on any other the test fails and names the mismatch.  Regenerating the file
-is a behaviour change:
+the digest file records the numpy version, the BLAS build it was made with
+and the OpenBLAS kernel set picked at run time; on any other the test fails
+and names the mismatch.  Regenerating the file is a behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,10 +72,23 @@ CAMPAIGN = {"model": "lenet-ish", "transfer_model": "resnet-toy",
 PINNED_CAMPAIGNS = ("transfer", "cold", "noisy") + STRATEGIES
 
 
+def blas_core() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS picked at run time, which
+    follows the CPU (or ``OPENBLAS_CORETYPE``) and not the build; None when
+    no bundled library exports its name."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}}
+            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+            "blas_core": blas_core()}
 
 
 def golden_configs():
@@ -204,6 +220,16 @@ def pinned():
         f"digests were made under {want['environment']}, this is {got}; "
         "the fp32 steps may round differently here")
     return want
+
+
+def test_the_environment_names_the_blas_kernel_picked_at_run_time():
+    if blas_core() is None:
+        pytest.skip("numpy bundles no OpenBLAS that names its kernel")
+    code = "from test_golden import environment; print(environment()['blas_core'])"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=Path(__file__).parent,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "Haswell"
 
 
 @pytest.mark.parametrize("name", MODELS)

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -546,9 +545,9 @@ def test_a_memo_computes_the_config_free_prefix_once_and_serves_it_read_only(ds)
     ran = []
     kernel = intexec._float_node
 
-    def counted(node, xs, weights):
+    def counted(node, xs, weights, **kw):
         ran.append(node.id)
-        return kernel(node, xs, weights)
+        return kernel(node, xs, weights, **kw)
 
     # the two configs give the boundary t_c0 different params
     for c in (first_last(), first_last(scheme=Scheme.SymmetricUint8, clipping="KL")):
@@ -857,21 +856,42 @@ def test_drawn_recipes_match_the_int64_reference_walk(ds, g, configs):
     assert_matches_the_reference_walk(g, ds, configs, ds.eval_images[:8])
 
 
+@settings(deadline=None, max_examples=30)
+@given(g=recipes(), configs=st.lists(st.sampled_from(REFERENCE_CONFIGS), min_size=1,
+                                     max_size=4, unique=True))
+@example(g=generate_fixture("conv+relu+fc", seed=1), configs=[first_last()])
+def test_a_batch_equals_its_one_image_runs(ds, g, configs):
+    """Batch invariance, fp32 layers included: a batch's logits, its codes
+    and its integer-only codes are the concatenation of one-image runs,
+    byte for byte."""
+    images = ds.eval_images[:5]
+    caches = {c: build_cache(g, ds, c, seed=0) for c in {c.cache for c in configs}}
+    for c in configs:
+        qg = quantize_model(g, caches[c.cache], c)
+        runs = [lambda x: run_quantized(qg, x)]
+        if g.output_tensor() in qg.act_params:
+            runs.append(lambda x: run_quantized(qg, x, return_codes=True))
+        if INTEGER_ONLY.contains(c):
+            runs.append(lambda x: run_integer_only(qg, x))
+        for run in runs:
+            want = np.concatenate([run(x) for x in images])
+            assert run(images).tobytes() == want.tobytes(), c
+
+
 # ------------------------------------------------------------- image blocks
 
 def code_run_sizes(qg):
-    """Each run of code nodes' elements per image, summed over its outputs:
-    what the walk divides ``_BLOCK`` by."""
+    """The graph's elements per image, summed over every node output: what
+    the walk divides ``_BLOCK`` by."""
     shapes = propagate_shapes(qg.graph)
-    return [sum(int(np.prod(shapes[n.output])) for n in run)
-            for codes, run in groupby(qg.graph.nodes, qg.on_codes) if codes]
+    return [sum(int(np.prod(shapes[n.output])) for n in qg.graph.nodes)]
 
 
 @pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
 def test_image_blocks_give_the_one_block_bytes(name, request, ds):
     """7 images in 1-image blocks, then in 3-image blocks (a ragged last
-    block) for each run of code nodes in turn, equal the one-block run byte
-    for byte: logits, codes, with and without a memo, and integer-only."""
+    block), equal the one-block run byte for byte: logits, codes, with and
+    without a memo, and integer-only."""
     g = concat_graph() if name == "concat" else request.getfixturevalue(name)
     cache = build_cache(g, ds, "S2", seed=0)
     images = ds.eval_images[:7]
@@ -961,15 +981,14 @@ def test_input_codes_reach_every_reader_from_any_first_run(in_float, ds):
 
 
 def test_a_single_image_equals_a_batch_of_one(lenet, lenet_cache_s2, ds):
-    """A (C,H,W) image runs as a batch of one; on a graph without fp32
-    layers, where the batch size sets no bits, that is row 0 of a batch."""
+    """A (C,H,W) image runs as a batch of one, and that is row 0 of a
+    batch: the batch size sets no bits, fp32 layers included."""
     images = ds.eval_images[:5]
     for c in (cfg(), first_last(), int_cfg()):
         qg = quantize_model(lenet, lenet_cache_s2, c)
         one = run_quantized(qg, images[0])
         assert one.shape == (1, 10) and one.tobytes() == run_quantized(qg, images[:1]).tobytes()
-        if not qg.fp32_nodes:
-            assert one.tobytes() == run_quantized(qg, images)[:1].tobytes(), c
+        assert one.tobytes() == run_quantized(qg, images)[:1].tobytes(), c
         if INTEGER_ONLY.contains(c):
             assert run_integer_only(qg, images[0]).tobytes() == \
                 run_integer_only(qg, images)[:1].tobytes()
