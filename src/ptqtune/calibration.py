@@ -1,25 +1,24 @@
 """Calibration: per-tensor activation histograms over sampled images.
 
-Two-pass build over chunks of images: pass 1 tracks exact (min, max) per
-tensor, pass 2 bins every observed value into 2048 uniform bins over that
-range.  Each chunk is one ``run_fp32`` call with ``per_image``, so its
-sgemms run one per image and every tensor holds the bytes of one-image
-runs; min, max and bin counts compose exactly over chunks, so the cache is
-the one image-by-image calibration gives.  Three cache size classes stand
-in for single-image / medium / large calibration sets.
+Two-pass build, each pass one ``run_fp32`` walk whose sink sees every
+tensor block by block: pass 1 tracks exact (min, max) per tensor, pass 2
+bins every observed value into 2048 uniform bins over that range.  Every
+tensor holds the bytes of one-image runs, and min, max and bin counts
+compose exactly over blocks, so the cache is the one image-by-image
+calibration gives.  Three cache size classes stand in for single-image /
+medium / large calibration sets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .container import _malformed_header, read_container, write_container
 from .dataset import Dataset
-from .fp32 import _BLOCK, _check_batch, run_fp32
-from .ir import Graph, propagate_shapes
+from .fp32 import _check_batch, run_fp32
+from .ir import Graph
 
 N_BINS = 2048
 SIZE_CLASSES = {"S1": 1, "S2": 32, "S3": 256}
@@ -66,18 +65,13 @@ def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
     """Histogram every tensor of ``g`` over ``images``; the cache is named
     ``g.name``.
 
-    Both passes run over chunks of ``max(1, _BLOCK // e)`` images, ``e``
-    being the elements per image of the input and every node output, one
-    ``run_fp32(..., per_image=True)`` call per chunk, whose sink sees the
-    input first, then each node's output.  An sgemm's row count sets fp32
-    bits, so ``per_image`` keeps every histogram independent of the chunk
-    size: pass 1 takes each chunk's min and max, pass 2 makes one float64
-    ``np.histogram`` call per tensor per chunk, and both compose exactly.
-    A NaN or inf activation raises ValueError naming its tensor.
+    Each pass is one ``run_fp32`` call, whose sink sees each image block's
+    input, then each node's output: pass 1 takes each block's min and max,
+    pass 2 makes one float64 ``np.histogram`` call per tensor per block,
+    and both compose exactly over blocks.  A NaN or inf activation raises
+    ValueError naming its tensor.
     """
     images = _check_batch(g, images)
-    step = max(1, _BLOCK // sum(math.prod(s) for s in propagate_shapes(g).values()))
-    chunks = [images[lo:lo + step] for lo in range(0, len(images), step)]
     ranges: dict[str, tuple[float, float]] = {}  # first-seen tensor order
 
     def widen(tid: str, v: np.ndarray) -> None:
@@ -87,8 +81,7 @@ def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
         lo0, hi0 = ranges.setdefault(tid, (lo, hi))
         ranges[tid] = (min(lo0, lo), max(hi0, hi))
 
-    for chunk in chunks:
-        run_fp32(g, chunk, sink=widen, per_image=True)
+    run_fp32(g, images, sink=widen)
 
     counts = {t: np.zeros(N_BINS, dtype=np.int64) for t in ranges}
 
@@ -102,8 +95,7 @@ def calibrate(g: Graph, images: np.ndarray, *, size_class: str = "",
         else:
             counts[tid] += np.histogram(flat, bins=N_BINS, range=(lo, hi))[0]
 
-    for chunk in chunks:
-        run_fp32(g, chunk, sink=add_bins, per_image=True)
+    run_fp32(g, images, sink=add_bins)
 
     hists = {
         t: TensorHistogram(tensor_id=t, min_seen=np.float32(lo),

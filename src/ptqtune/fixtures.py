@@ -230,14 +230,14 @@ def _plant_head(g: Graph) -> None:
         return
     fc = fcs[-1]
     target = fc.data_inputs[0]
-    captured: dict[str, np.ndarray] = {}
+    blocks: list[np.ndarray] = []
 
     def sink(tid: str, v: np.ndarray) -> None:
         if tid == target:
-            captured[tid] = v
+            blocks.append(v)
 
     run_fp32(g, class_templates(), sink=sink)
-    feats = captured[target].reshape(N_CLASSES, -1).astype(np.float64)
+    feats = np.concatenate(blocks).reshape(N_CLASSES, -1).astype(np.float64)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     g.weights[fc.weight_id] = (feats / norms).astype(np.float32)

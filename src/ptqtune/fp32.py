@@ -1,36 +1,32 @@
-"""Floating-point executor.
+"""Floating-point executor, and the one walk of every executor.
 
 Runs a Graph on NCHW fp32 batches.  ``_float_node`` is the one fp32 step
-over the ten node kinds and holds the fp32 conv/depthwise/pointwise/fc
-dispatch; node attributes and window geometry come from ``ir``
-(``conv_args``, ``pool_args``, ``out_size``).  ``run_fp32`` walks a graph
-with it, and its sink sees the graph input, then each node's output: every
-fp32 tensor is observed there (calibration, planted fixture heads).  The
-quantized executor (``intexec``) lowers its fp32 layers and tensors kept
-in float onto it, and reuses ``maxpool`` and the window views
-(``_taps``, ``_windows``) on integer codes, whose conv kernels are its own.
-Convolutions lower to im2col + sgemm so accumulation happens in fp32, like a
-deployed fp32 baseline would; the test suite pins this against a scalar
-brute-force oracle at 1e-5 relative tolerance.  Also hosts top-1 evaluation.
+over the ten node kinds; node attributes and window geometry come from
+``ir`` (``conv_args``, ``pool_args``, ``out_size``).  ``run_fp32`` is
+``_walk`` over it, whose sink observes every fp32 tensor (calibration,
+planted fixture heads).  The quantized executor (``intexec``) runs
+``_walk`` with its own steps, and reuses ``maxpool`` and the window views
+(``_taps``, ``_windows``) on integer codes.  Convolutions lower to im2col
++ sgemm so accumulation happens in fp32, like a deployed fp32 baseline
+would; the test suite pins this against a scalar brute-force oracle at
+1e-5 relative tolerance.  Also hosts top-1 evaluation.
 
 An sgemm's row count sets its fp32 bits (its blocking, hence its summation
-order, follows the rows), so a conv or fully_connected output depends on
-how many images share one sgemm.  With ``per_image`` the two sgemm sites
-(the conv im2col product and ``fully_connected``) each become one stacked
-matmul, ``(n, rows of one image, K) @ (K, O)``, for which numpy calls
-sgemm once per image with the one-image row count: every tensor then holds
-the bytes of ``n`` one-image runs, while every other step still runs once
-over the whole batch.  The conv output keeps its ``(n, oh, ow,
-o)``-backed layout either way, since ``avgpool`` rounds by memory order.
-Calibration and the fp32 layers of the quantized walk run this way, so
-neither a histogram nor a trial's score depends on how images are chunked
-or blocked.  Only ``evaluate_top1`` and the planted fixture heads
-(``fixtures._plant_head``) still run one sgemm over the whole batch, the
-default.
+order, follows the rows), so both sgemm sites (the conv im2col product and
+``fully_connected``) are one stacked matmul, ``(n, rows of one image, K)
+@ (K, O)``, which numpy runs as one sgemm per image: every tensor holds
+the bytes of one-image runs.  The conv output keeps its ``(n, oh, ow,
+o)``-backed layout, since ``avgpool`` rounds by memory order.  So the walk
+cuts the batch for cache by one rule: depth-first over blocks of ``max(1,
+_BLOCK // e)`` images, ``e`` being the graph's elements per image summed
+over every node output, keeping only the graph output whole-batch; with
+one block it reads the whole arrays as they are.  No output, histogram or
+score depends on the block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,13 +34,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Dataset
-from .ir import COMPUTE_KINDS, INPUT_TENSOR, Graph, Node, conv_args, out_size, pool_args
+from .ir import (COMPUTE_KINDS, INPUT_TENSOR, Graph, Node, conv_args, out_size, pool_args,
+                 propagate_shapes)
 
 ObserverSink = Callable[[str, np.ndarray], None]
-# float32 elements per chunk of images, summed over the tensors a chunk
-# holds at once (2 MiB), for the int8 walk's image blocks and calibration's
-# chunks: a chunk's tensors then stay in cache instead of streaming through
-# memory
+Step = Callable[[list[np.ndarray]], np.ndarray]
+# float32 elements per block of images, summed over the node outputs a
+# block holds at once (2 MiB): a block's tensors then stay in cache instead
+# of streaming through memory
 _BLOCK = 1 << 19
 
 
@@ -68,13 +65,12 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-           stride: int, pad: int, *, per_image: bool = False) -> np.ndarray:
+           stride: int, pad: int) -> np.ndarray:
     n = x.shape[0]
     o, c, kh, kw = w.shape
     win = _windows(x, kh, kw, stride, pad)
     oh, ow = win.shape[2], win.shape[3]
-    rows = (n, oh * ow) if per_image else (n * oh * ow,)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(*rows, c * kh * kw)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
     out = np.ascontiguousarray(cols) @ w.reshape(o, -1).T
     if b is not None:
         out = out + b
@@ -121,24 +117,21 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray], *,
-                per_image: bool = False) -> np.ndarray:
-    """One node in fp32 on its data inputs ``xs``; the float step of every
-    executor (``run_fp32``, and float tensors and fp32 layers of quantized
-    graphs).  ``per_image`` runs each sgemm once per image (module
-    docstring)."""
+def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]) -> np.ndarray:
+    """One node in fp32 on its data inputs ``xs``, each sgemm once per image;
+    the float step of every executor (``run_fp32``, and float tensors and
+    fp32 layers of quantized graphs)."""
     x = xs[0]
     if node.kind in COMPUTE_KINDS:
         w = weights[node.weight_id]
         b = weights[node.bias_id] if node.bias_id else None
         if node.kind == "fully_connected":
-            rows = (x.shape[0], 1) if per_image else (x.shape[0],)
-            out = (x.reshape(*rows, -1) @ w.T).reshape(x.shape[0], -1)
+            out = (x.reshape(x.shape[0], 1, -1) @ w.T).reshape(x.shape[0], -1)
             out = out if b is None else out + b
         elif node.kind == "depthwise_conv2d":
             out = depthwise_conv2d(x, w, b, *conv_args(node))
         else:
-            out = conv2d(x, w, b, *conv_args(node), per_image=per_image)
+            out = conv2d(x, w, b, *conv_args(node))
         if node.attrs.get("fused_relu", False):
             out = np.maximum(out, np.float32(0))
     elif node.kind == "relu":
@@ -158,20 +151,43 @@ def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]
     return out.astype(np.float32, copy=False)
 
 
-def run_fp32(g: Graph, batch: np.ndarray, sink: ObserverSink | None = None, *,
-             per_image: bool = False) -> np.ndarray:
-    """Forward pass; returns the graph output (logits or class scores).
-    With ``per_image`` every tensor holds the bytes of one-image runs."""
-    batch = _check_batch(g, batch)
-    env: dict[str, np.ndarray] = {INPUT_TENSOR: batch}
-    if sink is not None:
-        sink(INPUT_TENSOR, batch)
-    for node in g.nodes:
-        xs = [env[t] for t in node.data_inputs]
-        env[node.output] = _float_node(node, xs, g.weights, per_image=per_image)
+def _walk(g: Graph, batch: np.ndarray, steps: list[Step], sink: ObserverSink | None = None,
+          enter: Callable[[np.ndarray], np.ndarray] | None = None,
+          served: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    """The walk of every executor (module docstring): ``steps[i]`` maps the
+    data inputs of ``g.nodes[i]`` to its output on one block of the checked
+    ``batch``; returns the graph output.  ``enter`` maps each block of the
+    batch to the graph input the steps read.  A node in ``served`` reads
+    its block's rows of the whole-batch array there as its one input.
+    ``sink(tensor_id, values)`` sees each block's input, then each node
+    output."""
+    n, served = len(batch), served or {}
+    shapes = propagate_shapes(g)
+    block = max(1, _BLOCK // sum(math.prod(shapes[node.output]) for node in g.nodes))
+    out = np.empty((n, *shapes[g.output_tensor()]), np.float32)
+
+    def rows(a: np.ndarray, lo: int) -> np.ndarray:  # one block reads whole arrays as they are
+        return a if block >= n else a[lo:lo + block]
+
+    for lo in range(0, n, block):
+        x = rows(batch, lo)
+        local = {INPUT_TENSOR: x if enter is None else enter(x)}
         if sink is not None:
-            sink(node.output, env[node.output])
-    return env[g.output_tensor()]
+            sink(INPUT_TENSOR, local[INPUT_TENSOR])
+        for node, step in zip(g.nodes, steps):
+            xs = ([rows(served[node.id], lo)] if node.id in served
+                  else [local[t] for t in node.data_inputs])
+            local[node.output] = step(xs)
+            if sink is not None:
+                sink(node.output, local[node.output])
+        out[lo:lo + block] = local[g.output_tensor()]
+    return out
+
+
+def run_fp32(g: Graph, batch: np.ndarray, sink: ObserverSink | None = None) -> np.ndarray:
+    """Forward pass; returns the graph output (logits or class scores)."""
+    steps = [lambda xs, node=node: _float_node(node, xs, g.weights) for node in g.nodes]
+    return _walk(g, _check_batch(g, batch), steps, sink)
 
 
 @dataclass

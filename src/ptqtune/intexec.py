@@ -1,8 +1,9 @@
 """Execution of quantized graphs.
 
-One walk serves both paths: each node runs either the fp32 step shared with
-``run_fp32`` (tensors kept in float, and FirstLastFp32 layers wrapped in
-dequantize and boundary quantize) or the code step on int8 codes.
+Both paths run ``fp32._walk``, the walk of ``run_fp32``: each node runs
+either the fp32 step shared with ``run_fp32`` (tensors kept in float, and
+FirstLastFp32 layers wrapped in dequantize and boundary quantize) or the
+code step on int8 codes.
 
   run_quantized     — int32 accumulation with float-multiplier requantization
                       (the usual int8 simulation).
@@ -65,19 +66,13 @@ decision, and the multiplier and offset vectors of each requantize and
 ``add``).  What it returns, the step, only computes on the codes of one
 block of images.
 
-The walk alone cuts the batch for cache, by one rule for every node: it
-goes depth-first over blocks of ``max(1, _BLOCK // e)`` images, where ``e``
-is the graph's elements per image summed over every node output.  Each
-node reads its inputs from the block's own outputs, so a block's
-intermediates stay in cache, and only the graph output is kept,
-whole-batch.  A quantized input is quantized per block, like one more
-node output.  The fp32 steps (``_float_step``, lowered like ``_lower``)
-run each sgemm once per image (``fp32``'s ``per_image``): an sgemm's row
-count sets its fp32 rounding, so every tensor then holds the bytes of
-one-image runs, and a trial's score does not depend on how its images
-are batched.  ``_BLOCK`` is ``fp32``'s, which calibration's image chunks
-also read.  With a ``sink`` the walk is one block, so the sink sees each
-node's whole output in node order.
+The walk alone cuts the batch for cache, by ``fp32``'s one rule for every
+node: depth-first over image blocks, keeping only the graph output.  A
+quantized input is quantized per block, like one more node output.  The
+fp32 steps (``_float_step``, lowered like ``_lower``) run each sgemm once
+per image, so every tensor holds the bytes of one-image runs, and a
+trial's score does not depend on how its images are batched.  A ``sink``
+sees blocks: each block's graph input, then each node output.
 
 A tuning campaign runs one float graph under many configurations.  Under
 FirstLastFp32 the graph input stays in float, so the first layer runs in
@@ -107,9 +102,9 @@ from functools import reduce
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (_BLOCK, AccuracyResult, _check_batch, _float_node, _taps, _windows,
+from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _walk, _windows,
                    maxpool, top1_from_scores)
-from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, pool_args, propagate_shapes
+from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, pool_args
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 
@@ -391,8 +386,7 @@ def _config_free(qg: QuantizedGraph, batch: np.ndarray, memo: dict) -> dict[str,
             continue
         key = (node.output, node.attrs.get("fused_relu", False))
         if key not in memo:
-            memo[key] = _float_node(node, [free[t] for t in node.data_inputs], qg.graph.weights,
-                                    per_image=True)
+            memo[key] = _float_node(node, [free[t] for t in node.data_inputs], qg.graph.weights)
             memo[key].flags.writeable = False
         served[node.id] = memo[key]
         if node.output not in qg.act_params:
@@ -417,7 +411,7 @@ def _float_step(qg: QuantizedGraph, node: Node,
 
     def step(xs: list[np.ndarray]) -> np.ndarray:
         xs = [x if p is None else dequantize_array(x, p) for x, p in zip(xs, params)]
-        return boundary(_float_node(node, xs, qg.graph.weights, per_image=True))
+        return boundary(_float_node(node, xs, qg.graph.weights))
     return step
 
 
@@ -425,32 +419,13 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
              memo: dict | None = None) -> np.ndarray:
     g = qg.graph
     batch = _check_batch(g, batch)
-    n = len(batch)
     served = {} if memo is None else _config_free(qg, batch, memo)
-    steps = [(node, _lower(qg, node) if qg.on_codes(node) else
-              _float_step(qg, node, node.id in served)) for node in g.nodes]
-    shapes = propagate_shapes(g)
-    block = n if sink is not None else max(
-        1, _BLOCK // sum(math.prod(shapes[node.output]) for node in g.nodes))
+    steps = [_lower(qg, node) if qg.on_codes(node) else
+             _float_step(qg, node, node.id in served) for node in g.nodes]
     # host-side input quantization (not part of the traced graph program)
     p_in = qg.act_params.get(INPUT_TENSOR)
-    out = np.empty((n, *shapes[g.output_tensor()]), np.float32)
-
-    def rows(a: np.ndarray, lo: int) -> np.ndarray:  # one block reads whole arrays as they are
-        return a if block >= n else a[lo:lo + block]
-
-    # depth-first over image blocks, keeping only the graph output
-    for lo in range(0, n, block):
-        x = rows(batch, lo)
-        local = {INPUT_TENSOR: x if p_in is None else quantize_array(x, p_in).astype(np.float32)}
-        for node, step in steps:
-            xs = ([rows(served[node.id], lo)] if node.id in served
-                  else [local[t] for t in node.data_inputs])
-            local[node.output] = step(xs)
-            if sink is not None:
-                sink(node.output, local[node.output])
-        out[lo:lo + block] = local[g.output_tensor()]
-    return out
+    enter = None if p_in is None else lambda x: quantize_array(x, p_in).astype(np.float32)
+    return _walk(g, batch, steps, sink, enter, served)
 
 
 def _events(qg: QuantizedGraph, node: Node, integer_only: bool) -> list[str]:
@@ -482,11 +457,11 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
                   memo: dict | None = None) -> np.ndarray:
     """Simulated-int8 forward pass; returns fp32 logits (or codes).
 
-    ``sink(tensor_id, values)`` observes every node output (int8 codes
-    carried as float32 for quantized tensors; fp32 for tensors kept in
-    float).  ``memo``, a dict kept for one float graph and one ``batch``
-    across its configurations, serves the config-free prefix
-    (``_config_free``) computed by an earlier call."""
+    ``sink(tensor_id, values)`` observes, block by block, the graph input,
+    then every node output (int8 codes carried as float32 for quantized
+    tensors; fp32 for tensors kept in float).  ``memo``, a dict kept for
+    one float graph and one ``batch`` across its configurations, serves the
+    config-free prefix (``_config_free``) computed by an earlier call."""
     t = qg.graph.output_tensor()
     if return_codes and t not in qg.act_params:
         raise ValueError("graph output is fp32; no codes to return")

@@ -1,14 +1,22 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import reject
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared oracles module
 
-from ptqtune import GraphError, build_cache, generate_fixture, make_dataset
+from ptqtune import GraphError, build_cache, generate_fixture, make_dataset, propagate_shapes
 from ptqtune.fixtures import _GRAMMAR_KINDS
+
+
+def block_elements(g):
+    """The graph's elements per image, summed over every node output: what
+    the walk divides ``fp32._BLOCK`` by."""
+    shapes = propagate_shapes(g)
+    return sum(int(np.prod(shapes[n.output])) for n in g.nodes)
 
 
 @st.composite

@@ -305,7 +305,7 @@ def run_reference(qg, batch):
         xs = [env[t] for t in node.data_inputs]
         if not qg.on_codes(node):
             xs = [dequantize(x, act[t]) if t in act else x for x, t in zip(xs, node.data_inputs)]
-            out = _float_node(node, xs, g.weights, per_image=True)
+            out = _float_node(node, xs, g.weights)
             env[node.output] = quantize(out, act[node.output]) if node.output in act else out
             continue
         ps = [act[t] for t in node.data_inputs]

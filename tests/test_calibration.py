@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import recipes
+from conftest import block_elements, recipes
 from oracles import calibrate_per_image
 from ptqtune import (Graph, Node, build_cache, calibrate, generate_fixture, load_cache,
                      propagate_shapes, save_cache)
-from ptqtune import calibration
+from ptqtune import fp32
 from ptqtune.calibration import N_BINS, SIZE_CLASSES, select_images
 from ptqtune.container import write_container
 from ptqtune.ir import INPUT_TENSOR
@@ -77,10 +77,6 @@ def test_calibrate_rejects_zero_images(lenet, ds):
         calibrate(lenet, ds.calib_images[:0])
 
 
-def tensor_elements(g):
-    """Elements per image over the input and every node output: what
-    ``calibrate`` divides ``_BLOCK`` by."""
-    return sum(int(np.prod(s)) for s in propagate_shapes(g).values())
 
 
 @pytest.mark.parametrize("n, chunk, image, value",
@@ -90,7 +86,7 @@ def tensor_elements(g):
 def test_calibrate_rejects_a_non_finite_activation(lenet, ds, n, chunk, image, value):
     images = ds.calib_images[:n].copy()
     images[image, 1, 5, 7] = value
-    with mock.patch.object(calibration, "_BLOCK", chunk * tensor_elements(lenet)), \
+    with mock.patch.object(fp32, "_BLOCK", chunk * block_elements(lenet)), \
             pytest.raises(ValueError, match="^tensor 'input' holds NaN or inf$"):
         calibrate(lenet, images)
 
@@ -99,7 +95,7 @@ def assert_calibrate_equals_per_image(g, images, chunk):
     """``calibrate`` over chunks of ``chunk`` images gives the per-image
     oracle's ranges, bin counts and first-seen tensor order."""
     want = calibrate_per_image(g, images)
-    with mock.patch.object(calibration, "_BLOCK", chunk * tensor_elements(g)):
+    with mock.patch.object(fp32, "_BLOCK", chunk * block_elements(g)):
         got = calibrate(g, images).histograms
     assert list(got) == list(want)
     for t, (lo, hi, counts) in want.items():

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import recipes
+from conftest import block_elements, recipes
 from oracles import (avgpool_scalar, conv2d_scalar, depthwise_scalar,
                      maxpool_scalar)
 from ptqtune import (avgpool, conv2d, depthwise_conv2d, evaluate_top1, generate_fixture,
                      maxpool, run_fp32, softmax, top1_from_scores)
+from ptqtune import fp32
 from ptqtune.fp32 import _windows
 from test_intexec import concat_graph
 
@@ -99,39 +102,53 @@ def test_run_accepts_single_image(lenet, ds):
     assert np.array_equal(one, batch)
 
 
-def sink_tensors(g, images, chunk, per_image):
-    """Every tensor ``run_fp32``'s sink sees over ``images``, run ``chunk``
-    images at a time, joined along the batch in first-seen order."""
-    seen = {}
-    for lo in range(0, len(images), chunk):
-        run_fp32(g, images[lo:lo + chunk], lambda t, v: seen.setdefault(t, []).append(v),
-                 per_image=per_image)
-    return {t: np.concatenate(vs) for t, vs in seen.items()}
+def joined(g, batches):
+    """``run_fp32``'s outputs over ``batches``, and every tensor its sink
+    sees, each joined along the batch, tensors in first-seen order."""
+    outs, seen = [], {}
+    for x in batches:
+        outs.append(run_fp32(g, x, lambda t, v: seen.setdefault(t, []).append(v)))
+    return np.concatenate(outs), {t: np.concatenate(vs) for t, vs in seen.items()}
 
 
-def assert_per_image_gives_one_image_bytes(g, images):
-    """``per_image`` runs of 1 image, 3 (a ragged last chunk) and the whole
-    batch give every tensor the shape and bytes of one-image runs."""
-    want = sink_tensors(g, images, 1, per_image=False)
-    for chunk in (1, 3, len(images)):
-        got = sink_tensors(g, images, chunk, per_image=True)
+def assert_blocks_give_one_image_bytes(g, images):
+    """Walks in blocks of 1 image, 3 (a ragged last block) and the whole
+    batch give the output and every tensor the sink sees the shape and
+    bytes of one-image runs."""
+    want_out, want = joined(g, images)  # one image per run
+    for block in (1, 3, len(images)):
+        with mock.patch.object(fp32, "_BLOCK", block * block_elements(g)):
+            out, got = joined(g, [images])
+        assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes(), block
         assert list(got) == list(want)
         for t, v in want.items():
-            assert got[t].shape == v.shape and got[t].tobytes() == v.tobytes(), (chunk, t)
+            assert got[t].shape == v.shape and got[t].tobytes() == v.tobytes(), (block, t)
 
 
 @pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
-def test_per_image_gives_the_bytes_of_one_image_runs(name, request, ds):
+def test_image_blocks_give_the_bytes_of_one_image_runs(name, request, ds):
     g = concat_graph() if name == "concat" else request.getfixturevalue(name)
-    assert_per_image_gives_one_image_bytes(g, ds.eval_images[:7])
+    assert_blocks_give_one_image_bytes(g, ds.eval_images[:7])
 
 
 @settings(deadline=None, max_examples=40)
 @given(g=recipes())
 @example(g=generate_fixture("conv+relu+dwconv+avgpool+fc+softmax", seed=1))
 @example(g=generate_fixture("pwconv+maxpool+conv+avgpool+fc+fc+softmax", seed=2))
-def test_per_image_gives_the_bytes_of_one_image_runs_on_drawn_recipes(ds, g):
-    assert_per_image_gives_one_image_bytes(g, ds.eval_images[:7])
+def test_image_blocks_give_the_bytes_of_one_image_runs_on_drawn_recipes(ds, g):
+    assert_blocks_give_one_image_bytes(g, ds.eval_images[:7])
+
+
+@pytest.mark.parametrize("recipe", ["lenet-ish", "resnet-toy", "mobile-toy"])
+def test_a_planted_head_does_not_depend_on_the_block(recipe):
+    """The head planted from the 10 class templates walked one image per
+    block equals the default walk's, whose blocks may hold them all."""
+    want = generate_fixture(recipe, seed=1)
+    with mock.patch.object(fp32, "_BLOCK", 1):
+        got = generate_fixture(recipe, seed=1)
+    assert list(got.weights) == list(want.weights)
+    for t, w in want.weights.items():
+        assert got.weights[t].tobytes() == w.tobytes(), t
 
 
 def test_batch_shape_mismatch_rejected(lenet):

@@ -8,8 +8,9 @@ moved:
   run_quantized     logits, and the ``return_codes`` bytes or error
   run_integer_only  codes or error, for the IntegerOnly configurations
   optrace           both ``OpTrace`` event lists
-  sink              every ``run_quantized`` sink value, cast to float64 so
-                    that the carrier's dtype does not enter the digest
+  sink              every node output ``run_quantized``'s sink sees, its
+                    blocks joined, cast to float64 so that neither the
+                    block size nor the carrier's dtype enters the digest
   qtm8              the ``save_quantized`` bytes
   qcal              the ``save_cache`` bytes of the S1, S2 and S3 caches
   kl_ranges         ``clipped_range(h, "KL")`` as float64 bytes, for every
@@ -33,6 +34,9 @@ and the OpenBLAS kernel set picked at run time; on any other the test fails
 and names the mismatch.  Regenerating the file is a behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+and ``--diff`` prints, one per line, every model group, pin and other
+entry that would move, and writes nothing.
 """
 
 import ctypes
@@ -53,6 +57,7 @@ from ptqtune import (OpTrace, build_cache, clipped_range, enumerate_space,
                      make_dataset, quantize_model, run_integer_only, run_quantized,
                      run_strategy, save_cache, save_gbt, save_quantized)
 from ptqtune import gbt
+from ptqtune.ir import INPUT_TENSOR
 from ptqtune.quantize import GENERIC, INTEGER_ONLY
 from ptqtune.tuner import STRATEGIES
 from test_intexec import concat_graph
@@ -138,11 +143,16 @@ def digests(g, d) -> dict[str, str]:
             qg = quantize_model(g, caches[cfg.cache], cfg)
             trace = OpTrace()
 
+            blocks: dict[str, list[np.ndarray]] = {}
+
             def sink(t, v):
-                hs["sink"].update(t.encode())
-                _array(hs["sink"], np.asarray(v, dtype=np.float64))
+                if t != INPUT_TENSOR:
+                    blocks.setdefault(t, []).append(np.asarray(v, dtype=np.float64))
 
             _array(hs["run_quantized"], run_quantized(qg, images, trace=trace, sink=sink))
+            for t, vs in blocks.items():  # first-seen order, blocks joined
+                hs["sink"].update(t.encode())
+                _array(hs["sink"], np.concatenate(vs))
             _outcome(hs["run_quantized"], lambda: run_quantized(qg, images, return_codes=True))
             hs["optrace"].update(trace.to_csv().encode())
             if INTEGER_ONLY.contains(cfg):
@@ -244,6 +254,18 @@ def campaigns_run(ds):
     return campaigns(ds)
 
 
+def test_moved_lists_every_differing_entry_by_its_key_path():
+    want = {"environment": {"numpy": "2.0", "blas_core": "SkylakeX"}, "images": 16,
+            "models": {"a": {"sink": "1", "qcal": "2"}, "b": {"sink": "3"}},
+            "campaigns": {"strategies": {"xgb": {"trials": ["x 1.0 None"], "surrogate": "s"}}}}
+    got = {"environment": {"numpy": "2.0", "blas_core": "Haswell"}, "images": 16,
+           "models": {"a": {"sink": "9", "qcal": "2"}, "c": {"sink": "3"}},
+           "campaigns": {"strategies": {"xgb": {"trials": ["x 0.9 None"], "surrogate": "s"}}}}
+    assert moved(want, want) == []
+    assert moved(want, got) == ["environment/blas_core", "models/a/sink", "models/b",
+                                "models/c", "campaigns/strategies/xgb/trials"]
+
+
 @pytest.mark.parametrize("strategy", PINNED_CAMPAIGNS)
 def test_campaigns_match_golden_trials(strategy, pinned, campaigns_run):
     assert {k: pinned["campaigns"][k] for k in CAMPAIGN} == CAMPAIGN
@@ -254,15 +276,29 @@ def test_campaigns_match_golden_trials(strategy, pinned, campaigns_run):
     assert got["surrogate"] == want["surrogate"], f"{strategy}: the last surrogate changed"
 
 
-def main() -> None:
+def moved(want, got, path: tuple = ()) -> list[str]:
+    """The '/'-joined key path of every entry that differs between two
+    nested dicts, a key missing on one side included; any other value
+    (a digest, a pin's trial list) is compared whole."""
+    if not (isinstance(want, dict) and isinstance(got, dict)):
+        return [] if want == got else ["/".join(path)]
+    keys = [*want, *(k for k in got if k not in want)]
+    return [line for k in keys for line in moved(want.get(k), got.get(k), (*path, str(k)))]
+
+
+def main(argv: list[str]) -> None:
     d = make_dataset(seed=0)
     out = {"environment": environment(),
            "images": N_IMAGES,
            "configs": len(golden_configs()),
            "models": {name: digests(_model(name), d) for name in MODELS},
            "campaigns": {**CAMPAIGN, "strategies": campaigns(d)}}
-    DIGESTS.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    if "--diff" in argv:
+        for line in moved(json.loads(DIGESTS.read_text(encoding="utf-8")), out):
+            print(line)
+    else:
+        DIGESTS.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import recipes
+from conftest import block_elements, recipes
 from oracles import (add_int64, conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up,
                      run_reference)
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantParams, Scheme,
@@ -15,9 +15,9 @@ from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantPa
                      evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
                      quantize_model, requantize, run_fp32, run_integer_only, run_quantized,
                      validate)
-from ptqtune import intexec
+from ptqtune import fp32, intexec
 from ptqtune.intexec import _accumulator
-from ptqtune.ir import INPUT_TENSOR, Graph, Node, propagate_shapes
+from ptqtune.ir import INPUT_TENSOR, Graph, Node
 from ptqtune.quantize import QuantizedGraph
 from ptqtune.schemes import QMAX, QMIN
 from ptqtune.tuner import GENERIC, INTEGER_ONLY
@@ -424,7 +424,7 @@ def test_sink_sees_every_node_output_under_mixed_precision(fusion, lenet, lenet_
     qg = quantize_model(lenet, lenet_cache_s2, cfg(mixed="FirstLastFp32", fusion=fusion))
     seen = []
     run_quantized(qg, ds.eval_images[:4], sink=lambda t, v: seen.append((t, v)))
-    assert [t for t, _ in seen] == [n.output for n in qg.graph.nodes]
+    assert [t for t, _ in seen] == [INPUT_TENSOR] + [n.output for n in qg.graph.nodes]
     codes = {t: v for t, v in seen if t in qg.act_params}
     assert set(codes) == set(qg.act_params)
     for t, v in codes.items():
@@ -880,13 +880,6 @@ def test_a_batch_equals_its_one_image_runs(ds, g, configs):
 
 # ------------------------------------------------------------- image blocks
 
-def code_run_sizes(qg):
-    """The graph's elements per image, summed over every node output: what
-    the walk divides ``_BLOCK`` by."""
-    shapes = propagate_shapes(qg.graph)
-    return [sum(int(np.prod(shapes[n.output])) for n in qg.graph.nodes)]
-
-
 @pytest.mark.parametrize("name", ["lenet", "resnet", "mobile", "concat"])
 def test_image_blocks_give_the_one_block_bytes(name, request, ds):
     """7 images in 1-image blocks, then in 3-image blocks (a ragged last
@@ -911,12 +904,12 @@ def test_image_blocks_give_the_one_block_bytes(name, request, ds):
                 runs.append(run_integer_only(qg, images))
             return [r.tobytes() for r in runs]
 
-        with mock.patch.object(intexec, "_BLOCK", 1 << 40):
+        with mock.patch.object(fp32, "_BLOCK", 1 << 40):
             want = outputs()
-        sizes = code_run_sizes(qg)
-        assert sizes and 7 * max(sizes) < 1 << 40
-        for block in [1] + [3 * e for e in sizes]:
-            with mock.patch.object(intexec, "_BLOCK", block):
+        e = block_elements(g)
+        assert 7 * e < 1 << 40
+        for block in (1, 3 * e):
+            with mock.patch.object(fp32, "_BLOCK", block):
                 assert outputs() == want, (c, block)
 
 
@@ -931,7 +924,7 @@ def test_static_work_is_lowered_once_per_walk(name, request, ds):
         qg = quantize_model(g, cache, c)
         calls = []
         for block in (1, 1 << 40):
-            with mock.patch.object(intexec, "_BLOCK", block), \
+            with mock.patch.object(fp32, "_BLOCK", block), \
                     mock.patch.object(intexec, "_float32_exact",
                                       wraps=intexec._float32_exact) as exact, \
                     mock.patch.object(intexec, "_tap_bound", wraps=intexec._tap_bound) as bound:
@@ -976,7 +969,7 @@ def test_input_codes_reach_every_reader_from_any_first_run(in_float, ds):
     images = ds.eval_images[:7]
     want = run_reference(qg, images)
     for block in (1, 1 << 40):
-        with mock.patch.object(intexec, "_BLOCK", block):
+        with mock.patch.object(fp32, "_BLOCK", block):
             assert run_quantized(qg, images, return_codes=True).tobytes() == want.tobytes()
 
 
