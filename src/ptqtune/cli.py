@@ -164,8 +164,9 @@ def cmd_tune(args, arts: _Artifacts) -> None:
     profile = PROFILES[args.profile]
     space = enumerate_space(profile)
     seed_db = load_db(args.transfer_db) if args.transfer_db else None
-    _check_request(args.strategy, space, args.budget, seed_db, args.workers)  # before calibrating
     features = extract_features(g)
+    _check_request(args.strategy, features, space, args.budget, seed_db,
+                   args.workers)  # before calibrating
     evaluate = make_accuracy_evaluator(g, d, seed=args.seed, profile=profile)
     baseline = evaluate_top1(g, d)
     result = run_strategy(args.strategy, features, space, evaluate,

@@ -22,9 +22,12 @@ node, the boundary between its values; its left sums come from a low-value
 mask fixed before the first tree, summed in row order.  A column with more
 values keeps a per-node row order: each child takes its parent's order
 through a stable boolean filter, so no column is sorted twice.  Every
-encoded feature is a one-hot flag or a per-model count, so in the tuner
-each column falls in the first two classes (the pre-binned split finding of
-XGBoost's ``hist`` method, Chen & Guestrin 2016, arXiv 1603.02754).
+encoded feature is a one-hot flag or a per-model count, so a cold campaign,
+or one seeded from a single other model, puts each column in the first two
+classes (the pre-binned split finding of XGBoost's ``hist`` method, Chen &
+Guestrin 2016, arXiv 1603.02754).  Records from two other models can give
+a count three values (``n_nodes`` is 7, 11 and 13 for lenet-ish seeded from
+resnet-toy and mobile-toy), and such a column takes the per-node order.
 
 The result equals a fresh stable argsort at every node bit for bit.  A
 node's rows stay in row order, and restricting a stable sort to a subset of

@@ -80,11 +80,15 @@ fp32 on the raw batch with its float weights: its output, before the
 boundary quantization, is the same for every configuration.  Given a
 ``memo`` (``make_accuracy_evaluator`` keeps one per graph and eval batch),
 the walk computes each such config-free output (``_config_free``) once,
-over the whole batch before the block loop, stores it read-only, and each
-block reads its slice; the boundary quantization still runs per
-configuration and per block.  One sgemm per image makes the whole-batch
-output and a block's the same bytes, so every result is bit-identical.
-Without a memo the walk computes every node.
+in its own blocks: the first walk keeps each block it computes, read-only,
+and stores their concatenation under the output's tensor id only once it
+has returned, so a walk that raises stores nothing.  A later walk reads
+its block's rows of the stored array, and only the boundary quantization
+runs per configuration and per block.  A fused layer writes its relu's
+tensor with the relu's values, so fused and unfused configurations share
+that entry.  One sgemm per image makes a block's bytes those of the whole
+batch, so every result is bit-identical with or without a memo.  Without
+a memo the walk computes every node.
 
 The OpTrace records the *semantic* operation categories of the quantized
 program, which is what the integer-only audit asserts over.  The walk
@@ -369,49 +373,51 @@ def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.nd
     raise ValueError(f"unknown node kind {node.kind!r}")  # pragma: no cover
 
 
-def _config_free(qg: QuantizedGraph, batch: np.ndarray, memo: dict) -> dict[str, np.ndarray]:
-    """By node id, the whole-batch fp32 output, before any boundary
-    quantization, of each node whose output is the same for every
-    configuration of the graph on one batch: a node not run on codes whose
-    data inputs are all config-free.  The raw input is config-free when it
-    carries no params, and so is such a node's output when it carries none
-    (a boundary's codes depend on its params).  Each is read from ``memo``,
-    or computed with one sgemm per image and stored there read-only, keyed
-    by its output tensor and ``fused_relu``, so a fused layer and an
-    unfused one never share an entry."""
-    free = {} if INPUT_TENSOR in qg.act_params else {INPUT_TENSOR: batch}
-    served = {}
+def _config_free(qg: QuantizedGraph, memo: dict) -> dict[str, np.ndarray | list]:
+    """By node id, each node whose fp32 output, before any boundary
+    quantization, is the same for every configuration of the graph on one
+    batch: a node not run on codes whose data inputs are all config-free.
+    The raw input is config-free when it carries no params, and so is such
+    a node's output when it carries none (a boundary's codes depend on its
+    params).  Each maps to ``memo``'s read-only whole-batch array under its
+    output tensor id, or to a fresh list for the walk's blocks when the
+    memo has none.  A fused layer writes its relu's tensor with exactly the
+    relu's values, so the tensor id alone is the key."""
+    free = set() if INPUT_TENSOR in qg.act_params else {INPUT_TENSOR}
+    kept = {}
     for node in qg.graph.nodes:
-        if qg.on_codes(node) or not all(t in free for t in node.data_inputs):
+        if qg.on_codes(node) or not free.issuperset(node.data_inputs):
             continue
-        key = (node.output, node.attrs.get("fused_relu", False))
-        if key not in memo:
-            memo[key] = _float_node(node, [free[t] for t in node.data_inputs], qg.graph.weights)
-            memo[key].flags.writeable = False
-        served[node.id] = memo[key]
+        kept[node.id] = memo.get(node.output, [])
         if node.output not in qg.act_params:
-            free[node.output] = memo[key]
-    return served
+            free.add(node.output)
+    return kept
 
 
 def _float_step(qg: QuantizedGraph, node: Node,
-                served: bool) -> Callable[[list[np.ndarray]], np.ndarray]:
+                kept: np.ndarray | list | None) -> Callable[[list[np.ndarray]], np.ndarray]:
     """The fp32 step of ``node`` in a quantized graph, lowered once per walk
     like ``_lower``: dequantize code inputs (only a FirstLastFp32 layer has
     them), run ``_float_node`` with one sgemm per image, quantize a code
-    output (the FirstLastFp32 boundary).  A ``served`` node's one input is
-    its own config-free fp32 output, so only the boundary runs."""
+    output (the FirstLastFp32 boundary).  ``kept`` is the node's entry of
+    ``_config_free``: with a whole-batch array, the node's one input is its
+    own block of it, so only the boundary runs; with a list, each block the
+    step computes is marked read-only and appended there."""
     p_out = qg.act_params.get(node.output)
 
     def boundary(out: np.ndarray) -> np.ndarray:
         return out if p_out is None else quantize_array(out, p_out).astype(np.float32)
-    if served:
+    if isinstance(kept, np.ndarray):
         return lambda xs: boundary(xs[0])
     params = [qg.act_params.get(t) for t in node.data_inputs]
 
     def step(xs: list[np.ndarray]) -> np.ndarray:
         xs = [x if p is None else dequantize_array(x, p) for x, p in zip(xs, params)]
-        return boundary(_float_node(node, xs, qg.graph.weights))
+        out = _float_node(node, xs, qg.graph.weights)
+        if kept is not None:
+            out.flags.writeable = False
+            kept.append(out)
+        return boundary(out)
     return step
 
 
@@ -419,13 +425,19 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
              memo: dict | None = None) -> np.ndarray:
     g = qg.graph
     batch = _check_batch(g, batch)
-    served = {} if memo is None else _config_free(qg, batch, memo)
+    kept = {} if memo is None else _config_free(qg, memo)
     steps = [_lower(qg, node) if qg.on_codes(node) else
-             _float_step(qg, node, node.id in served) for node in g.nodes]
+             _float_step(qg, node, kept.get(node.id)) for node in g.nodes]
     # host-side input quantization (not part of the traced graph program)
     p_in = qg.act_params.get(INPUT_TENSOR)
     enter = None if p_in is None else lambda x: quantize_array(x, p_in).astype(np.float32)
-    return _walk(g, batch, steps, sink, enter, served)
+    out = _walk(g, batch, steps, sink, enter,
+                {i: a for i, a in kept.items() if isinstance(a, np.ndarray)})
+    for node in g.nodes:  # only once the walk has returned
+        if isinstance(kept.get(node.id), list):
+            memo[node.output] = np.concatenate(kept[node.id])
+            memo[node.output].flags.writeable = False
+    return out
 
 
 def _events(qg: QuantizedGraph, node: Node, integer_only: bool) -> list[str]:
@@ -460,8 +472,10 @@ def run_quantized(qg: QuantizedGraph, batch: np.ndarray,
     ``sink(tensor_id, values)`` observes, block by block, the graph input,
     then every node output (int8 codes carried as float32 for quantized
     tensors; fp32 for tensors kept in float).  ``memo``, a dict kept for
-    one float graph and one ``batch`` across its configurations, serves the
-    config-free prefix (``_config_free``) computed by an earlier call."""
+    one float graph and one ``batch`` across its configurations, maps
+    tensor ids to config-free fp32 outputs (``_config_free``): the call
+    serves those an earlier call stored, and stores the others its walk
+    computed once the walk has returned."""
     t = qg.graph.output_tensor()
     if return_codes and t not in qg.act_params:
         raise ValueError("graph output is fp32; no codes to return")

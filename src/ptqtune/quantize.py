@@ -85,8 +85,11 @@ class QuantConfig:
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
         for name, values in DIMENSIONS.items():
-            if getattr(self, name) not in values:
-                raise ValueError(f"bad {name} {getattr(self, name)!r}")
+            v = getattr(self, name)
+            # by type as well as by value (a dimension's values share one
+            # type): 1 == True, but 1 is not a fusion flag
+            if v not in values or type(v) is not type(values[0]):
+                raise ValueError(f"bad {name} {v!r}")
 
     def to_dict(self) -> dict:
         return {name: _plain(getattr(self, name)) for name in DIMENSIONS}
@@ -95,7 +98,7 @@ class QuantConfig:
     def from_dict(cls, d: dict) -> "QuantConfig":
         # fusion is optional: records written before it existed lack it
         return cls(**{name: d[name] for name in DIMENSIONS if name != "fusion"},
-                   fusion=bool(d.get("fusion", False)))
+                   fusion=d.get("fusion", False))
 
 
 # What each deployment target pins; a dimension it does not name is free.

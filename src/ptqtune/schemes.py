@@ -18,11 +18,13 @@ dequant(c) = scale * (c - zero_point)
 ROUND is round-half-away-from-zero, applied identically in every scheme.
 Asymmetric ranges are first extended to include 0.0 so the real zero is
 always exactly representable and the zero point stays in [-128, 127].
-Degenerate ranges (max_abs = 0, or min = max = 0) get scale 1.0 so the
-constant maps to the scheme's zero code; the three symmetric schemes share
-that rule and their max_abs scale.  Scales are stored as fp32; the
-power-of-two scale is derived from the *stored* fp32 symmetric scale, which
-pins the audit property scale_p2/scale_sym in [1, 2) exactly.
+A degenerate range, whose fp32 scale is 0 (max_abs = 0, min = max = 0, or
+a range so narrow that its scale underflows, such as (0, 1e-44)), gets
+scale 1.0, so its values map to the scheme's zero code; the three
+symmetric schemes share that rule and their max_abs scale.  Scales are
+stored as fp32; the power-of-two scale is derived from the *stored* fp32
+symmetric scale, which pins the audit property scale_p2/scale_sym in
+[1, 2) exactly.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ def params_for_range(scheme: Scheme, vmin: float, vmax: float) -> QuantParams:
         if vmin > vmax:
             raise ValueError(f"min {vmin} > max {vmax}")
         vmin, vmax = min(vmin, 0.0), max(vmax, 0.0)  # keep 0.0 representable
-        if vmin == vmax:  # only possible when both are 0
-            return QuantParams(scale=np.float32(1.0), zero_point=0)
         scale = (vmax - vmin) / (QMAX - QMIN)
+        if np.float32(scale) == 0.0:  # degenerate
+            return QuantParams(scale=np.float32(1.0), zero_point=0)
         # zero point from the full-precision scale: a centered range like
         # (-1, 1) must land min/scale on an exact half so ROUND settles it,
         # which the fp32-rounded scale would miss by one ulp
@@ -103,9 +105,9 @@ def params_for_range(scheme: Scheme, vmin: float, vmax: float) -> QuantParams:
     max_abs = max(abs(vmin), abs(vmax))
     unsigned = scheme == Scheme.SymmetricUint8 and vmin >= 0.0
     zp = QMIN if unsigned else 0
-    if max_abs == 0.0:
-        return QuantParams(scale=np.float32(1.0), zero_point=zp)
     scale = np.float32(max_abs / ((QMAX - QMIN) if unsigned else QMAX))
+    if scale == 0.0:  # degenerate
+        return QuantParams(scale=np.float32(1.0), zero_point=zp)
     if scheme == Scheme.SymmetricPower2:
         scale = np.float32(2.0 ** ceil_log2(float(scale)))
     return QuantParams(scale=scale, zero_point=zp)

@@ -150,13 +150,21 @@ def load_db(path: str) -> list[TuningRecord]:
     return out
 
 
-def _check_request(strategy: str, space: list[QuantConfig], budget: int,
-                   seed_db: list[TuningRecord] | None, workers: int = 1) -> None:
-    """Reject a campaign request before anything is calibrated or measured."""
+def _check_request(strategy: str, features: ModelFeatures | None, space: list[QuantConfig],
+                   budget: int, seed_db: list[TuningRecord] | None, workers: int = 1) -> None:
+    """Reject a campaign request before anything is calibrated or measured.
+    The surrogate encodes model features, so xgb and xgb-t need them, and
+    so does every configured record of xgb-t's transfer database."""
     if strategy not in _PICKERS:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "xgb-t" and not seed_db:
-        raise ValueError("xgb-t requires a transfer database")
+    if strategy in ("xgb", "xgb-t") and features is None:
+        raise ValueError(f"{strategy} requires model features")
+    if strategy == "xgb-t":
+        if not seed_db:
+            raise ValueError("xgb-t requires a transfer database")
+        bare = [r.trial for r in seed_db if r.config is not None and r.features is None]
+        if bare:
+            raise ValueError(f"xgb-t transfer records of trials {bare} have no model features")
     if not space:
         raise ValueError("empty search space")
     if not 1 <= budget <= len(space):
@@ -366,10 +374,10 @@ def run_strategy(strategy: str, features: ModelFeatures | None,
     1 is rejected.  random and grid pick their whole budget in one list;
     xgb, xgb-t and genetic pick one config per list, so only the first two
     run trials in parallel.  Budget a picker leaves unspent (a stalled
-    genetic population) goes to uniform picks.  ``seed_db`` is read by
-    xgb-t, which requires one.
+    genetic population) goes to uniform picks.  ``features`` is read by xgb
+    and xgb-t, and ``seed_db`` by xgb-t; each requires what it reads.
     """
-    _check_request(strategy, space, budget, seed_db, workers)
+    _check_request(strategy, features, space, budget, seed_db, workers)
     camp = _Campaign(model_name, features, space, evaluate, budget)
     rng = np.random.default_rng(seed)
     for picks in _PICKERS[strategy](camp, rng, seed_db):

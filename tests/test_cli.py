@@ -8,9 +8,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ptqtune import (OpTrace, Scheme, build_cache, evaluate_quantized, load_dataset,
-                     load_db, load_model, load_quantized, make_dataset, quantize_model,
-                     run_quantized, save_dataset, save_quantized)
+from ptqtune import (OpTrace, Scheme, TuningRecord, build_cache, evaluate_quantized,
+                     load_dataset, load_db, load_model, load_quantized, make_dataset,
+                     quantize_model, record_db, run_quantized, save_dataset, save_quantized)
 from ptqtune.cli import main
 from ptqtune.container import read_container
 from ptqtune.quantize import QuantConfig
@@ -250,6 +250,21 @@ def test_tune_checks_the_request_before_calibrating(ws, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: xgb-t requires a transfer database\n"
     assert not (tmp_path / "never").exists()
+
+
+def test_tune_rejects_a_transfer_db_without_features_before_calibrating(ws, tmp_path, capsys):
+    db = tmp_path / "bare.jsonl"
+    record_db(str(db), [TuningRecord("donor", None, QuantConfig(), 0.5, 0.0, 1)])
+    assert json.loads(db.read_text())["features"] is None
+    with mock.patch("ptqtune.tuner.build_cache") as calibrate:
+        rc = main(["tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+                   "--dataset", str(ws / "dataset.qds"), "--strategy", "xgb-t",
+                   "--budget", "4", "--transfer-db", str(db), "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: xgb-t transfer records of trials [1] have no model features\n"
+    assert not (tmp_path / "never").exists()
+    calibrate.assert_not_called()
 
 
 def test_tune_rejects_fewer_than_one_worker_before_calibrating(ws, tmp_path, capsys):

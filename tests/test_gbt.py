@@ -111,7 +111,8 @@ def test_bad_inputs_rejected():
 
 def _identity_corpus():
     """Seeded training sets: random matrices of four kinds, then the encoded
-    GENERIC space, cold (target rows only) and warm (after 96 donor rows)."""
+    GENERIC space, cold (target rows only), warm (after 96 donor rows) and
+    warm from two donors (after 192 rows)."""
     from ptqtune import TargetProfile, enumerate_space, recipe_feature_counts
     rng = np.random.default_rng(2024)
     for case in range(160):
@@ -135,6 +136,13 @@ def _identity_corpus():
     target = np.stack([encode(recipe_feature_counts("lenet-ish"), c) for c in space])
     donor = np.stack([encode(recipe_feature_counts("resnet-toy"), c) for c in space])
     donor_y = 0.6 + 0.2 * donor[:, 2] + 0.1 * donor[:, 7] + 0.01 * rng.normal(size=96)
+    mobile = np.stack([encode(recipe_feature_counts("mobile-toy"), c) for c in space])
+    two = np.vstack([donor, mobile])
+    two_y = np.concatenate([donor_y, 0.55 + 0.2 * mobile[:, 3] + 0.1 * mobile[:, 8]
+                            + 0.01 * np.random.default_rng(2025).normal(size=96)])
+    # n_nodes, n_layers, n_conv and n_relu then take three values: the
+    # per-node-order class, which no one-donor case reaches
+    assert sum(len(np.unique(col)) == 3 for col in np.vstack([two, target]).T) == 4
     for case in range(24):
         picks = rng.permutation(96)[:int(rng.integers(3, 97))]
         y = 0.5 + 0.25 * target[picks, 2] + 0.1 * target[picks, 7] \
@@ -142,6 +150,7 @@ def _identity_corpus():
         hyper = {"n_trees": 30, "max_depth": 4}
         yield target[picks], y, hyper
         yield np.vstack([donor, target[picks]]), np.concatenate([donor_y, y]), hyper
+        yield np.vstack([two, target[picks]]), np.concatenate([two_y, y]), hyper
 
 
 def test_train_is_byte_identical_to_the_per_node_sort_reference(tmp_path):

@@ -559,8 +559,8 @@ def test_a_memo_computes_the_config_free_prefix_once_and_serves_it_read_only(ds)
         assert got.tobytes() == want.tobytes()
     # the maxpool and conv values are config-free; fc reads the boundary codes
     assert ran == ["m", "c0", "fc", "fc"]
-    assert set(memo) == {("t_m", False), ("t_c0", False)}
-    assert seen["t_m"] is memo[("t_m", False)]
+    assert set(memo) == {"t_m", "t_c0"}
+    assert seen["t_m"] is memo["t_m"]
     with pytest.raises(ValueError, match="read-only"):
         seen["t_m"] += 1
 
@@ -586,10 +586,86 @@ def test_the_memo_holds_the_first_layers_fp32_output_per_fused_flag(preset, requ
         run_quantized(quantize_model(g, cache, c), ds.eval_images[:4], memo=memo)
     # one entry without fusion, one with the first layer fused with its
     # relu, and none for a graph whose input is quantized
-    assert set(memo) == {(first.output, False), (g.sole_relu(first.output).output, True)}
+    assert set(memo) == {first.output, g.sole_relu(first.output).output}
     for out in memo.values():
         with pytest.raises(ValueError, match="read-only"):
             out[0] = 0
+
+
+def counting_float_node(ran):
+    """``intexec._float_node`` that appends (node id, images) to ``ran``."""
+    kernel = intexec._float_node
+
+    def counted(node, xs, weights):
+        ran.append((node.id, len(xs[0])))
+        return kernel(node, xs, weights)
+    return counted
+
+
+def test_filling_the_memo_runs_fp32_layers_on_the_walks_blocks(lenet, lenet_cache_s2, ds):
+    """No fp32 tensor is computed outside the walk: with one image per
+    block, the config-free first layer runs one image at a time."""
+    qg = quantize_model(lenet, lenet_cache_s2, first_last())
+    images = ds.eval_images[:6]
+    want = run_quantized(qg, images)
+    memo, ran = {}, []
+    with mock.patch.object(fp32, "_BLOCK", 1), \
+            mock.patch.object(intexec, "_float_node", counting_float_node(ran)):
+        got = run_quantized(qg, images, memo=memo)
+    assert got.tobytes() == want.tobytes()
+    assert list(memo) == [lenet.compute_nodes()[0].output]
+    assert ran and max(n for _, n in ran) == 1
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)], ids=["unfused-first",
+                                                                       "fused-first"])
+def test_fused_and_unfused_first_last_fp32_share_the_relus_entry(order, ds):
+    """One weighted layer is both first and last, so the whole graph stays
+    in fp32 and is config-free.  The fused conv writes the relu's tensor
+    with the relu's values, so whichever config runs second serves it, and
+    every block of a config-free tensor is read-only."""
+    g = generate_fixture("conv+relu", seed=1)
+    conv, relu = g.nodes
+    cache = build_cache(g, ds, "S2", seed=0)
+    images = ds.eval_images[:7]
+    memo = {}
+    for i, fusion in enumerate(order):
+        qg = quantize_model(g, cache, first_last(fusion=fusion))
+        want = run_quantized(qg, images)
+        ran, seen = [], []
+        with mock.patch.object(fp32, "_BLOCK", 3 * block_elements(qg.graph)), \
+                mock.patch.object(intexec, "_float_node", counting_float_node(ran)):
+            got = run_quantized(qg, images, memo=memo,
+                                sink=lambda t, v: seen.append((t, v.flags.writeable)))
+        assert got.tobytes() == want.tobytes(), fusion
+        assert not any(w for t, w in seen if t != INPUT_TENSOR)
+        if i == 0:
+            entry = memo[relu.output]
+    assert set(memo) == {conv.output, relu.output} and memo[relu.output] is entry
+    # second: the fused conv is served whole, or the unfused conv computes
+    # its own tensor in 3 blocks and the relu is served
+    assert [n for n, _ in ran] == ([] if order[1] else ["conv0"] * 3)
+    assert not any(out.flags.writeable for out in memo.values())
+
+
+def test_a_walk_that_raises_stores_nothing_in_the_memo(resnet, resnet_cache_s2, ds):
+    qg = quantize_model(resnet, resnet_cache_s2, first_last())
+    images = ds.eval_images[:7]
+    want = run_quantized(qg, images)
+    memo, blocks = {}, []
+
+    def sink(tensor, values):
+        if tensor == INPUT_TENSOR:
+            blocks.append(values)
+            if len(blocks) == 2:
+                raise RuntimeError("stop at the second block")
+    with mock.patch.object(fp32, "_BLOCK", 3 * block_elements(resnet)):
+        with pytest.raises(RuntimeError, match="second block"):
+            run_quantized(qg, images, memo=memo, sink=sink)
+        assert memo == {}
+        assert run_quantized(qg, images, memo=memo).tobytes() == want.tobytes()
+    assert list(memo) == ["t_conv0"]
+    assert run_quantized(qg, images, memo=memo).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- integer-only

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,38 @@ def test_config_validation():
     c = QuantConfig(scheme="Symmetric")  # string coerced to enum
     assert c.scheme is Scheme.Symmetric
     assert QuantConfig.from_dict(c.to_dict()) == c
+
+
+@pytest.mark.parametrize("value", [1, 0, "false", np.bool_(True)])
+def test_config_values_match_by_type(value):
+    # 1 == True and np.bool_(True) == True, but neither is the flag itself
+    with pytest.raises(ValueError, match="bad fusion"):
+        QuantConfig(fusion=value)
+    with pytest.raises(ValueError, match="bad fusion"):
+        QuantConfig.from_dict({**QuantConfig().to_dict(), "fusion": value})
+
+
+def test_load_rejects_a_config_whose_fusion_is_not_a_bool(tmp_path, lenet, lenet_cache_s2):
+    def tamper(header, buffers):
+        header["config"]["fusion"] = "false"
+
+    with pytest.raises(ValueError, match="bad fusion 'false'"):
+        load_quantized(_tampered(tmp_path, quantize_model(lenet, lenet_cache_s2, cfg()), tamper))
+
+
+@pytest.mark.parametrize("granularity", ["Tensor", "Channel"])
+def test_weights_whose_scale_underflows_round_trip(tmp_path, lenet, lenet_cache_s2, granularity):
+    # every fp32 weight scale of the first conv rounds to 0; the degenerate
+    # rule stores scale 1.0, which the loader accepts
+    w = lenet.compute_nodes()[0].weight_id
+    tiny = replace(lenet, weights={**lenet.weights, w: lenet.weights[w] * np.float32(1e-44)})
+    for scheme in Scheme:
+        qg = quantize_model(tiny, lenet_cache_s2, cfg(scheme=scheme, granularity=granularity))
+        assert (np.asarray(qg.weight_params[w].scale) == 1.0).all()
+        path = str(tmp_path / f"{scheme.value}.qtm8")
+        save_quantized(qg, path)
+        assert np.array_equal(load_quantized(path).weight_params[w].scale,
+                              qg.weight_params[w].scale)
 
 
 def test_per_channel_beats_per_tensor_on_small_channel():

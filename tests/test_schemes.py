@@ -1,6 +1,7 @@
 """Scheme arithmetic against hand-computed values and property checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ def test_per_channel_params_broadcast_on_axis0():
     back = dequantize_array(codes, p)
     assert np.abs(back[0] - w[0]).max() <= (1 / 127) / 2 + 1e-6
     assert np.abs(back[1] - w[1]).max() <= (100 / 127) / 2 + 1e-6
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("lo,hi", [(0.0, 1e-44), (-1e-44, 0.0), (-1e-44, 1e-44)])
+def test_a_range_whose_scale_underflows_is_degenerate(scheme, lo, hi):
+    # the fp32 scale of these ranges rounds to 0: the degenerate rule gives
+    # scale 1.0 and the scheme's zero code, and quantizing warns of nothing
+    p = params_for_range(scheme, lo, hi)
+    unsigned = scheme == Scheme.SymmetricUint8 and lo >= 0.0
+    assert float(p.scale) == 1.0 and p.zero_point == (QMIN if unsigned else 0)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = quantize_array(np.array([lo, 0.0, hi]), p)
+    assert codes.tolist() == [p.zero_point] * 3
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -126,21 +126,36 @@ def test_check_integer_only_rejects_what_the_profile_rejects(lenet, lenet_cache_
 
 def test_space_guardrails():
     with pytest.raises(ValueError):
-        _check_request("random", [], 1, None)
+        _check_request("random", FEATS, [], 1, None)
     with pytest.raises(ValueError):
-        _check_request("random", SPACE, 0, None)
+        _check_request("random", FEATS, SPACE, 0, None)
     with pytest.raises(ValueError):
-        _check_request("random", SPACE, 97, None)
+        _check_request("random", FEATS, SPACE, 97, None)
     with pytest.raises(ValueError):
-        _check_request("random", [SPACE[0], SPACE[0]], 1, None)
+        _check_request("random", FEATS, [SPACE[0], SPACE[0]], 1, None)
     with pytest.raises(ValueError, match="unknown strategy 'annealing'"):
-        _check_request("annealing", SPACE, 1, None)
+        _check_request("annealing", FEATS, SPACE, 1, None)
     for seed_db in (None, []):
         with pytest.raises(ValueError, match="xgb-t requires a transfer database"):
-            _check_request("xgb-t", SPACE, 1, seed_db)
-    _check_request("xgb-t", SPACE, 96, donor_db())
+            _check_request("xgb-t", FEATS, SPACE, 1, seed_db)
+    _check_request("xgb-t", FEATS, SPACE, 96, donor_db())
     with pytest.raises(ValueError, match="^workers 0 is not >= 1$"):
-        _check_request("random", SPACE, 4, None, 0)
+        _check_request("random", FEATS, SPACE, 4, None, 0)
+
+
+def test_xgb_needs_model_features_before_any_trial():
+    def never(cfg):
+        raise AssertionError("measured")
+    for strategy in ("xgb", "xgb-t"):
+        with pytest.raises(ValueError, match=f"^{strategy} requires model features$"):
+            run_strategy(strategy, None, SPACE, never, budget=4, seed_db=donor_db())
+    bare = donor_db()
+    bare[2] = replace(bare[2], features=None)
+    bare.append(TuningRecord("donor", None, None, 0.9, 0.0, 0))  # a baseline row is not read
+    with pytest.raises(ValueError, match=r"^xgb-t transfer records of trials \[3\] have no "
+                                         r"model features$"):
+        run_strategy("xgb-t", FEATS, SPACE, never, budget=4, seed_db=bare)
+    run_strategy("random", None, SPACE, lambda cfg: 0.5, budget=2)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -280,7 +295,7 @@ def test_a_shared_evaluator_scores_every_config_as_a_memo_free_run(resnet, noisy
     first, second = memos[0], memos[-1]
     assert first is not second
     assert all(m is first for m in memos[:96]) and all(m is second for m in memos[96:])
-    assert list(first) == list(second) == [("t_conv0", False)]
+    assert list(first) == list(second) == ["t_conv0"]
 
 
 def test_an_evaluator_keeps_fused_and_unfused_first_layers_apart(resnet, noisy):
@@ -425,8 +440,10 @@ def test_db_rejects_future_schema(tmp_path):
     lambda d: {**d, "config": {**d["config"], "scheme": "Int4"}},
     lambda d: {**d, "features": 3},
     lambda d: "record",
+    lambda d: {**d, "config": {**d["config"], "fusion": "false"}},
+    lambda d: {**d, "config": {**d["config"], "fusion": 1}},
 ], ids=["no-fields", "array", "top1-list", "top1-nan", "features-no-key", "config-no-scheme",
-        "unknown-scheme", "features-int", "string"])
+        "unknown-scheme", "features-int", "string", "fusion-string", "fusion-int"])
 def test_db_rejects_malformed_records_with_value_error(tmp_path, edit):
     good = TuningRecord("m", FEATS, SPACE[0], 0.5, 0.0, 1).to_json()
     p = tmp_path / "db.jsonl"
