@@ -74,6 +74,8 @@ def _emit(text: str, out: str | None, arts: _Artifacts) -> None:
 
 
 def cmd_gen_fixtures(args, arts: _Artifacts) -> None:
+    d = make_dataset(n_calib=args.n_calib, n_eval=args.n_eval,
+                     seed=args.seed, noise=args.noise)
     os.makedirs(args.out, exist_ok=True)
     flags = _flags(args)
     produced = {}
@@ -83,8 +85,6 @@ def cmd_gen_fixtures(args, arts: _Artifacts) -> None:
         save_model(g, path, meta=flags)
         arts.note(path)
         produced[g.name] = os.path.basename(path)
-    d = make_dataset(n_calib=args.n_calib, n_eval=args.n_eval,
-                     seed=args.seed, noise=args.noise)
     ds_path = os.path.join(args.out, "dataset.qds")
     save_dataset(d, ds_path, meta=flags)
     arts.note(ds_path)

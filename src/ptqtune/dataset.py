@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import _malformed_header, read_container, write_container
+from .ir import is_integer
 
 _TEMPLATE_SEED = 77041  # fixed: templates are part of the data definition
 
@@ -65,6 +66,8 @@ class Dataset:
 
 def make_dataset(n_calib: int = 300, n_eval: int = 200, seed: int = 0,
                  noise: float = 0.25) -> Dataset:
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise {noise} is not a finite number >= 0")
     rng = np.random.default_rng(seed)
     n = n_calib + n_eval
     labels = rng.integers(0, N_CLASSES, size=n)
@@ -92,4 +95,7 @@ def load_dataset(path: str) -> Dataset:
             raise ValueError(f"{path}: labels are {labels.dtype}, not integers")
         if ((labels < 0) | (labels >= N_CLASSES)).any():
             raise ValueError(f"{path}: labels must lie in [0, {N_CLASSES})")
-        return Dataset(images=images, labels=labels, n_calib=int(header["n_calib"]))
+        n_calib = header["n_calib"]
+        if not is_integer(n_calib):
+            raise ValueError(f"{path}: n_calib {n_calib!r} is not an integer")
+        return Dataset(images=images, labels=labels, n_calib=n_calib)

@@ -34,8 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Dataset
-from .ir import (COMPUTE_KINDS, INPUT_TENSOR, Graph, Node, conv_args, out_size, pool_args,
-                 propagate_shapes)
+from .ir import (COMPUTE_KINDS, INPUT_TENSOR, Graph, Node, conv_args, fused_relu, out_size,
+                 pool_args, propagate_shapes)
 
 ObserverSink = Callable[[str, np.ndarray], None]
 Step = Callable[[list[np.ndarray]], np.ndarray]
@@ -132,7 +132,7 @@ def _float_node(node: Node, xs: list[np.ndarray], weights: dict[str, np.ndarray]
             out = depthwise_conv2d(x, w, b, *conv_args(node))
         else:
             out = conv2d(x, w, b, *conv_args(node))
-        if node.attrs.get("fused_relu", False):
+        if fused_relu(node):
             out = np.maximum(out, np.float32(0))
     elif node.kind == "relu":
         out = np.maximum(x, np.float32(0))

@@ -20,8 +20,8 @@ each column by its number of distinct values.  A constant column has no
 candidate and is never searched.  A two-valued column has one candidate per
 node, the boundary between its values; its left sums come from a low-value
 mask fixed before the first tree, summed in row order.  A column with more
-values keeps a per-node row order: each child takes its parent's order
-through a stable boolean filter, so no column is sorted twice.  Every
+values is searched in the root's sorted order filtered to the node's own
+rows by a stable boolean mask, so no column is sorted twice.  Every
 encoded feature is a one-hot flag or a per-model count, so a cold campaign,
 or one seeded from a single other model, puts each column in the first two
 classes (the pre-binned split finding of XGBoost's ``hist`` method, Chen &
@@ -121,8 +121,9 @@ class _Presorted:
     ``two`` columns hold exactly two values; ``left`` is their ``x < high``
     mask in row order.  ``many`` columns hold three or more (or a NaN, which
     only the sorted path orders as exact greedy does); ``order`` holds the
-    stable sort of each, one row of row indices per column.  Columns with one
-    value never split and are in neither class.
+    stable sort of each, one row of row indices per column, which each
+    searching node filters to its own rows.  Columns with one value never
+    split and are in neither class.
     """
 
     def __init__(self, X: np.ndarray):
@@ -151,41 +152,33 @@ class _Presorted:
         # the others: one cumsum over a node's rows gives its GL and HL
         self.left_gh = np.hstack((np.where(self.left, g[:, None], 0.0), 2.0 * self.left))
         self.delta = np.zeros(len(g))
-        tree = self._grow(np.arange(len(g)), self.order, 0, hyper, gain_acc)
+        tree = self._grow(np.arange(len(g)), 0, hyper, gain_acc)
         return tree, self.delta
 
-    def _grow(self, rows: np.ndarray, order: np.ndarray, depth: int,
-              hyper: dict, gain_acc: np.ndarray) -> dict:
-        """The subtree over ``rows`` (ascending), whose many-valued columns
-        are sorted by ``order``; writes its leaf weights into ``delta``."""
+    def _grow(self, rows: np.ndarray, depth: int, hyper: dict,
+              gain_acc: np.ndarray) -> dict:
+        """The subtree over ``rows`` (ascending); writes its leaf weights
+        into ``delta``."""
         lam = hyper["lam"]
         G, H = self.g[rows].sum(), 2.0 * len(rows)
         found = None
         if depth < hyper["max_depth"] and len(rows) >= 2:
-            found = self._best_split(rows, order, G, H, lam, hyper["gamma"])
+            found = self._best_split(rows, G, H, lam, hyper["gamma"])
         if found is None:
             w = leaf_weight(G, H, lam)
             self.delta[rows] = w
             return {"leaf": w}
         f, thr, gain, go_left = found
         gain_acc[f] += gain
-        rows_l, rows_r = rows[go_left], rows[~go_left]
-        order_l = order_r = order
-        if len(self.many) and depth + 1 < hyper["max_depth"]:
-            member = np.zeros(len(self.X), dtype=bool)
-            member[rows_l] = True
-            m = member[order]  # a stable filter keeps each column sorted
-            order_l = order[m].reshape(len(self.many), -1)
-            order_r = order[~m].reshape(len(self.many), -1)
         return {
             "feature": f,
             "threshold": thr,
-            "left": self._grow(rows_l, order_l, depth + 1, hyper, gain_acc),
-            "right": self._grow(rows_r, order_r, depth + 1, hyper, gain_acc),
+            "left": self._grow(rows[go_left], depth + 1, hyper, gain_acc),
+            "right": self._grow(rows[~go_left], depth + 1, hyper, gain_acc),
         }
 
-    def _best_split(self, rows: np.ndarray, order: np.ndarray, G: np.float64,
-                    H: float, lam: float, gamma: float
+    def _best_split(self, rows: np.ndarray, G: np.float64, H: float,
+                    lam: float, gamma: float
                     ) -> tuple[int, float, float, np.ndarray] | None:
         """(feature, threshold, gain, left mask over ``rows``) of the best
         split, or None when no split has positive gain.  Ties go to the
@@ -198,6 +191,9 @@ class _Presorted:
             # HL % H == 0 exactly when one side of the split is empty
             best[self.two] = np.where(HL % H, _gains(GL, HL, G, H, lam, gamma), -np.inf)
         if len(self.many):
+            member = np.zeros(len(self.X), dtype=bool)
+            member[rows] = True  # a stable filter keeps each column sorted
+            order = self.order[member[self.order]].reshape(len(self.many), -1)
             Xs = self.X[order, self.many[:, None]]
             GL = self.g[order].cumsum(axis=1)[:, :-1]
             gains = _gains(GL, 2.0 * np.arange(1, n), G, H, lam, gamma)

@@ -108,7 +108,7 @@ import numpy as np
 from .dataset import Dataset
 from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _walk, _windows,
                    maxpool, top1_from_scores)
-from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, pool_args
+from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, fused_relu, pool_args
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 
@@ -314,7 +314,7 @@ def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.nd
         zx = int(params[0].zero_point)
         accumulate = _accumulator(node, zx, w)
         b = None if node.bias_id is None else qg.graph.weights[node.bias_id]
-        lo = zo if node.attrs.get("fused_relu", False) else QMIN  # a fused relu
+        lo = zo if fused_relu(node) else QMIN  # a fused relu
         rescale = _rescaler(2 if node.kind == "fully_connected" else 4,
                             float(params[0].scale) * np.asarray(wp.scale, dtype=np.float64),
                             so, zo, bias=b, bound=_tap_bound(w, zx), lo=lo)
@@ -444,7 +444,7 @@ def _events(qg: QuantizedGraph, node: Node, integer_only: bool) -> list[str]:
     """The operation categories one run of ``node`` adds to the trace, in
     the order its step performs them.  ``integer_only`` only labels each
     requantize multiplier, an exact 2**k on an eligible graph, as a shift."""
-    fused = ["clamp"] if node.attrs.get("fused_relu", False) else []
+    fused = ["clamp"] if fused_relu(node) else []
     if not qg.on_codes(node):
         dequantize = ["int_add", "float_mul"] * sum(t in qg.act_params for t in node.data_inputs)
         step = (["float_kernel", *fused] if node.kind in COMPUTE_KINDS else

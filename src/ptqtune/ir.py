@@ -106,6 +106,16 @@ class Graph:
         return [n for n in self.nodes if n.kind in COMPUTE_KINDS]
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer: a Python or numpy int, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def fused_relu(node: Node) -> bool:
+    """Whether a weighted layer applies the relu fused into it."""
+    return node.attrs.get("fused_relu", False)
+
+
 def conv_args(node: Node) -> tuple[int, int]:
     """(stride, padding) of a conv-family node; they default to 1 and 0."""
     return int(node.attrs.get("stride", 1)), int(node.attrs.get("padding", 0))
@@ -139,6 +149,13 @@ def propagate_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
         fewest, most, takes = _ARITY[n.kind]
         if not fewest <= len(n.inputs) <= most:
             raise GraphError(f"node {n.id}: {n.kind} takes {takes}")
+        for name in ("stride", "padding", "kernel"):
+            if name in n.attrs and not is_integer(n.attrs[name]):
+                raise GraphError(f"node {n.id}: {name} {n.attrs[name]!r} is not an integer")
+        if "fused_relu" in n.attrs and not (n.kind in COMPUTE_KINDS
+                                            and isinstance(n.attrs["fused_relu"], bool)):
+            raise GraphError(f"node {n.id}: fused_relu {n.attrs['fused_relu']!r} is not "
+                             "a bool on a weighted layer")
         for t in n.data_inputs:
             if t not in shapes:
                 raise GraphError(f"node {n.id}: input {t!r} not defined before use")
@@ -259,8 +276,15 @@ class ModelFeatures:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelFeatures":
-        return cls(**{f.name: d[f.name] for f in fields(cls)}
-                   | {"activation_kinds": dict(d["activation_kinds"])})
+        """The features a tuning record stores; every count must be an
+        integer (the constructor checks nothing, for speed)."""
+        f = cls(**{f.name: d[f.name] for f in fields(cls)}
+                | {"activation_kinds": dict(d["activation_kinds"])})
+        counts = {**vars(f), **{f"activation_kinds.{k}": v for k, v in f.activation_kinds.items()}}
+        bad = {k: v for k, v in counts.items() if k != "activation_kinds" and not is_integer(v)}
+        if bad:
+            raise ValueError(f"model feature counts {bad} are not integers")
+        return f
 
 
 def extract_features(g: Graph) -> ModelFeatures:

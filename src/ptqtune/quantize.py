@@ -46,7 +46,7 @@ from .calibration import SIZE_CLASSES, CalibrationCache
 from .clipping import clipped_range
 from .container import _malformed_header, canonical_json, read_container, write_container
 from .ir import (COMPUTE_KINDS, Graph, GraphError, INPUT_TENSOR, Node, UNIT_KINDS,
-                 _graph_from_header, _graph_header, check_names, propagate_shapes)
+                 _graph_from_header, _graph_header, check_names, fused_relu, propagate_shapes)
 from .schemes import (QMAX, QMIN, QuantParams, Scheme, params_for_range, quantize_array,
                       round_half_away)
 
@@ -149,7 +149,7 @@ class QuantizedGraph:
     @property
     def fused(self) -> bool:
         """Whether some node carries ``fused_relu``."""
-        return any(n.attrs.get("fused_relu", False) for n in self.graph.nodes)
+        return any(fused_relu(n) for n in self.graph.nodes)
 
     def on_codes(self, node: Node) -> bool:
         """Whether ``node`` runs on int8 codes: its output carries codes and

@@ -48,7 +48,7 @@ from . import gbt
 from .calibration import build_cache
 from .dataset import Dataset
 from .intexec import evaluate_quantized
-from .ir import Graph, ModelFeatures
+from .ir import Graph, ModelFeatures, is_integer
 from .quantize import CACHE_SIZES, DIMENSIONS, QuantConfig, TargetProfile, quantize_model
 from .quantize import GENERIC, INTEGER_ONLY, PROFILES  # noqa: F401  (re-exported)
 
@@ -71,6 +71,24 @@ def _finite_top1(v) -> float:
     if not math.isfinite(top1):
         raise ValueError(f"top1 {top1} is not finite")
     return top1
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# what each field of a stored record must hold to be written back as read;
+# checked on load only, since campaigns build records by the hundred
+_RECORD_FIELDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "v": (lambda v: is_integer(v) and v == DB_SCHEMA_VERSION,
+          f"the schema version {DB_SCHEMA_VERSION}"),
+    "model": (lambda v: isinstance(v, str), "a string"),
+    "top1": (_finite_number, "a finite number"),
+    "timestamp": (_finite_number, "a finite number"),
+    "trial": (lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
+    "error": (lambda v: isinstance(v, bool), "a bool"),
+    "error_msg": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
 @dataclass
@@ -104,17 +122,19 @@ class TuningRecord:
         d = json.loads(line)
         if not isinstance(d, dict):
             raise ValueError(f"a record is a JSON object, not {type(d).__name__}")
-        if d.get("v", DB_SCHEMA_VERSION) != DB_SCHEMA_VERSION:
-            raise ValueError(f"unsupported record schema version {d['v']}")
+        d = {"v": DB_SCHEMA_VERSION, "error": False, "error_msg": None, **d}
+        for key, (ok, what) in _RECORD_FIELDS.items():
+            if not ok(d[key]):
+                raise ValueError(f"{key} {d[key]!r} is not {what}")
         return cls(
             model_name=d["model"],
-            features=ModelFeatures.from_dict(d["features"]) if d["features"] else None,
-            config=QuantConfig.from_dict(d["config"]) if d["config"] else None,
-            top1=_finite_top1(d["top1"]),
+            features=None if d["features"] is None else ModelFeatures.from_dict(d["features"]),
+            config=None if d["config"] is None else QuantConfig.from_dict(d["config"]),
+            top1=float(d["top1"]),
             timestamp=float(d["timestamp"]),
-            trial=int(d["trial"]),
-            error=bool(d.get("error", False)),
-            error_msg=d.get("error_msg"),
+            trial=d["trial"],
+            error=d["error"],
+            error_msg=d["error_msg"],
         )
 
 
@@ -145,7 +165,7 @@ def load_db(path: str) -> list[TuningRecord]:
                 continue
             try:
                 out.append(TuningRecord.from_json(line))
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError, OverflowError) as e:
                 raise ValueError(f"{path}:{lineno}: not a tuning record: {e!r}") from e
     return out
 
@@ -154,7 +174,8 @@ def _check_request(strategy: str, features: ModelFeatures | None, space: list[Qu
                    budget: int, seed_db: list[TuningRecord] | None, workers: int = 1) -> None:
     """Reject a campaign request before anything is calibrated or measured.
     The surrogate encodes model features, so xgb and xgb-t need them, and
-    so does every configured record of xgb-t's transfer database."""
+    so does every configured record of xgb-t's transfer database.  The
+    genetic picker's encoding needs a space that is a full cross product."""
     if strategy not in _PICKERS:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy in ("xgb", "xgb-t") and features is None:
@@ -171,6 +192,8 @@ def _check_request(strategy: str, features: ModelFeatures | None, space: list[Qu
         raise ValueError(f"budget {budget} not in [1, {len(space)}]")
     if len(set(space)) != len(space):
         raise ValueError("search space contains duplicates")
+    if strategy == "genetic":
+        _space_dims(space)  # the GA encoding needs a full cross product
     if workers < 1:
         raise ValueError(f"workers {workers} is not >= 1")
 

@@ -10,7 +10,8 @@ import pytest
 
 from ptqtune import (OpTrace, Scheme, TuningRecord, build_cache, evaluate_quantized,
                      load_dataset, load_db, load_model, load_quantized, make_dataset,
-                     quantize_model, record_db, run_quantized, save_dataset, save_quantized)
+                     quantize_model, recipe_feature_counts, record_db, run_quantized,
+                     save_dataset, save_quantized)
 from ptqtune.cli import main
 from ptqtune.container import read_container
 from ptqtune.quantize import QuantConfig
@@ -265,6 +266,32 @@ def test_tune_rejects_a_transfer_db_without_features_before_calibrating(ws, tmp_
         "error: xgb-t transfer records of trials [1] have no model features\n"
     assert not (tmp_path / "never").exists()
     calibrate.assert_not_called()
+
+
+def test_tune_rejects_a_transfer_db_with_a_count_that_is_not_an_integer(ws, tmp_path, capsys):
+    # before, a null count passed the request check and raised a TypeError
+    # inside the picker, after all three caches were calibrated
+    db = tmp_path / "null.jsonl"
+    feats = recipe_feature_counts("resnet-toy")
+    record_db(str(db), [TuningRecord("donor", feats, QuantConfig(), 0.5, 0.0, 1)])
+    db.write_text(db.read_text().replace(f'"n_nodes": {feats.n_nodes}', '"n_nodes": null'))
+    with mock.patch("ptqtune.tuner.build_cache") as calibrate:
+        rc = main(["tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+                   "--dataset", str(ws / "dataset.qds"), "--strategy", "xgb-t",
+                   "--budget", "4", "--transfer-db", str(db), "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {db}:1: not a tuning record")
+    assert not (tmp_path / "never").exists()
+    calibrate.assert_not_called()
+
+
+def test_gen_fixtures_rejects_a_nan_noise_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "ws"
+    rc = main(["gen-fixtures", "--out", str(out), "--n-calib", "2", "--n-eval", "2",
+               "--noise", "nan"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: noise nan is not a finite number >= 0\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_tune_rejects_fewer_than_one_worker_before_calibrating(ws, tmp_path, capsys):

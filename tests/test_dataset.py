@@ -56,6 +56,22 @@ def test_bad_split_rejected():
         Dataset(images=imgs, labels=labels[:3], n_calib=2)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+def test_make_dataset_rejects_noise_that_is_not_a_finite_nonnegative_number(noise):
+    with pytest.raises(ValueError, match=f"^noise {noise} is not a finite number >= 0$"):
+        make_dataset(n_calib=2, n_eval=2, noise=noise)
+
+
+@pytest.mark.parametrize("n_calib", [True, 1.5, "2"])
+def test_load_rejects_an_n_calib_that_is_not_an_integer(tmp_path, n_calib):
+    from ptqtune.container import write_container
+    d = make_dataset(n_calib=2, n_eval=2)
+    p = tmp_path / "d.qds"
+    write_container(str(p), "qds", {"n_calib": n_calib}, [d.images, d.labels])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: n_calib {n_calib!r} is not"):
+        load_dataset(str(p))
+
+
 def test_wrong_format_rejected(tmp_path, lenet):
     from ptqtune import save_model
     p = tmp_path / "m.qtm"

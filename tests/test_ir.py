@@ -185,6 +185,30 @@ def test_weight_and_bias_that_do_not_fit_are_rejected_naming_the_node(tamper, no
         validate(g)
 
 
+@pytest.mark.parametrize("node, attr, value", [
+    ("conv0", "stride", 1.5), ("conv0", "stride", "2"), ("conv0", "stride", True),
+    ("conv0", "padding", 0.9), ("maxp2", "kernel", 2.5), ("maxp2", "stride", None),
+    ("conv0", "fused_relu", "no"), ("conv0", "fused_relu", 1), ("relu1", "fused_relu", True),
+], ids=["stride-float", "stride-str", "stride-bool", "padding-float", "kernel-float",
+        "pool-stride-null", "fused-str", "fused-int", "fused-on-relu"])
+def test_load_rejects_node_attributes_of_the_wrong_type_naming_the_node(tmp_path, lenet,
+                                                                        node, attr, value):
+    # each value once ran as some other one: a 1.5 stride as 1, "no" as fused
+    from ptqtune.ir import _graph_header
+    header = {**_graph_header(lenet), "weight_order": sorted(lenet.weights)}
+    next(n for n in header["nodes"] if n["id"] == node)["attrs"][attr] = value
+    p = tmp_path / "tampered.qtm"
+    write_container(str(p), "qtm", header, [lenet.weights[k] for k in header["weight_order"]])
+    with pytest.raises(GraphError, match=f"^node {node}: {attr} "):
+        load_model(str(p))
+
+
+def test_numpy_integer_attributes_pass():
+    g = tiny_graph()
+    g.nodes[0].attrs.update(stride=np.int64(1), padding=np.int32(0), fused_relu=False)
+    assert propagate_shapes(g)["t0"] == (2, 4, 4)
+
+
 def test_a_bias_read_by_two_layers_is_rejected(tmp_path):
     # each layer's bias is quantized at its own input scale, so one array
     # cannot serve two layers

@@ -47,6 +47,20 @@ def test_load_rejects_a_config_whose_fusion_is_not_a_bool(tmp_path, lenet, lenet
         load_quantized(_tampered(tmp_path, quantize_model(lenet, lenet_cache_s2, cfg()), tamper))
 
 
+@pytest.mark.parametrize("node, attr, value", [
+    ("conv0", "stride", 1.5), ("conv3", "padding", "0"), ("maxp2", "kernel", 2.5),
+    ("conv0", "fused_relu", "no"), ("maxp2", "fused_relu", False),
+], ids=["stride-float", "padding-str", "kernel-float", "fused-str", "fused-on-maxpool"])
+def test_load_rejects_node_attributes_of_the_wrong_type(tmp_path, lenet, lenet_cache_s2,
+                                                        node, attr, value):
+    def tamper(header, buffers):
+        next(n for n in header["nodes"] if n["id"] == node)["attrs"][attr] = value
+
+    qg = quantize_model(lenet, lenet_cache_s2, cfg(fusion=True))
+    with pytest.raises(GraphError, match=f"^node {node}: {attr} "):
+        load_quantized(_tampered(tmp_path, qg, tamper))
+
+
 @pytest.mark.parametrize("granularity", ["Tensor", "Channel"])
 def test_weights_whose_scale_underflows_round_trip(tmp_path, lenet, lenet_cache_s2, granularity):
     # every fp32 weight scale of the first conv rounds to 0; the degenerate

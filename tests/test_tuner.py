@@ -381,6 +381,18 @@ def test_ga_needs_full_cross_product():
         run_strategy("genetic", FEATS, SPACE[:7], table_evaluator(), budget=3)
 
 
+def test_the_request_check_rejects_a_partial_space_for_genetic_alone():
+    def never(cfg):
+        raise AssertionError("measured")
+    partial = SPACE[:95]
+    with pytest.raises(ValueError, match="not a full cross product"):
+        _check_request("genetic", FEATS, partial, 4, None)
+    with pytest.raises(ValueError, match="not a full cross product"):
+        run_strategy("genetic", FEATS, partial, never, budget=4)
+    for strategy in ("xgb", "random", "grid"):
+        _check_request(strategy, FEATS, partial, 4, None)
+
+
 # --------------------------------------------------------------- database io
 
 def test_db_round_trip_and_append(tmp_path):
@@ -442,8 +454,35 @@ def test_db_rejects_future_schema(tmp_path):
     lambda d: "record",
     lambda d: {**d, "config": {**d["config"], "fusion": "false"}},
     lambda d: {**d, "config": {**d["config"], "fusion": 1}},
+    lambda d: {**d, "error": "false"},
+    lambda d: {**d, "error": 0},
+    lambda d: {**d, "trial": 2.7},
+    lambda d: {**d, "trial": -1},
+    lambda d: {**d, "trial": True},
+    lambda d: {**d, "top1": "0.5"},
+    lambda d: {**d, "top1": True},
+    lambda d: {**d, "top1": 10**400},  # an int that overflows a float
+    lambda d: {**d, "timestamp": float("nan")},
+    lambda d: {**d, "timestamp": "0"},
+    lambda d: {**d, "v": True},
+    lambda d: {**d, "v": 1.0},
+    lambda d: {**d, "model": 3},
+    lambda d: {**d, "error": True, "error_msg": 5},
+    lambda d: {**d, "config": {}},  # once read as a baseline row
+    lambda d: {**d, "features": False},
+    lambda d: {**d, "features": {**d["features"], "n_nodes": "seven"}},
+    lambda d: {**d, "features": {**d["features"], "n_nodes": None}},
+    lambda d: {**d, "features": {**d["features"], "n_nodes": True}},
+    lambda d: {**d, "features": {**d["features"], "n_nodes": 7.5}},
+    lambda d: {**d, "features": {**d["features"],
+                                 "activation_kinds": {**d["features"]["activation_kinds"],
+                                                      "relu": "2"}}},
 ], ids=["no-fields", "array", "top1-list", "top1-nan", "features-no-key", "config-no-scheme",
-        "unknown-scheme", "features-int", "string", "fusion-string", "fusion-int"])
+        "unknown-scheme", "features-int", "string", "fusion-string", "fusion-int",
+        "error-string", "error-int", "trial-float", "trial-negative", "trial-bool",
+        "top1-string", "top1-bool", "top1-huge", "timestamp-nan", "timestamp-string",
+        "v-bool", "v-float", "model-int", "error-msg-int", "config-empty", "features-false",
+        "count-string", "count-null", "count-bool", "count-float", "activation-string"])
 def test_db_rejects_malformed_records_with_value_error(tmp_path, edit):
     good = TuningRecord("m", FEATS, SPACE[0], 0.5, 0.0, 1).to_json()
     p = tmp_path / "db.jsonl"
