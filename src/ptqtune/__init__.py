@@ -14,10 +14,9 @@ from .dataset import Dataset, class_templates, load_dataset, make_dataset, save_
 from .fixtures import FIXTURE_RECIPES, generate_fixture, recipe_feature_counts
 from .fp32 import (AccuracyResult, avgpool, conv2d, depthwise_conv2d,
                    evaluate_top1, maxpool, run_fp32, softmax, top1_from_scores)
-from .gbt import GBTModel, feature_importance, predict, save_gbt, train
+from .gbt import GBTModel, feature_importance, predict, train
 from .intexec import (IntegerOnlyError, OpTrace, check_integer_only,
-                      evaluate_quantized, requantize, run_integer_only,
-                      run_quantized)
+                      evaluate_quantized, run_integer_only, run_quantized)
 from .ir import (Graph, GraphError, ModelFeatures, Node, extract_features,
                  load_model, propagate_shapes, save_model, validate)
 from .quantize import (QuantConfig, QuantizedGraph, load_quantized, model_size,
@@ -42,8 +41,8 @@ __all__ = [
     "make_accuracy_evaluator", "make_dataset",
     "maxpool", "model_size", "params_for_range",
     "predict", "propagate_shapes", "quantize_array", "quantize_model",
-    "quantize_weights", "recipe_feature_counts", "record_db", "requantize",
+    "quantize_weights", "recipe_feature_counts", "record_db",
     "run_fp32", "run_integer_only", "run_quantized", "run_strategy",
-    "save_cache", "save_dataset", "save_gbt", "save_model", "save_quantized",
+    "save_cache", "save_dataset", "save_model", "save_quantized",
     "softmax", "top1_from_scores", "train", "validate",
 ]

@@ -152,9 +152,8 @@ def cmd_eval(args, arts: _Artifacts) -> None:
             report["trace"] = args.trace
     report["top1"] = res.top1
     report["n_evaluated"] = res.n_evaluated
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write_text(args.out, text, arts)
+        _write_json(args.out, report, arts)
     print(f"top1 {res.top1:.4f} on {res.n_evaluated} images")
 
 

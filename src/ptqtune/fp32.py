@@ -5,8 +5,8 @@ over the ten node kinds; node attributes and window geometry come from
 ``ir`` (``conv_args``, ``pool_args``, ``out_size``).  ``run_fp32`` is
 ``_walk`` over it, whose sink observes every fp32 tensor (calibration,
 planted fixture heads).  The quantized executor (``intexec``) runs
-``_walk`` with its own steps, and reuses ``maxpool`` and the window views
-(``_taps``, ``_windows``) on integer codes.  Convolutions lower to im2col
+``_walk`` with its own steps, and reuses ``maxpool``, ``_tap_reduce`` and
+``_windows`` on integer codes.  Convolutions lower to im2col
 + sgemm so accumulation happens in fp32, like a deployed fp32 baseline
 would; the test suite pins this against a scalar brute-force oracle at
 1e-5 relative tolerance.  Also hosts top-1 evaluation.
@@ -86,14 +86,23 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
-def _taps(x: np.ndarray, kh: int, kw: int, stride: int):
-    """The kh*kw strided (N, C, OH, OW) views whose elementwise sum or max
+def _taps(x: np.ndarray, k: int, stride: int):
+    """The k*k strided (N, C, OH, OW) views whose elementwise sum or max
     over a window position is that window's sum or max; unpadded."""
-    oh, ow = out_size(x.shape[2], kh, stride), out_size(x.shape[3], kw, stride)
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, x[:, :, i:i + stride * (oh - 1) + 1:stride,
-                          j:j + stride * (ow - 1) + 1:stride]
+    oh, ow = out_size(x.shape[2], k, stride), out_size(x.shape[3], k, stride)
+    for i in range(k):
+        for j in range(k):
+            yield x[:, :, i:i + stride * (oh - 1) + 1:stride, j:j + stride * (ow - 1) + 1:stride]
+
+
+def _tap_reduce(x: np.ndarray, k: int, stride: int, ufunc: np.ufunc, dtype) -> np.ndarray:
+    """The k*k window reduction of ``x`` by ``ufunc`` in ``dtype``: the first
+    tap copied in the memory order of ``x``, the others folded in place."""
+    taps = _taps(x, k, stride)
+    out = next(taps).astype(dtype, order="K")
+    for tap in taps:
+        ufunc(out, tap, out=out)
+    return out
 
 
 def maxpool(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -101,10 +110,7 @@ def maxpool(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     # a window propagates as in a window reduction.  The result keeps the
     # memory order of x, as the reduction did, since a later float sum
     # (avgpool) rounds by memory order.
-    out = None
-    for _, _, tap in _taps(x, k, k, stride):
-        out = tap.copy(order="K") if out is None else np.maximum(out, tap, out=out)
-    return out
+    return _tap_reduce(x, k, stride, np.maximum, x.dtype)
 
 
 def avgpool(x: np.ndarray, k: int, stride: int) -> np.ndarray:

@@ -49,9 +49,8 @@ order (15 columns), then 8 raw counts.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +94,9 @@ def leaf_weight(G: float, H: float, lam: float) -> float:
     return -G / (H + lam)
 
 
-DEFAULT_HYPER = {"eta": 0.3, "gamma": 0.0, "lam": 1.0, "max_depth": 6, "n_trees": 100}
+# the surrogate's one setting, which ``tuner._xgb`` trains with; ``train``
+# takes any key as a keyword override
+DEFAULT_HYPER = {"eta": 0.3, "gamma": 0.0, "lam": 1.0, "max_depth": 4, "n_trees": 30}
 
 
 @dataclass
@@ -103,7 +104,7 @@ class GBTModel:
     trees: list[dict]
     hyper: dict
     n_features: int
-    feature_gain: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    feature_gain: np.ndarray
 
 
 def _gains(GL: np.ndarray, HL: np.ndarray, G: np.float64, H: float,
@@ -274,19 +275,3 @@ def feature_importance(model: GBTModel) -> list[tuple[int, float]]:
     shares = model.feature_gain / total
     order = sorted(range(len(shares)), key=lambda i: (-shares[i], i))
     return [(i, float(shares[i])) for i in order if shares[i] > 0.0]
-
-
-def save_gbt(model: GBTModel, path: str) -> None:
-    """Write ``model`` as a JSON document, so that two trained surrogates
-    can be compared byte for byte; nothing in the package reads it back."""
-    doc = {
-        "format": "gbt",
-        "version": 1,
-        "hyper": model.hyper,
-        "n_features": model.n_features,
-        "feature_gain": model.feature_gain.tolist(),
-        "trees": model.trees,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-

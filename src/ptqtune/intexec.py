@@ -106,7 +106,7 @@ from functools import reduce
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, _check_batch, _float_node, _taps, _walk, _windows,
+from .fp32 import (AccuracyResult, _check_batch, _float_node, _tap_reduce, _walk, _windows,
                    maxpool, top1_from_scores)
 from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, fused_relu, pool_args
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
@@ -142,22 +142,16 @@ class OpTrace:
         return "\n".join(lines) + "\n"
 
 
-def requantize(acc: np.ndarray | int, multiplier: float | np.ndarray,
-               zero_point: int = 0) -> np.ndarray:
-    """int32 accumulator -> int8 codes as float64, via a float multiplier,
-    rounding half up.  A multiplier 2**-s gives the codes of a shift by s."""
-    return _requantize(np.array(acc, dtype=np.float64), multiplier, zero_point)
-
-
-def _requantize(acc: np.ndarray, multiplier, zero_point: int,
-                out: np.ndarray | None = None, lo: int = QMIN) -> np.ndarray:
-    """``requantize`` in place on the float64 accumulator ``acc``, clipped
-    to [``lo``, QMAX]; the codes land in ``out`` (default ``acc``)."""
+def _requantize(acc: np.ndarray, multiplier, zero_point: int, out: np.ndarray,
+                lo: int = QMIN) -> np.ndarray:
+    """An int32 accumulator ``acc``, held in float64 and overwritten, ->
+    int8 codes in ``out``, via a float multiplier, rounding half up and
+    clipped to [``lo``, QMAX].  A multiplier 2**-s gives a shift by s."""
     np.multiply(acc, multiplier, out=acc)
     acc += 0.5
     np.floor(acc, out=acc)
     acc += zero_point
-    return np.clip(acc, lo, QMAX, out=acc if out is None else out)
+    return np.clip(acc, lo, QMAX, out=out)
 
 
 def _float32_exact(bound, *units) -> bool:
@@ -328,13 +322,7 @@ def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.nd
         k, s = pool_args(node)
         dtype = np.float32 if _float32_exact(-QMIN * k * k) else np.float64
         rescale = _rescaler(4, 1.0, float(k * k), zo, bias=-zo * k * k, bound=-QMIN * k * k)
-
-        def avgpool(xs: list[np.ndarray]) -> np.ndarray:
-            total = None
-            for _, _, tap in _taps(xs[0], k, k, s):
-                total = tap.astype(dtype) if total is None else np.add(total, tap, out=total)
-            return rescale(total)
-        return avgpool
+        return lambda xs: rescale(_tap_reduce(xs[0], k, s, np.add, dtype))
     if node.kind == "add":
         # align both inputs to a common scale WITHOUT clamping, sum in the
         # wide accumulator, then round/clamp once -- clamping the addends

@@ -277,13 +277,15 @@ class ModelFeatures:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelFeatures":
         """The features a tuning record stores; every count must be an
-        integer (the constructor checks nothing, for speed)."""
+        integer in [0, 2**53), which the surrogate's float64 encoding holds
+        exactly (the constructor checks nothing, for speed)."""
         f = cls(**{f.name: d[f.name] for f in fields(cls)}
                 | {"activation_kinds": dict(d["activation_kinds"])})
         counts = {**vars(f), **{f"activation_kinds.{k}": v for k, v in f.activation_kinds.items()}}
-        bad = {k: v for k, v in counts.items() if k != "activation_kinds" and not is_integer(v)}
+        bad = {k: v for k, v in counts.items()
+               if k != "activation_kinds" and not (is_integer(v) and 0 <= v < 2**53)}
         if bad:
-            raise ValueError(f"model feature counts {bad} are not integers")
+            raise ValueError(f"model feature counts {bad} are not integers in [0, 2**53)")
         return f
 
 

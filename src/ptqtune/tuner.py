@@ -216,7 +216,7 @@ class _Campaign:
 
     @property
     def exhausted(self) -> bool:
-        return len(self.trials) >= self.budget or bool(self.explored.all())
+        return len(self.trials) >= self.budget
 
     def unexplored(self, rng: np.random.Generator) -> int:
         """A uniform pick among the configs not yet measured."""
@@ -229,7 +229,7 @@ class _Campaign:
         except Exception as e:
             return 0.0, f"{type(e).__name__}: {e}"
 
-    def measure(self, picks: list[int], workers: int = 1) -> None:
+    def measure(self, picks: list[int], workers: int) -> None:
         """Evaluate ``picks``, ``workers`` at a time, and record each result
         as it arrives, in pick order.  A single worker (or pick) runs on the
         calling thread."""
@@ -262,9 +262,6 @@ def _grid(camp: _Campaign, rng: np.random.Generator,
     yield [(k * len(camp.space)) // camp.budget for k in range(camp.budget)]
 
 
-SURROGATE_HYPER = {"n_trees": 30, "max_depth": 4}
-
-
 def _xgb(camp: _Campaign, rng: np.random.Generator,
          seed_db: list[TuningRecord] | None) -> Iterator[list[int]]:
     enc = np.stack([gbt.encode(camp.features, c) for c in camp.space])
@@ -278,7 +275,7 @@ def _xgb(camp: _Campaign, rng: np.random.Generator,
             yield [camp.unexplored(rng)]
             continue
         model = gbt.train(np.concatenate([X_seed, enc[camp.picks]]),
-                          np.concatenate([y_seed, camp.top1[camp.picks]]), **SURROGATE_HYPER)
+                          np.concatenate([y_seed, camp.top1[camp.picks]]))
         preds = np.where(camp.explored, -np.inf, gbt.predict(model, enc))
         yield [int(np.argmax(preds))]  # ties -> enumeration order
 

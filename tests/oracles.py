@@ -5,6 +5,7 @@ per-candidate recomputation) so that agreement with the library is evidence,
 not tautology.
 """
 
+import json
 import math
 
 import numpy as np
@@ -244,6 +245,21 @@ def gbt_train_reference(X, y, **hyper):
         yhat = yhat + hp["eta"] * _predict_tree(tree, X)
         trees.append(tree)
     return GBTModel(trees=trees, hyper=hp, n_features=X.shape[1], feature_gain=gain_acc)
+
+
+def save_gbt(model, path: str) -> None:
+    """Write ``model`` as a JSON document, so that two trained surrogates
+    can be compared byte for byte (the golden surrogate hashes)."""
+    doc = {
+        "format": "gbt",
+        "version": 1,
+        "hyper": model.hyper,
+        "n_features": model.n_features,
+        "feature_gain": model.feature_gain.tolist(),
+        "trees": model.trees,
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
 
 
 def requantize_int64(acc, multiplier=None, shift=None, zero_point=0):

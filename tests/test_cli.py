@@ -285,6 +285,22 @@ def test_tune_rejects_a_transfer_db_with_a_count_that_is_not_an_integer(ws, tmp_
     calibrate.assert_not_called()
 
 
+def test_tune_rejects_a_transfer_db_with_a_count_a_float_cannot_hold(ws, tmp_path, capsys):
+    # before, the surrogate's float encoding of such a count raised an
+    # OverflowError inside the picker, after all three caches were calibrated
+    db = tmp_path / "huge.jsonl"
+    feats = recipe_feature_counts("resnet-toy")
+    record_db(str(db), [TuningRecord("donor", feats, QuantConfig(), 0.5, 0.0, 1)])
+    db.write_text(db.read_text().replace(f'"n_nodes": {feats.n_nodes}', f'"n_nodes": {10**400}'))
+    with mock.patch("ptqtune.tuner.build_cache") as calibrate:
+        rc = main(["tune", "--model", str(ws / "lenet-ish-s1.qtm"),
+                   "--dataset", str(ws / "dataset.qds"), "--strategy", "xgb-t",
+                   "--budget", "4", "--transfer-db", str(db), "--out", str(tmp_path / "never")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {db}:1: not a tuning record")
+    assert not (tmp_path / "never").exists()
+    calibrate.assert_not_called()
+
 def test_gen_fixtures_rejects_a_nan_noise_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "ws"
     rc = main(["gen-fixtures", "--out", str(out), "--n-calib", "2", "--n-eval", "2",

@@ -3,9 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad, gbt_train_reference
+from oracles import finite_diff_grad, gbt_train_reference, save_gbt
 from ptqtune import (QuantConfig, Scheme, extract_features, feature_importance,
-                     predict, save_gbt, train)
+                     predict, train)
 from ptqtune.gbt import FEATURE_NAMES, N_FEATURES, _gains, encode, grad_hess, leaf_weight
 
 

@@ -52,10 +52,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import save_gbt
 from ptqtune import (OpTrace, build_cache, clipped_range, enumerate_space,
                      extract_features, generate_fixture, make_accuracy_evaluator,
                      make_dataset, quantize_model, run_integer_only, run_quantized,
-                     run_strategy, save_cache, save_gbt, save_quantized)
+                     run_strategy, save_cache, save_quantized)
 from ptqtune import gbt
 from ptqtune.ir import INPUT_TENSOR
 from ptqtune.quantize import GENERIC, INTEGER_ONLY

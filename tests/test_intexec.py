@@ -13,11 +13,10 @@ from oracles import (add_int64, conv2d_scalar, depthwise_scalar, requantize_int6
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantParams, Scheme,
                      build_cache, check_integer_only, clipped_range, enumerate_space,
                      evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
-                     quantize_model, requantize, run_fp32, run_integer_only, run_quantized,
-                     validate)
+                     quantize_model, run_fp32, run_integer_only, run_quantized, validate)
 from ptqtune import fp32, intexec
 from ptqtune.intexec import _accumulator
-from ptqtune.ir import INPUT_TENSOR, Graph, Node
+from ptqtune.ir import INPUT_TENSOR, Graph, Node, pool_args
 from ptqtune.quantize import QuantizedGraph
 from ptqtune.schemes import QMAX, QMIN
 from ptqtune.tuner import GENERIC, INTEGER_ONLY
@@ -31,6 +30,12 @@ def cfg(**kw):
 
 
 # --------------------------------------------------------------- requantize
+
+def requantize(acc, multiplier, zero_point=0):
+    """int32 accumulator -> int8 codes as float64 through ``_requantize``."""
+    acc = np.array(acc, dtype=np.float64)
+    return intexec._requantize(acc, multiplier, zero_point, acc)
+
 
 def test_requantize_shift_examples():
     assert int(requantize(256, 2.0**-4)) == 16
@@ -922,6 +927,47 @@ def test_every_s2_config_matches_the_int64_reference_walk(name, request, ds):
         g = request.getfixturevalue(name)
     configs = [c for c in REFERENCE_CONFIGS if c.cache == "S2"]
     assert_matches_the_reference_walk(g, ds, configs, ds.eval_images[:16])
+
+
+def test_tap_reduce_folds_a_copy_in_its_input_memory_order(ds):
+    """The pooling tap fold on a recipe's avgpool input codes, as NCHW and
+    as an NHWC-backed view (the layout of an fp32 conv output): the fold
+    keeps the input's memory order and never writes into it, maxpool and
+    the code-step avgpool included, and that avgpool gives the codes of
+    the int64 reference walk."""
+    g = generate_fixture("conv+relu+maxpool+dwconv+relu+pwconv+avgpool+fc", seed=1)
+    qg = quantize_model(g, build_cache(g, ds, "S2", seed=0), cfg())
+    nodes = qg.graph.nodes
+    i = next(i for i, n in enumerate(nodes) if n.kind == "avgpool")
+    head = replace(qg, graph=replace(qg.graph, nodes=nodes[:i + 1]))  # ends at the avgpool
+    images = ds.eval_images[:4]
+    blocks = []
+
+    def keep(t, v):
+        if t == nodes[i].data_inputs[0]:
+            blocks.append(v.copy())
+    run_quantized(head, images, sink=keep)
+    x = np.concatenate(blocks)
+    want = run_reference(head, images)
+    k, s = pool_args(nodes[i])
+    step = intexec._lower(head, nodes[i])
+
+    def order(a):  # axes from the slowest-varying to the fastest in memory
+        return tuple(np.argsort(a.strides)[::-1])
+
+    nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert order(x) == (0, 1, 2, 3) and order(nhwc) == (0, 2, 3, 1)
+    for a in (x, nhwc):
+        before = a.copy()
+        windows = fp32._windows(a, k, k, s, 0)
+        total = fp32._tap_reduce(a, k, s, np.add, np.float64)
+        assert total.dtype == np.float64 and order(total) == order(a)
+        assert np.array_equal(total, windows.sum(axis=(-2, -1), dtype=np.float64))
+        pooled = fp32.maxpool(a, k, s)
+        assert order(pooled) == order(a)
+        assert np.array_equal(pooled, windows.max(axis=(-2, -1)))
+        assert np.array_equal(step([a]).astype(np.int8), want)
+        assert np.array_equal(a, before)
 
 
 @settings(deadline=None, max_examples=60)

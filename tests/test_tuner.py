@@ -477,12 +477,18 @@ def test_db_rejects_future_schema(tmp_path):
     lambda d: {**d, "features": {**d["features"],
                                  "activation_kinds": {**d["features"]["activation_kinds"],
                                                       "relu": "2"}}},
+    lambda d: {**d, "features": {**d["features"], "n_nodes": 10**400}},  # overflows a float
+    lambda d: {**d, "features": {**d["features"], "n_nodes": -1}},
+    lambda d: {**d, "features": {**d["features"],
+                                 "activation_kinds": {**d["features"]["activation_kinds"],
+                                                      "relu": 2**53}}},  # rounds in a float
 ], ids=["no-fields", "array", "top1-list", "top1-nan", "features-no-key", "config-no-scheme",
         "unknown-scheme", "features-int", "string", "fusion-string", "fusion-int",
         "error-string", "error-int", "trial-float", "trial-negative", "trial-bool",
         "top1-string", "top1-bool", "top1-huge", "timestamp-nan", "timestamp-string",
         "v-bool", "v-float", "model-int", "error-msg-int", "config-empty", "features-false",
-        "count-string", "count-null", "count-bool", "count-float", "activation-string"])
+        "count-string", "count-null", "count-bool", "count-float", "activation-string",
+        "count-huge", "count-negative", "activation-huge"])
 def test_db_rejects_malformed_records_with_value_error(tmp_path, edit):
     good = TuningRecord("m", FEATS, SPACE[0], 0.5, 0.0, 1).to_json()
     p = tmp_path / "db.jsonl"
