@@ -46,12 +46,9 @@ def write_container(path: str, fmt: str, header: dict, buffers: list[np.ndarray]
     reserved = sorted(set(_ENVELOPE).intersection(header))
     if reserved:
         raise ValueError(f"header may not define the reserved keys {reserved}")
-    arrs = [np.ascontiguousarray(b) for b in buffers]
-    table = []
-    for a in arrs:
-        # force little-endian on-disk representation
-        a = a.astype(a.dtype.newbyteorder("<"), copy=False)
-        table.append({"dtype": a.dtype.name, "shape": list(a.shape)})
+    # C order and little-endian on disk; a conforming array is not copied
+    arrs = [np.ascontiguousarray(b, b.dtype.newbyteorder("<")) for b in buffers]
+    table = [{"dtype": a.dtype.name, "shape": list(a.shape)} for a in arrs]
     full = {**header, "format": fmt, "version": VERSION, "buffers": table}
     if meta:
         full["meta"] = meta
@@ -61,7 +58,7 @@ def write_container(path: str, fmt: str, header: dict, buffers: list[np.ndarray]
         f.write(b"HDR %d\n" % len(blob))
         f.write(blob)
         for a in arrs:
-            f.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
+            f.write(a)  # the array's own buffer, not a bytes copy
 
 
 @contextmanager
@@ -128,14 +125,19 @@ def read_container(path: str, fmt: str) -> tuple[dict, list[np.ndarray]]:
         buffers = []
         for entry in header.get("buffers", []):
             dt = np.dtype(entry["dtype"]).newbyteorder("<")
+            if dt.hasobject:  # its bytes would be read as pointers
+                raise ValueError(f"{path}: buffer dtype {entry['dtype']!r} holds objects")
             shape = tuple(entry["shape"])
             # sized against the file before reading, so a corrupt shape
             # cannot ask for an unbounded allocation
             nbytes = math.prod(shape) * dt.itemsize
             if not 0 <= nbytes <= size - f.tell():
                 raise ValueError(f"{path}: truncated buffer payload")
-            arr = np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape)
-            buffers.append(arr.astype(arr.dtype.newbyteorder("="), copy=True))
+            # read straight into the array returned, which is writable
+            arr = np.empty(shape, dt)
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise ValueError(f"{path}: truncated buffer payload")
+            buffers.append(arr.astype(dt.newbyteorder("="), copy=False))
         if f.tell() != size:
             raise ValueError(f"{path}: {size - f.tell()} bytes after the last buffer")
         payload = {k: v for k, v in header.items() if k not in ("format", "version", "buffers")}

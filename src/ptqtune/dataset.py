@@ -27,6 +27,7 @@ _TEMPLATE_SEED = 77041  # fixed: templates are part of the data definition
 
 N_CLASSES = 10
 IMAGE_SHAPE = (3, 32, 32)
+_CHUNK = 32  # images per noise draw
 
 
 def class_templates() -> np.ndarray:
@@ -71,9 +72,15 @@ def make_dataset(n_calib: int = 300, n_eval: int = 200, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = n_calib + n_eval
     labels = rng.integers(0, N_CLASSES, size=n)
-    images = class_templates()[labels] + noise * rng.standard_normal((n,) + IMAGE_SHAPE)
-    return Dataset(images=images.astype(np.float32),
-                   labels=labels.astype(np.int64), n_calib=n_calib)
+    templates = class_templates()
+    images = np.empty((n,) + IMAGE_SHAPE, np.float32)
+    # consecutive draws continue one normal stream, so the chunks give the
+    # bytes of one (n, C, H, W) draw without its float64 temporaries
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        z = rng.standard_normal((len(labels[rows]),) + IMAGE_SHAPE)
+        images[rows] = templates[labels[rows]] + noise * z
+    return Dataset(images=images, labels=labels.astype(np.int64), n_calib=n_calib)
 
 
 def save_dataset(d: Dataset, path: str, meta: dict | None = None) -> None:

@@ -20,15 +20,19 @@ o)``-backed layout, since ``avgpool`` rounds by memory order.  So the walk
 cuts the batch for cache by one rule: depth-first over blocks of ``max(1,
 _BLOCK // e)`` images, ``e`` being the graph's elements per image summed
 over every node output, keeping only the graph output whole-batch; with
-one block it reads the whole arrays as they are.  No output, histogram or
-score depends on the block size.
+one block it reads the whole arrays as they are.  The same budget bounds
+the largest temporaries, a conv's im2col columns (kh*kw values per output
+position and input channel): both im2col sites, ``conv2d`` here and the
+conv on codes, build and multiply them over image chunks of ``_chunks``,
+each into its rows of one output.  No output, histogram or score depends
+on the block or chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,16 +68,35 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
     return win[:, :, ::stride, ::stride]
 
 
+def _chunks(n: int, shape: tuple[int, ...], dtype) -> Iterator[tuple[slice, np.ndarray]]:
+    """The image chunks of a batch of ``n`` whose im2col columns, of
+    ``shape`` and ``dtype`` per image, stay within ``_BLOCK``, counted in
+    float32 units (a float64 column counts twice): ``max(1, _BLOCK // units
+    per image)`` images each, the last one ragged.  Yields each chunk's
+    slice of the batch and an uninitialised C-contiguous column array for
+    its images, a view of one buffer that every chunk reuses: with a fresh
+    array per chunk, two were alive at each handover, and glibc's allocator
+    returned their pages after each conv and faulted them in again on the
+    next, thousands of minor page faults per lenet walk."""
+    step = max(1, _BLOCK * 4 // (math.prod(shape) * np.dtype(dtype).itemsize))
+    buf = np.empty((min(step, n), *shape), dtype)
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step), buf[:min(step, n - lo)]
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
            stride: int, pad: int) -> np.ndarray:
     n = x.shape[0]
     o, c, kh, kw = w.shape
     win = _windows(x, kh, kw, stride, pad)
     oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
-    out = np.ascontiguousarray(cols) @ w.reshape(o, -1).T
+    wt = w.reshape(o, -1).T
+    out = np.empty((n, oh * ow, o), np.result_type(x, w))
+    for rows, cols in _chunks(n, (oh, ow, c, kh, kw), out.dtype):
+        np.copyto(cols, win[rows].transpose(0, 2, 3, 1, 4, 5))
+        np.matmul(cols.reshape(len(cols), oh * ow, -1), wt, out=out[rows])
     if b is not None:
-        out = out + b
+        out += b
     return out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
 

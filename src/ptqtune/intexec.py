@@ -51,12 +51,13 @@ input zero point zp allowing |x - zp| up to max(zp - QMIN, QMAX - zp).
 
 Exactness makes summation order free on codes, and layout and batch size
 with it: an exact integer sum has one value however it is formed.  So the
-code step lowers every conv the same way (``_conv_cols``): the input is
-zero-shifted into a zero-bordered copy, its im2col columns are gathered in
-(C, kh, kw, OH, OW) order by one copy whose inner loop runs along an output
-row, and one batched matmul per group of ``C // w.shape[1]`` channels (1 for
-conv2d and pointwise, C for depthwise) writes the NCHW output.
-fully_connected is one matmul.
+code step lowers every conv the same way (``_conv_cols``): over the image
+chunks of ``fp32._chunks``, which keep the columns within the walk's cache
+budget, the input is zero-shifted into a zero-bordered copy, its im2col
+columns are gathered in (C, kh, kw, OH, OW) order by one copy whose inner
+loop runs along an output row, and one batched matmul per group of ``C //
+w.shape[1]`` channels (1 for conv2d and pointwise, C for depthwise) writes
+the chunk's rows of the NCHW output.  fully_connected is one matmul.
 
 Each code node is lowered once per walk (``_lower``), as the multipliers
 of Jacob et al. are computed once, offline: everything its step needs that
@@ -80,15 +81,15 @@ fp32 on the raw batch with its float weights: its output, before the
 boundary quantization, is the same for every configuration.  Given a
 ``memo`` (``make_accuracy_evaluator`` keeps one per graph and eval batch),
 the walk computes each such config-free output (``_config_free``) once,
-in its own blocks: the first walk keeps each block it computes, read-only,
-and stores their concatenation under the output's tensor id only once it
-has returned, so a walk that raises stores nothing.  A later walk reads
-its block's rows of the stored array, and only the boundary quantization
-runs per configuration and per block.  A fused layer writes its relu's
-tensor with the relu's values, so fused and unfused configurations share
-that entry.  One sgemm per image makes a block's bytes those of the whole
-batch, so every result is bit-identical with or without a memo.  Without
-a memo the walk computes every node.
+in its own blocks: the first walk writes each block it computes into the
+rows of one whole-batch array, and stores that array, read-only, under the
+output's tensor id only once it has returned, so a walk that raises
+stores nothing.  A later walk reads its block's rows of the stored array,
+and only the boundary quantization runs per configuration and per block.
+A fused layer writes its relu's tensor with the relu's values, so fused
+and unfused configurations share that entry.  One sgemm per image makes a
+block's bytes those of the whole batch, so every result is bit-identical
+with or without a memo.  Without a memo the walk computes every node.
 
 The OpTrace records the *semantic* operation categories of the quantized
 program, which is what the integer-only audit asserts over.  The walk
@@ -106,9 +107,10 @@ from functools import reduce
 import numpy as np
 
 from .dataset import Dataset
-from .fp32 import (AccuracyResult, _check_batch, _float_node, _tap_reduce, _walk, _windows,
-                   maxpool, top1_from_scores)
-from .ir import COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, fused_relu, pool_args
+from .fp32 import (AccuracyResult, _check_batch, _chunks, _float_node, _tap_reduce, _walk,
+                   _windows, maxpool, top1_from_scores)
+from .ir import (COMPUTE_KINDS, INPUT_TENSOR, Node, conv_args, fused_relu, out_size, pool_args,
+                 propagate_shapes)
 from .quantize import INT32_MAX, INT32_MIN, INTEGER_ONLY, QuantizedGraph, _plain
 from .schemes import QMAX, QMIN, _broadcast, dequantize_array, quantize_array
 
@@ -279,17 +281,21 @@ def _shifted(x: np.ndarray, zx: int, dtype, pad: int) -> np.ndarray:
 
 def _conv_cols(x: np.ndarray, zx: int, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """Every conv on codes, as a grouped conv of ``C // w.shape[1]`` groups
-    (1 for conv2d and pointwise, C for depthwise): one im2col copy of the
-    shifted input in (C, kh, kw, OH, OW) order, then one batched matmul of
-    each group's (O/g, C/g*kh*kw) weights into the NCHW output."""
-    n, c = x.shape[:2]
+    (1 for conv2d and pointwise, C for depthwise), over the image chunks of
+    ``fp32._chunks``: per chunk, one im2col copy of the shifted input in
+    (C, kh, kw, OH, OW) order, then one batched matmul of each group's
+    (O/g, C/g*kh*kw) weights into the chunk's rows of the NCHW output."""
+    n, c, h, wd = x.shape
     o, cg, kh, kw = w.shape
     g = c // cg
-    cols = _windows(_shifted(x, zx, w.dtype, pad), kh, kw, stride, 0)
-    oh, ow = cols.shape[2:4]
-    cols = np.ascontiguousarray(cols.transpose(0, 1, 4, 5, 2, 3))
-    return np.matmul(w.reshape(g, o // g, -1),
-                     cols.reshape(n, g, -1, oh * ow)).reshape(n, o, oh, ow)
+    oh, ow = out_size(h, kh, stride, pad), out_size(wd, kw, stride, pad)
+    wg = w.reshape(g, o // g, -1)
+    out = np.empty((n, g, o // g, oh * ow), w.dtype)
+    for rows, cols in _chunks(n, (c, kh, kw, oh, ow), w.dtype):
+        win = _windows(_shifted(x[rows], zx, w.dtype, pad), kh, kw, stride, 0)
+        np.copyto(cols, win.transpose(0, 1, 4, 5, 2, 3))
+        np.matmul(wg, cols.reshape(len(cols), g, -1, oh * ow), out=out[rows])
+    return out.reshape(n, o, oh, ow)
 
 
 def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.ndarray]:
@@ -361,50 +367,62 @@ def _lower(qg: QuantizedGraph, node: Node) -> Callable[[list[np.ndarray]], np.nd
     raise ValueError(f"unknown node kind {node.kind!r}")  # pragma: no cover
 
 
-def _config_free(qg: QuantizedGraph, memo: dict) -> dict[str, np.ndarray | list]:
-    """By node id, each node whose fp32 output, before any boundary
-    quantization, is the same for every configuration of the graph on one
-    batch: a node not run on codes whose data inputs are all config-free.
+def _config_free(qg: QuantizedGraph, memo: dict,
+                 n: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The nodes whose fp32 output, before any boundary quantization, is
+    the same for every configuration of the graph on one batch of ``n``
+    images: a node not run on codes whose data inputs are all config-free.
     The raw input is config-free when it carries no params, and so is such
     a node's output when it carries none (a boundary's codes depend on its
-    params).  Each maps to ``memo``'s read-only whole-batch array under its
-    output tensor id, or to a fresh list for the walk's blocks when the
-    memo has none.  A fused layer writes its relu's tensor with exactly the
+    params).  Returns ``(served, fresh)``: by node id, ``memo``'s read-only
+    whole-batch array under the output tensor id; and, by output tensor id,
+    a new whole-batch array for each node the memo has none for, which the
+    walk fills.  A fused layer writes its relu's tensor with exactly the
     relu's values, so the tensor id alone is the key."""
     free = set() if INPUT_TENSOR in qg.act_params else {INPUT_TENSOR}
-    kept = {}
+    shapes = propagate_shapes(qg.graph)
+    served, fresh = {}, {}
     for node in qg.graph.nodes:
         if qg.on_codes(node) or not free.issuperset(node.data_inputs):
             continue
-        kept[node.id] = memo.get(node.output, [])
+        if node.output in memo:
+            served[node.id] = memo[node.output]
+        else:
+            fresh[node.output] = np.empty((n, *shapes[node.output]), np.float32)
         if node.output not in qg.act_params:
             free.add(node.output)
-    return kept
+    return served, fresh
 
 
-def _float_step(qg: QuantizedGraph, node: Node,
-                kept: np.ndarray | list | None) -> Callable[[list[np.ndarray]], np.ndarray]:
+def _float_step(qg: QuantizedGraph, node: Node, served: bool,
+                fill: np.ndarray | None) -> Callable[[list[np.ndarray]], np.ndarray]:
     """The fp32 step of ``node`` in a quantized graph, lowered once per walk
     like ``_lower``: dequantize code inputs (only a FirstLastFp32 layer has
     them), run ``_float_node`` with one sgemm per image, quantize a code
-    output (the FirstLastFp32 boundary).  ``kept`` is the node's entry of
-    ``_config_free``: with a whole-batch array, the node's one input is its
-    own block of it, so only the boundary runs; with a list, each block the
-    step computes is marked read-only and appended there."""
+    output (the FirstLastFp32 boundary).  A ``served`` node's one input is
+    its own block of the memo's array, so only the boundary runs.  Given
+    ``fill``, a whole-batch array of ``_config_free``, each block the step
+    computes is written to its rows in walk order, and the step goes on
+    with those rows, read-only."""
     p_out = qg.act_params.get(node.output)
 
     def boundary(out: np.ndarray) -> np.ndarray:
         return out if p_out is None else quantize_array(out, p_out).astype(np.float32)
-    if isinstance(kept, np.ndarray):
+    if served:
         return lambda xs: boundary(xs[0])
     params = [qg.act_params.get(t) for t in node.data_inputs]
+    filled = 0
 
     def step(xs: list[np.ndarray]) -> np.ndarray:
+        nonlocal filled
         xs = [x if p is None else dequantize_array(x, p) for x, p in zip(xs, params)]
         out = _float_node(node, xs, qg.graph.weights)
-        if kept is not None:
-            out.flags.writeable = False
-            kept.append(out)
+        if fill is not None:
+            rows = fill[filled:filled + len(out)]
+            rows[...] = out
+            rows.flags.writeable = False
+            filled += len(out)
+            out = rows
         return boundary(out)
     return step
 
@@ -413,18 +431,17 @@ def _execute(qg: QuantizedGraph, batch: np.ndarray, sink=None,
              memo: dict | None = None) -> np.ndarray:
     g = qg.graph
     batch = _check_batch(g, batch)
-    kept = {} if memo is None else _config_free(qg, memo)
+    served, fresh = ({}, {}) if memo is None else _config_free(qg, memo, len(batch))
     steps = [_lower(qg, node) if qg.on_codes(node) else
-             _float_step(qg, node, kept.get(node.id)) for node in g.nodes]
+             _float_step(qg, node, node.id in served, fresh.get(node.output))
+             for node in g.nodes]
     # host-side input quantization (not part of the traced graph program)
     p_in = qg.act_params.get(INPUT_TENSOR)
     enter = None if p_in is None else lambda x: quantize_array(x, p_in).astype(np.float32)
-    out = _walk(g, batch, steps, sink, enter,
-                {i: a for i, a in kept.items() if isinstance(a, np.ndarray)})
-    for node in g.nodes:  # only once the walk has returned
-        if isinstance(kept.get(node.id), list):
-            memo[node.output] = np.concatenate(kept[node.id])
-            memo[node.output].flags.writeable = False
+    out = _walk(g, batch, steps, sink, enter, served)
+    for t, a in fresh.items():  # only once the walk has returned
+        a.flags.writeable = False
+        memo[t] = a
     return out
 
 

@@ -19,6 +19,32 @@ def block_elements(g):
     return sum(int(np.prod(shapes[n.output])) for n in g.nodes)
 
 
+def column_elements(g):
+    """The im2col column elements per image of each conv-family node of
+    ``g``: what ``fp32._chunks`` divides ``fp32._BLOCK`` by, in float32."""
+    shapes = propagate_shapes(g)
+    return [shapes[n.data_inputs[0]][0] * int(np.prod(g.weights[n.weight_id].shape[2:]))
+            * int(np.prod(shapes[n.output][1:]))
+            for n in g.nodes if n.kind.endswith("conv2d")]
+
+
+def ragged_budget(g, n):
+    """A ``fp32._BLOCK`` at which the walk cuts ``n`` images into blocks of
+    b < n and some conv builds its float32 columns in chunks of k images,
+    1 < k < b, with k not dividing b: ragged chunks inside the blocks.
+    None when no budget does."""
+    e = block_elements(g)
+    for c in column_elements(g):
+        for k in range(2, n):
+            for b in range(k + 1, n):
+                # the least budget with blocks of b; chunks of k need it in
+                # [k*c, (k+1)*c)
+                budget = max(k * c, b * e)
+                if b % k and budget // e == b and budget < (k + 1) * c:
+                    return budget
+    return None
+
+
 @st.composite
 def recipes(draw, max_size=5):
     """The fixture graph of a drawn grammar recipe: up to ``max_size``
@@ -34,7 +60,12 @@ def recipes(draw, max_size=5):
 
 @pytest.fixture(scope="session")
 def ds():
-    return make_dataset(seed=0)
+    """The dataset every test shares, read-only: a kernel that writes into
+    its input fails its own test instead of corrupting later ones."""
+    d = make_dataset(seed=0)
+    d.images.flags.writeable = False
+    d.labels.flags.writeable = False
+    return d
 
 
 @pytest.fixture(scope="session")

@@ -414,3 +414,14 @@ def calibrate_per_image(g, images):
     for i in range(len(images)):
         run_fp32(g, images[i:i + 1], sink=add_bins)
     return {t: (np.float32(lo), np.float32(hi), counts[t]) for t, (lo, hi) in ranges.items()}
+
+
+def make_dataset_oneshot(n_calib, n_eval, seed, noise):
+    """``dataset.make_dataset`` as one draw of every image's noise at once:
+    labels, then one (n, C, H, W) standard normal array in float64."""
+    from ptqtune.dataset import IMAGE_SHAPE, N_CLASSES, class_templates
+    rng = np.random.default_rng(seed)
+    n = n_calib + n_eval
+    labels = rng.integers(0, N_CLASSES, size=n)
+    images = class_templates()[labels] + noise * rng.standard_normal((n,) + IMAGE_SHAPE)
+    return images.astype(np.float32), labels.astype(np.int64)

@@ -1,4 +1,6 @@
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from ptqtune import (GraphError, QuantConfig, build_cache, load_cache, load_dataset,
                      load_model, load_quantized, make_dataset, quantize_model,
                      run_quantized, save_cache, save_dataset, save_model, save_quantized)
+from ptqtune import container
 from ptqtune.container import (MAGIC, VERSION, canonical_json, file_format,
                                read_container, write_container)
 
@@ -26,6 +29,48 @@ def test_round_trip_preserves_bytes_and_header(tmp_path):
         assert a.dtype == b.dtype
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+def test_buffers_are_written_as_raw_little_endian_bytes(tmp_path):
+    """The file is the preamble, the header and each buffer's C-order
+    little-endian bytes, whatever the order and byte order of the arrays
+    written; each comes back writable, in native byte order."""
+    path = tmp_path / "b.qtm"
+    bufs = [np.arange(12, dtype=">f4").reshape(3, 4), np.arange(6, dtype=np.int64)[::2],
+            np.asfortranarray(np.arange(6, dtype=np.int16).reshape(2, 3)),
+            np.zeros((0, 3), np.int8), np.array([True, False])]
+    write_container(str(path), "qtm", {}, bufs)
+    blob = canonical_json({"buffers": [{"dtype": a.dtype.newbyteorder("<").name,
+                                        "shape": list(a.shape)} for a in bufs],
+                           "format": "qtm", "version": VERSION})
+    data = b"".join(np.asarray(a, a.dtype.newbyteorder("<")).tobytes() for a in bufs)
+    assert path.read_bytes() == MAGIC + b"HDR %d\n" % len(blob) + blob + data
+    _, back = read_container(str(path), "qtm")
+    for a, b in zip(bufs, back):
+        assert b.dtype.isnative and b.flags.writeable and b.shape == a.shape
+        assert np.array_equal(a, b)
+
+
+def test_a_buffer_of_objects_is_rejected(tmp_path):
+    path = tmp_path / "o.qtm"
+    write_container(str(path), "qtm", {}, [np.zeros(2, np.int64)])
+    for dtype in ("object", "O,i4"):
+        rewrite_header(path, lambda h: h["buffers"][0].update(dtype=dtype))
+        with pytest.raises(ValueError, match="holds objects"):
+            read_container(str(path), "qtm")
+
+
+def test_a_short_read_is_rejected(tmp_path):
+    """A file that is shorter than its size said when it was opened (it
+    shrank while being read) raises ValueError."""
+    path = tmp_path / "s.qtm"
+    write_container(str(path), "qtm", {}, [np.zeros(1000, dtype=np.float32)])
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-100])
+    with mock.patch.object(container.os, "fstat",
+                           return_value=SimpleNamespace(st_size=size)), \
+            pytest.raises(ValueError, match="truncated buffer payload"):
+        read_container(str(path), "qtm")
 
 
 def test_magic_is_first_bytes(tmp_path):

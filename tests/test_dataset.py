@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import make_dataset_oneshot
 from ptqtune import (Dataset, class_templates, load_dataset, make_dataset,
                      save_dataset)
 
@@ -32,6 +33,19 @@ def test_same_seed_reproduces_dataset(ds):
     d2 = make_dataset(seed=0)
     assert ds.images.tobytes() == d2.images.tobytes()
     assert ds.labels.tobytes() == d2.labels.tobytes()
+
+
+@pytest.mark.parametrize("n_calib, n_eval, seed, noise",
+                         [(300, 200, 0, 0.25), (0, 1, 3, 1.0), (5, 28, 7, 0.0),
+                          (31, 2, 1, 2.5), (0, 0, 2, 0.25), (40, 65, 9, 0.1)])
+def test_make_dataset_gives_the_bytes_of_one_noise_draw(n_calib, n_eval, seed, noise):
+    """The noise is drawn in chunks of images, a ragged last chunk and a
+    batch smaller than one chunk included, with the bytes of one draw."""
+    images, labels = make_dataset_oneshot(n_calib, n_eval, seed, noise)
+    d = make_dataset(n_calib, n_eval, seed, noise)
+    assert d.images.dtype == images.dtype and d.images.shape == images.shape
+    assert d.images.tobytes() == images.tobytes()
+    assert d.labels.tobytes() == labels.tobytes()
 
 
 def test_labels_cover_all_classes(ds):

@@ -11,6 +11,7 @@ from ptqtune import (avgpool, conv2d, depthwise_conv2d, evaluate_top1, generate_
                      maxpool, run_fp32, softmax, top1_from_scores)
 from ptqtune import fp32
 from ptqtune.fp32 import _windows
+from ptqtune.ir import out_size
 from test_intexec import concat_graph
 
 RNG = np.random.default_rng(42)
@@ -100,6 +101,24 @@ def test_run_accepts_single_image(lenet, ds):
     batch = run_fp32(lenet, ds.eval_images[:1])
     assert one.shape == (1, 10)
     assert np.array_equal(one, batch)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kernel, stride, pad", [(3, 1, 1), (1, 1, 0), (5, 2, 2)],
+                         ids=["conv", "pwconv", "strided"])
+def test_conv2d_in_column_chunks_gives_the_one_chunk_bytes(k, kernel, stride, pad):
+    """7 images in im2col chunks of ``k`` images, the last one ragged for 2
+    and 3, give the bytes and layout of one chunk."""
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((7, 4, 9, 9)).astype(np.float32)
+    w = rng.standard_normal((5, 4, kernel, kernel)).astype(np.float32)
+    b = rng.standard_normal(5).astype(np.float32)
+    oh = out_size(9, kernel, stride, pad)
+    with mock.patch.object(fp32, "_BLOCK", k * 4 * kernel * kernel * oh * oh):
+        got = conv2d(x, w, b, stride, pad)
+    with mock.patch.object(fp32, "_BLOCK", 1 << 40):
+        want = conv2d(x, w, b, stride, pad)
+    assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
 
 def joined(g, batches):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -7,16 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import block_elements, recipes
+from conftest import block_elements, ragged_budget, recipes
 from oracles import (add_int64, conv2d_scalar, depthwise_scalar, requantize_int64, round_half_up,
                      run_reference)
 from ptqtune import (GraphError, IntegerOnlyError, OpTrace, QuantConfig, QuantParams, Scheme,
-                     build_cache, check_integer_only, clipped_range, enumerate_space,
+                     build_cache, calibrate, check_integer_only, clipped_range, enumerate_space,
                      evaluate_quantized, evaluate_top1, generate_fixture, params_for_range,
                      quantize_model, run_fp32, run_integer_only, run_quantized, validate)
 from ptqtune import fp32, intexec
 from ptqtune.intexec import _accumulator
-from ptqtune.ir import INPUT_TENSOR, Graph, Node, pool_args
+from ptqtune.ir import INPUT_TENSOR, Graph, Node, out_size, pool_args
 from ptqtune.quantize import QuantizedGraph
 from ptqtune.schemes import QMAX, QMIN
 from ptqtune.tuner import GENERIC, INTEGER_ONLY
@@ -1053,6 +1054,93 @@ def test_static_work_is_lowered_once_per_walk(name, request, ds):
                 run_quantized(qg, images)
             calls.append((exact.call_count, bound.call_count))
         assert calls[0] == calls[1] and min(calls[0]) > 0, (c, calls)
+
+
+# ------------------------------------------------------------ column chunks
+
+def walk_outputs(g, cache, images):
+    """The bytes of all a walk of ``images`` computes: ``run_fp32``'s
+    output, ``calibrate``'s ranges and bin counts, then, on ``cache``, the
+    Generic, the FirstLastFp32 (twice through one memo) and the IntegerOnly
+    outputs, and the integer-only codes."""
+    out = [run_fp32(g, images)]
+    for h in calibrate(g, images).histograms.values():
+        out += [h.min_seen, h.max_seen, h.bin_counts]
+    memo = {}
+    for c in (cfg(), first_last(), first_last(), int_cfg()):
+        qg = quantize_model(g, cache, c)
+        out.append(run_quantized(qg, images, memo=memo))
+    out.append(run_integer_only(qg, images))
+    return [np.asarray(a).tobytes() for a in out]
+
+
+def assert_column_chunks_give_the_one_chunk_bytes(g, ds):
+    """16 images with im2col chunks ragged inside the walk's blocks give
+    the bytes of one block and one chunk."""
+    images = ds.eval_images[:16]
+    budget = ragged_budget(g, len(images))
+    cache = build_cache(g, ds, "S2", seed=0)
+    with mock.patch.object(fp32, "_BLOCK", budget):
+        got = walk_outputs(g, cache, images)
+    with mock.patch.object(fp32, "_BLOCK", 1 << 40):
+        assert got == walk_outputs(g, cache, images)
+
+
+@pytest.mark.parametrize("name", ["lenet", "resnet", "mobile"])
+def test_column_chunks_inside_blocks_give_the_one_chunk_bytes(name, request, ds):
+    g = request.getfixturevalue(name)
+    assert ragged_budget(g, 16) is not None
+    assert_column_chunks_give_the_one_chunk_bytes(g, ds)
+
+
+@settings(deadline=None, max_examples=20)
+@given(g=recipes())
+@example(g=generate_fixture("dwconv+relu+pwconv+avgpool+fc", seed=1))
+@example(g=generate_fixture("pwconv+maxpool+conv+avgpool+fc+fc+softmax", seed=2))
+def test_column_chunks_inside_blocks_give_the_one_chunk_bytes_on_drawn_recipes(ds, g):
+    assume(ragged_budget(g, 16) is not None)
+    assert_column_chunks_give_the_one_chunk_bytes(g, ds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_layers(), st.integers(1, 3))
+def test_conv_kernels_on_codes_in_column_chunks_give_the_one_chunk_bytes(layer, k):
+    """Chunks of ``k`` images, the last one ragged, give the bytes and
+    layout of one chunk, with either accumulator dtype."""
+    kind, x, zx, w, stride, pad = layer
+    node = Node("l", kind, ["x", "w"], "y", {"stride": stride, "padding": pad})
+    units = 1 if intexec._float32_exact(intexec._tap_bound(w, zx)) else 2
+    oh, ow = (out_size(d, w.shape[2], stride, pad) for d in x.shape[2:])
+    with mock.patch.object(fp32, "_BLOCK", k * units * x.shape[1] * w.shape[2] ** 2 * oh * ow):
+        got = _accumulator(node, zx, w)(x)
+    with mock.patch.object(fp32, "_BLOCK", 1 << 40):
+        want = _accumulator(node, zx, w)(x)
+    assert got.dtype == want.dtype and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config", [None, cfg(), int_cfg()], ids=["fp32", "generic", "integer"])
+def test_a_walk_holds_at_most_three_budgets_besides_its_output(config, lenet, lenet_cache_s2,
+                                                              ds):
+    """The peak of the bytes a lenet walk of 200 images allocates, less its
+    output, stays within three budgets of ``_BLOCK`` float32 elements: one
+    for a block's node outputs, one for a chunk of im2col columns and one
+    for the temporaries of the step running.  Columns built for a whole
+    block, 36 images of 58,800 elements on conv0, are 4 budgets alone."""
+    images = ds.eval_images
+    assert len(images) > fp32._BLOCK // block_elements(lenet)  # several blocks
+    qg = None if config is None else quantize_model(lenet, lenet_cache_s2, config)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run_fp32(lenet, images) if qg is None else run_quantized(qg, images)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - out.nbytes < 3 * 4 * fp32._BLOCK
 
 
 def input_skip_graph() -> Graph:
